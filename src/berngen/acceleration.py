@@ -91,11 +91,10 @@ def build_triangle(base: Sequence, ell: int) -> CoefficientTriangle:
 
 @dataclass(frozen=True)
 class CorrectionTerm:
-    """Boundary-correction pair (Gamma, Delta) with the family sign."""
+    """Boundary-correction pair (Gamma, Delta)."""
 
     gamma_part: complex
     delta_part: complex
-    sign: float
 
 
 def _denominator(tau: float) -> float:
@@ -136,16 +135,15 @@ def correction(p: int, N: int, ell: int, tau: float,
     if ell < 0:
         raise ValueError("ell must be >= 0")
     w = check_pole(w)
-    sign = (-1.0) ** ((p + 2) // 2)
     if ell == 0:
-        return CorrectionTerm(0.0 + 0.0j, 0.0 + 0.0j, sign)
+        return CorrectionTerm(0.0 + 0.0j, 0.0 + 0.0j)
     gamma_tri = build_triangle(
         [_gamma0(p, N + i, w) for i in range(2 * ell + 1)], ell)
     delta_tri = build_triangle(
         [_delta0(p, N + i, w) for i in range(2 * ell + 1)], ell)
     gamma_part, delta_part = _correction_parts(gamma_tri, delta_tri,
                                                N, ell, tau)
-    return CorrectionTerm(gamma_part, delta_part, sign)
+    return CorrectionTerm(gamma_part, delta_part)
 
 
 def G_approx(params: ApproxParams) -> complex:

@@ -6,7 +6,6 @@ import argparse
 import csv
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -134,23 +133,7 @@ def _resolve_config(args, spec: dict, defaults: dict) -> dict:
             cfg[key] = _parse_value(key, raw, kind)
     if getattr(args, "out", None) is not None:
         cfg["out"] = args.out
-    if cfg.get("threads", 1) < 1:
-        raise UsageError("threads must be >= 1")
     return cfg
-
-
-def _run_cells(tasks, threads: int) -> list:
-    """Evaluate independent parameter points, optionally concurrently.
-
-    Each task returns its own row list; ordering is irrelevant because the
-    report sorts by the parameter tuple before writing.
-    """
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda t: t(), tasks))
-    else:
-        chunks = [t() for t in tasks]
-    return [row for chunk in chunks for row in chunk]
 
 
 def cmd_delta_table(config: dict) -> ExperimentReport:
@@ -165,15 +148,14 @@ def cmd_delta_table(config: dict) -> ExperimentReport:
             f"K={K} must be at least max(N)={max(n_list)} so the tail "
             "meets the K >= 2N requirement for every cell")
 
-    def cell(z: float, N: int) -> list:
+    def cell(z: float, N: int) -> Row:
         t0 = perf_counter()
         value = delta_of_N(z, N, N + K)
         dt = perf_counter() - t0
-        return [Row("delta-table", "parseval", p=4, n=1, N=N, z=z,
-                    value=value, elapsed_s=dt)]
+        return Row("delta-table", "parseval", p=4, n=1, N=N, z=z,
+                   value=value, elapsed_s=dt)
 
-    tasks = [lambda z=z, N=N: cell(z, N) for z in z_list for N in n_list]
-    return ExperimentReport(_run_cells(tasks, config["threads"]))
+    return ExperimentReport([cell(z, N) for z in z_list for N in n_list])
 
 
 def cmd_scalar_error(config: dict) -> ExperimentReport:
@@ -205,10 +187,10 @@ def cmd_scalar_error(config: dict) -> ExperimentReport:
                             elapsed_s=dt))
         return rows
 
-    tasks = [lambda p=p, ell=ell, tau=tau: sweep(p, ell, tau)
-             for p in config["p"] for ell in config["ell"]
-             for tau in config["tau"]]
-    return ExperimentReport(_run_cells(tasks, config["threads"]))
+    return ExperimentReport([row for p in config["p"]
+                             for ell in config["ell"]
+                             for tau in config["tau"]
+                             for row in sweep(p, ell, tau)])
 
 
 def cmd_bvp_compare(config: dict) -> ExperimentReport:
@@ -255,11 +237,11 @@ def cmd_bvp_compare(config: dict) -> ExperimentReport:
                     value=err, elapsed_s=dt + (build if i == 0 else 0.0))
                 for i, (tau, err, dt) in enumerate(errors(plan))]
 
-    tasks = [lambda n=n, N=N: lanc_cell(n, N)
-             for n in config["n"] for N in config["N"]]
-    tasks += [lambda ell=ell, N=N: fast_cell(ell, N)
-              for ell in config["ell"] for N in config["N"]]
-    return ExperimentReport(_run_cells(tasks, config["threads"]))
+    rows = [row for n in config["n"] for N in config["N"]
+            for row in lanc_cell(n, N)]
+    rows += [row for ell in config["ell"] for N in config["N"]
+             for row in fast_cell(ell, N)]
+    return ExperimentReport(rows)
 
 
 def cmd_arnoldi_compare(config: dict) -> ExperimentReport:
@@ -318,33 +300,33 @@ def cmd_arnoldi_compare(config: dict) -> ExperimentReport:
 _COMMANDS = {
     "delta-table": (
         cmd_delta_table,
-        {"z": "floats", "N": "ints", "K": "int", "threads": "int"},
+        {"z": "floats", "N": "ints", "K": "int"},
         {"z": [1.0, 0.1, 10.0], "N": [512, 1024, 2048], "K": 2048,
-         "threads": 1, "out": None},
+         "out": None},
     ),
     "scalar-error": (
         cmd_scalar_error,
         {"p": "ints", "ell": "ints", "tau": "floats", "N": "int",
          "points": "int", "wmin": "float", "wmax": "float",
-         "alpha": "float", "threads": "int"},
+         "alpha": "float"},
         {"p": [2], "ell": [0, 1, 2, 3], "tau": [0.125, 0.0078125], "N": 100,
          "points": 400, "wmin": -10.0, "wmax": 0.0, "alpha": 0.125,
-         "threads": 1, "out": None},
+         "out": None},
     ),
     "bvp-compare": (
         cmd_bvp_compare,
         {"grid": "str", "s": "int", "tau": "floats", "N": "ints",
-         "n": "ints", "ell": "ints", "threads": "int"},
+         "n": "ints", "ell": "ints"},
         {"grid": "uniform", "s": 512, "tau": [1.0 / 12.0, 1.0 / 6.0],
          "N": [50, 100, 200], "n": [2, 3, 4], "ell": [2, 3, 4],
-         "threads": 1, "out": None},
+         "out": None},
     ),
     "arnoldi-compare": (
         cmd_arnoldi_compare,
         {"test": "int", "steps": "int", "s": "int", "N": "int",
-         "ell": "int", "tau": "float", "threads": "int"},
+         "ell": "int", "tau": "float"},
         {"test": 3, "steps": 100, "s": 512, "N": 50, "ell": None,
-         "tau": 1.0 / 6.0, "threads": 1, "out": None},
+         "tau": 1.0 / 6.0, "out": None},
     ),
 }
 
@@ -361,8 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="write CSV here instead of stdout")
         sp.add_argument("--config",
                         help="key=value file overriding the defaults")
-        sp.add_argument("--threads",
-                        help="worker threads for independent cells")
         for flag, help_line in flags.items():
             kwargs = {"help": help_line}
             if flag == "--grid":

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,20 +22,19 @@ DENSE_CAP = 1024
 class BandedOperator:
     """Real square operator stored as tridiagonal bands or a dense matrix.
 
-    Immutable after construction; matvec and factorization routines never
-    write back, so instances are safe to share across threads.
+    Immutable after construction; matvec and the shifted solve never
+    write back, so instances are safe to share.
     """
 
-    __slots__ = ("dimension", "sub", "diag", "sup", "_dense", "symmetric")
+    __slots__ = ("dimension", "sub", "diag", "sup", "_dense")
 
     def __init__(self, *, dimension: int, sub=None, diag=None, sup=None,
-                 dense=None, symmetric: bool = False):
+                 dense=None):
         self.dimension = dimension
         self.sub = sub
         self.diag = diag
         self.sup = sup
         self._dense = dense
-        self.symmetric = symmetric
 
     @classmethod
     def tridiagonal(cls, sub, diag, sup) -> "BandedOperator":
@@ -49,8 +47,7 @@ class BandedOperator:
             raise ValueError("empty diagonal")
         if sub.shape != (s - 1,) or sup.shape != (s - 1,):
             raise ValueError("off-diagonals must have length s - 1")
-        return cls(dimension=s, sub=sub, diag=diag, sup=sup,
-                   symmetric=bool(np.array_equal(sub, sup)))
+        return cls(dimension=s, sub=sub, diag=diag, sup=sup)
 
     @classmethod
     def diagonal(cls, d) -> "BandedOperator":
@@ -63,8 +60,7 @@ class BandedOperator:
         matrix = np.array(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("dense operator must be a square matrix")
-        return cls(dimension=matrix.shape[0], dense=matrix,
-                   symmetric=bool(np.array_equal(matrix, matrix.T)))
+        return cls(dimension=matrix.shape[0], dense=matrix)
 
     @property
     def is_tridiagonal(self) -> bool:
@@ -102,126 +98,58 @@ class BandedOperator:
         return float(col.max())
 
 
-def _gbtrf(ab: np.ndarray, kl: int, ku: int) -> np.ndarray:
-    """In-place banded LU with partial pivoting.
+def _tridiagonal_solve(dl: list, d: list, du: list, b: list) -> np.ndarray:
+    """Gaussian elimination with partial pivoting on a tridiagonal system.
 
-    ab has 2*kl + ku + 1 rows; matrix entry (i, j) lives at
-    ab[kl + ku + i - j, j], with rows 0..kl-1 reserved for pivoting
-    fill-in.  Returns the pivot index array.
+    dl, d, du are the sub-, main and super-diagonals (lengths n-1, n, n-1);
+    dl and d are overwritten.  Rows i and i+1 swap when |dl[i]| > |d[i]|, the
+    row interchanges of LAPACK gtsv; a swap fills the second
+    superdiagonal du2.  A zero pivot raises LinAlgError.
     """
-    n = ab.shape[1]
-    d = kl + ku
-    ipiv = np.arange(n)
-    ju = 0
-    for j in range(n):
-        km = min(kl, n - 1 - j)
-        col = ab[d:d + km + 1, j]
-        jp = int(np.argmax(np.abs(col)))
-        if col[jp] == 0.0:
-            raise np.linalg.LinAlgError(
-                f"shifted system is singular at column {j}")
-        ipiv[j] = j + jp
-        ju = max(ju, min(j + ku + jp, n - 1))
-        if jp:
-            cols = np.arange(j, ju + 1)
-            r1 = d + jp - (cols - j)
-            r2 = d - (cols - j)
-            swap = ab[r1, cols].copy()
-            ab[r1, cols] = ab[r2, cols]
-            ab[r2, cols] = swap
-        if km:
-            ab[d + 1:d + km + 1, j] /= ab[d, j]
-            mult = ab[d + 1:d + km + 1, j]
-            for jj in range(j + 1, ju + 1):
-                r0 = d + j - jj
-                u = ab[r0, jj]
-                if u != 0.0:
-                    ab[r0 + 1:r0 + km + 1, jj] -= mult * u
-    return ipiv
-
-
-def _gbtrs(ab: np.ndarray, kl: int, ku: int, ipiv: np.ndarray,
-           b: np.ndarray) -> np.ndarray:
-    """Solve with factors from _gbtrf (single right-hand side)."""
-    n = ab.shape[1]
-    d = kl + ku
-    x = np.array(b, dtype=float)
-    for j in range(n - 1):
-        jp = ipiv[j]
-        if jp != j:
-            x[j], x[jp] = x[jp], x[j]
-        km = min(kl, n - 1 - j)
-        if km:
-            x[j + 1:j + km + 1] -= ab[d + 1:d + km + 1, j] * x[j]
-    for j in range(n - 1, -1, -1):
-        x[j] /= ab[d, j]
-        i0 = max(0, j - (kl + ku))
-        if i0 < j:
-            x[i0:j] -= ab[d + i0 - j:d, j] * x[j]
-    return x
-
-
-def _shifted_pentadiagonal(A: BandedOperator, shift: float) -> np.ndarray:
-    """Factorization storage (7 rows) of A^2 + shift*I for tridiagonal A."""
-    s = A.dimension
-    a = np.zeros(s)
-    c = np.zeros(s)
-    if s > 1:
-        a[1:] = A.sub   # a[i] = A[i, i-1]
-        c[:-1] = A.sup  # c[i] = A[i, i+1]
-    b = A.diag
-    ab = np.zeros((7, s))
-    if s > 2:
-        ab[2, 2:] = c[:-2] * c[1:-1]
-        ab[6, :-2] = a[2:] * a[1:-1]
-    if s > 1:
-        ab[3, 1:] = c[:-1] * (b[:-1] + b[1:])
-        ab[5, :-1] = a[1:] * (b[:-1] + b[1:])
-    d0 = b * b + shift
-    if s > 1:
-        d0[1:] += a[1:] * c[:-1]
-        d0[:-1] += c[:-1] * a[1:]
-    ab[4, :] = d0
-    return ab
-
-
-class ShiftedFactorization:
-    """Reusable factorization of the shifted system A^2 + (2 pi k)^2 I.
-
-    Tridiagonal operators get a pentadiagonal banded LU with partial
-    pivoting; everything else falls back to a dense solve.
-    """
-
-    def __init__(self, A: BandedOperator, k: int):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self.shift = (TWO_PI * k) ** 2
-        self._A = A
-        if A.is_tridiagonal:
-            ab = _shifted_pentadiagonal(A, self.shift)
-            self._ipiv = _gbtrf(ab, 2, 2)
-            self._ab = ab
-            self._dense = None
+    n = len(d)
+    du = du + [0.0]
+    du2 = [0.0] * n
+    x = b + [0.0, 0.0]
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0:
+                raise np.linalg.LinAlgError(
+                    f"shifted system is singular at column {i}")
+            m = dl[i] / d[i]
+            d[i + 1] -= m * du[i]
+            x[i + 1] -= m * x[i]
         else:
-            M = A.to_dense()
-            self._dense = M @ M + self.shift * np.eye(A.dimension)
-            self._ab = None
-            self._ipiv = None
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        if self._ab is not None:
-            return _gbtrs(self._ab, 2, 2, self._ipiv, b)
-        return np.linalg.solve(self._dense, b)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The shifted operator applied to x (for residual checks)."""
-        return self._A.matvec(self._A.matvec(x)) + self.shift * x
+            m = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - m * d[i + 1], d[i + 1]
+            du2[i] = du[i + 1]
+            du[i + 1] = -m * du2[i]
+            x[i], x[i + 1] = x[i + 1], x[i] - m * x[i + 1]
+    if d[n - 1] == 0:
+        raise np.linalg.LinAlgError(
+            f"shifted system is singular at column {n - 1}")
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+    return np.array(x[:n])
 
 
 def shifted_solve(A: BandedOperator, k: int, b) -> np.ndarray:
-    """One-off solve of (A^2 + (2 pi k)^2 I) x = b."""
-    return ShiftedFactorization(A, k).solve(np.asarray(b, dtype=float))
+    """Solve (A^2 + (2 pi k)^2 I) x = b through one complex solve.
+
+    For real A and b and t = 2 pi k, (A - i t I)^{-1} b = A x + i t x, so
+    x is the imaginary part over t and A^2 is never formed.  Tridiagonal
+    operators use the pivoted elimination above, dense ones numpy's LU.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    t = TWO_PI * k
+    b = np.asarray(b, dtype=float)
+    if A.is_tridiagonal:
+        y = _tridiagonal_solve(A.sub.tolist(),
+                               [complex(v, -t) for v in A.diag.tolist()],
+                               A.sup.tolist(), b.tolist())
+    else:
+        y = np.linalg.solve(A.to_dense() - 1j * t * np.eye(A.dimension), b)
+    return y.imag / t
 
 
 def h_action(A: BandedOperator, p: int, tau: float, f) -> np.ndarray:
@@ -239,20 +167,6 @@ def h_action(A: BandedOperator, p: int, tau: float, f) -> np.ndarray:
         v = A.matvec(v) + (eval_bernoulli(table, k, tau)
                            / math.factorial(k)) * f
     return v
-
-
-@dataclass(frozen=True)
-class VectorSequence:
-    """Base mode vectors for k = start .. start + 2*ell.
-
-    gamma[i] and delta[i] are the cosine- and sine-family vectors of mode
-    start + i; the delta entry costs one extra matrix-vector product on
-    top of the gamma entry's solve.
-    """
-
-    start: int
-    gamma: tuple
-    delta: tuple
 
 
 def _family_vectors(p: int, tk: float, u: np.ndarray, v: np.ndarray):
@@ -298,8 +212,7 @@ class ActionPlan:
         gseq = []
         dseq = []
         for k in range(1, N + 2 * ell + 1):
-            fact = ShiftedFactorization(A, k)
-            x = fact.solve(self.f)
+            x = shifted_solve(A, k, self.f)
             self.solve_count += 1
             tk = TWO_PI * k
             if scheme == "direct":
@@ -308,10 +221,10 @@ class ActionPlan:
                     u = A.matvec(u)
                 gv, dv = _family_vectors(p, tk, u, A.matvec(u))
             elif p == 1:
-                gv = self.f - fact.shift * x
+                gv = self.f - tk ** 2 * x
                 dv = tk * A.matvec(x)
             else:
-                u = self.f - fact.shift * x  # A^2 x_k, kept O(1)
+                u = self.f - tk ** 2 * x  # A^2 x_k, kept O(1)
                 for _ in range(p - 2):
                     u = A.matvec(u)
                 gv, dv = _family_vectors(p, tk, u, A.matvec(u))
@@ -324,12 +237,8 @@ class ActionPlan:
         self._cvecs = cvecs
         self._svecs = svecs
         if ell:
-            self.sequence = VectorSequence(start=N, gamma=tuple(gseq),
-                                           delta=tuple(dseq))
             self._gamma_tri = build_triangle(gseq, ell)
             self._delta_tri = build_triangle(dseq, ell)
-        else:
-            self.sequence = None
 
     def evaluate(self, tau: float) -> np.ndarray:
         """q(tau, A) f from the precomputed mode vectors (no solves)."""

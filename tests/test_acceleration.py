@@ -84,7 +84,6 @@ class TestCorrection:
         """Depth 0 returns a zero pair without touching the denominator."""
         term = correction(2, 50, 0, 1e-12, 1.0)
         assert term.gamma_part == 0.0 and term.delta_part == 0.0
-        assert term.sign == parity_signs(2)[0]
 
     def test_endpoint_guard(self):
         for tau in (1e-10, 1.0 - 1e-10):

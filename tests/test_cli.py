@@ -59,9 +59,7 @@ class TestDeltaTable:
     def test_runs_are_byte_identical_modulo_timing(self, capsys):
         _, first = _run(capsys, ["delta-table"])
         _, second = _run(capsys, ["delta-table"])
-        _, threaded = _run(capsys, ["delta-table", "--threads", "3"])
         assert _strip_elapsed(first) == _strip_elapsed(second)
-        assert _strip_elapsed(first) == _strip_elapsed(threaded)
 
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "table.csv"
@@ -90,9 +88,6 @@ class TestArgumentHandling:
 
     def test_bad_grid_choice(self, capsys):
         assert main(["bvp-compare", "--grid", "log"]) == 2
-
-    def test_zero_threads(self, capsys):
-        assert main(["delta-table", "--threads", "0"]) == 2
 
 
 class TestConfigFile:

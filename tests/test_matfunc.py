@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from berngen.bvp import discretize_laplacian, uniform_grid
 from berngen.fourier import ApproxParams, reference_q
 from berngen.matfunc import (DENSE_CAP, ActionPlan, BandedOperator,
-                             G_action, ShiftedFactorization, _expm_dense,
+                             G_action, _expm_dense,
                              _phi1_dense, expm_action, g_action, h_action,
                              load_matrix_market, load_tridiagonal,
                              reference_solution, shifted_solve)
@@ -32,15 +32,6 @@ class TestBandedOperator:
         assert np.array_equal(
             M, [[3.0, 6.0, 0.0], [1.0, 4.0, 7.0], [0.0, 2.0, 5.0]])
         assert A.is_tridiagonal
-        assert not A.symmetric
-
-    def test_symmetry_flag_is_exact(self):
-        A = BandedOperator.tridiagonal([1.0, 2.0], [0.0, 0.0, 0.0],
-                                       [1.0, 2.0])
-        assert A.symmetric
-        B = BandedOperator.tridiagonal([1.0, 2.0], [0.0, 0.0, 0.0],
-                                       [1.0, 2.0000000001])
-        assert not B.symmetric
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(3)
@@ -52,7 +43,6 @@ class TestBandedOperator:
         M = np.array([[1.0, 2.0], [2.0, 5.0]])
         A = BandedOperator.dense(M)
         assert not A.is_tridiagonal
-        assert A.symmetric
         got = A.to_dense()
         got[0, 0] = 99.0
         assert A.to_dense()[0, 0] == 1.0
@@ -155,20 +145,32 @@ class TestShiftedSolve:
     def test_mode_index_validated(self):
         A = BandedOperator.diagonal([1.0])
         with pytest.raises(ValueError):
-            ShiftedFactorization(A, 0)
+            shifted_solve(A, 0, np.ones(1))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=2, max_value=12),
+    @given(st.integers(min_value=1, max_value=12),
            st.integers(min_value=1, max_value=4),
+           st.sampled_from([(0.0, 2.0), (30.0, 60.0)]),
+           st.sampled_from([1.0, 1e-9]),
            st.integers(min_value=0, max_value=2 ** 31 - 1))
-    def test_apply_inverts_solve(self, s, k, seed):
+    def test_apply_inverts_solve(self, s, k, off_range, diag_scale, seed):
+        """Off-diagonals below 2 never swap rows.  Off-diagonals of
+        modulus 30..60 exceed every |diagonal - 2 pi k i| <= |2 - 8 pi i|,
+        so the first elimination step swaps; s = 1 is the 1x1 system."""
         rng = np.random.default_rng(seed)
-        A = BandedOperator.tridiagonal(rng.uniform(-2, 2, s - 1),
-                                       rng.uniform(-2, 2, s),
-                                       rng.uniform(-2, 2, s - 1))
+
+        def off():
+            return (rng.choice([-1.0, 1.0], s - 1)
+                    * rng.uniform(*off_range, s - 1))
+
+        A = BandedOperator.tridiagonal(
+            off(), diag_scale * rng.uniform(-2, 2, s), off())
         b = rng.uniform(-2, 2, s)
-        fact = ShiftedFactorization(A, k)
-        assert np.linalg.norm(fact.apply(fact.solve(b)) - b) <= 1e-9
+        t = TWO_PI * k
+        x = shifted_solve(A, k, b)
+        residual = A.matvec(A.matvec(x)) + t * t * x - b
+        assert np.linalg.norm(residual) <= 1e-14 * (
+            (A.norm1() + t) ** 2 * np.linalg.norm(x))
 
 
 class TestPolynomialAction:
@@ -466,7 +468,6 @@ class TestMatrixMarketLoader:
         expect = np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, 7.0],
                            [0.0, 7.0, 5.0]])
         assert np.array_equal(A.to_dense(), expect)
-        assert A.symmetric
 
     def test_bad_inputs(self, tmp_path):
         bad_header = tmp_path / "a.mtx"
