@@ -124,5 +124,5 @@ def save_grid(grid: Grid, path) -> None:
 def load_grid(path) -> Grid:
     """Read nodes written by save_grid; spacing decides the kind."""
     nodes = np.loadtxt(path, ndmin=1)
-    kind = "uniform" if _uniform_spacing(nodes) else "geometric"
-    return Grid(nodes=nodes, kind=kind)
+    uniform = len(nodes) >= 3 and _uniform_spacing(nodes)  # Grid needs 3
+    return Grid(nodes=nodes, kind="uniform" if uniform else "geometric")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -169,19 +170,13 @@ def h_action(A: BandedOperator, p: int, tau: float, f) -> np.ndarray:
     return v
 
 
-def _family_vectors(p: int, tk: float, u: np.ndarray, v: np.ndarray):
-    """Split (A^p x, A^{p+1} x) into the (gamma, delta) family vectors."""
-    if p % 2 == 0:
-        return u / tk ** (p - 2), v / tk ** (p - 1)
-    return v / tk ** (p - 1), u / tk ** (p - 2)
-
-
 class ActionPlan:
     """tau-independent mode data for evaluating q(tau, A) f.
 
-    One construction performs exactly N + 2*ell shifted solves; evaluate()
-    may then be called for any number of tau values without further
-    solves.
+    One construction performs exactly N + 2*ell shifted solves and keeps
+    them; evaluate() may then be called for any number of tau values
+    without further solves, and view() derives plans of other orders and
+    depths on the same (A, f), solving only the modes this plan lacks.
 
     scheme 'direct' mirrors the classical construction (solve, then apply
     the full w-power); its noise grows like ||A||^p and it is kept as the
@@ -192,6 +187,24 @@ class ActionPlan:
 
     def __init__(self, A: BandedOperator, p: int, N: int, ell: int, f,
                  scheme: str = "stabilized"):
+        self.A = A
+        self.f = np.asarray(f, dtype=float)
+        self._solves = []
+        self._build(p, N, ell, scheme)
+
+    def view(self, p: int, N: int, ell: int,
+             scheme: str = "stabilized") -> "ActionPlan":
+        """A plan on the same (A, f) that reuses this plan's solves.
+
+        Only modes beyond this plan's are solved, and only those count in
+        the view's solve_count; this plan is left unchanged.
+        """
+        plan = copy.copy(self)
+        plan._solves = list(self._solves)
+        plan._build(p, N, ell, scheme)
+        return plan
+
+    def _build(self, p: int, N: int, ell: int, scheme: str) -> None:
         if p < 1:
             raise ValueError("p must be >= 1")
         if N < 1:
@@ -200,56 +213,43 @@ class ActionPlan:
             raise ValueError("ell must be >= 0")
         if scheme not in ("stabilized", "direct"):
             raise ValueError(f"unknown scheme {scheme!r}")
-        self.A = A
+        A, f = self.A, self.f
         self.p, self.N, self.ell = p, N, ell
-        self.f = np.asarray(f, dtype=float)
-        self.scheme = scheme
-        self.solve_count = 0
-        sc, ss = parity_signs(p)
-        self._signs = (sc, ss)
-        cvecs = []
-        svecs = []
-        gseq = []
-        dseq = []
-        for k in range(1, N + 2 * ell + 1):
-            x = shifted_solve(A, k, self.f)
-            self.solve_count += 1
+        have = len(self._solves)
+        for k in range(have + 1, N + 2 * ell + 1):
+            self._solves.append(shifted_solve(A, k, f))
+        self.solve_count = len(self._solves) - have
+        gvecs, dvecs = [], []
+        for k, x in enumerate(self._solves[:N + 2 * ell], 1):
             tk = TWO_PI * k
+            # (u, v) = (A^j x, A^{j+1} x), advanced to j = p; the
+            # stabilized start rebuilds A^2 x_k as f - tk^2 x_k, kept O(1)
             if scheme == "direct":
-                u = x
-                for _ in range(p):
-                    u = A.matvec(u)
-                gv, dv = _family_vectors(p, tk, u, A.matvec(u))
-            elif p == 1:
-                gv = self.f - tk ** 2 * x
-                dv = tk * A.matvec(x)
+                j, u, v = 0, x, A.matvec(x)
             else:
-                u = self.f - tk ** 2 * x  # A^2 x_k, kept O(1)
-                for _ in range(p - 2):
-                    u = A.matvec(u)
-                gv, dv = _family_vectors(p, tk, u, A.matvec(u))
-            if k <= N:
-                cvecs.append(sc * gv)
-                svecs.append(ss * dv)
-            if k >= N:
-                gseq.append(gv)
-                dseq.append(dv)
-        self._cvecs = cvecs
-        self._svecs = svecs
+                j, u, v = 1, A.matvec(x), f - tk ** 2 * x
+            for _ in range(j, p):
+                u, v = v, A.matvec(v)
+            gv, dv = u / tk ** (p - 2), v / tk ** (p - 1)
+            if p % 2:
+                gv, dv = dv, gv
+            gvecs.append(gv)
+            dvecs.append(dv)
+        self._gvecs, self._dvecs = gvecs, dvecs
         if ell:
-            self._gamma_tri = build_triangle(gseq, ell)
-            self._delta_tri = build_triangle(dseq, ell)
+            self._gamma_tri = build_triangle(gvecs[N - 1:], ell)
+            self._delta_tri = build_triangle(dvecs[N - 1:], ell)
 
     def evaluate(self, tau: float) -> np.ndarray:
         """q(tau, A) f from the precomputed mode vectors (no solves)."""
         acc = h_action(self.A, self.p, tau, self.f)
         comp = np.zeros_like(acc)
-        for k in range(1, self.N + 1):
-            term = 2.0 * (math.cos(TWO_PI * k * tau) * self._cvecs[k - 1]
-                          + math.sin(TWO_PI * k * tau) * self._svecs[k - 1])
+        sc, ss = parity_signs(self.p)
+        for k, g, d in zip(range(1, self.N + 1), self._gvecs, self._dvecs):
+            term = 2.0 * (sc * math.cos(TWO_PI * k * tau) * g
+                          + ss * math.sin(TWO_PI * k * tau) * d)
             acc, comp = kahan_add(acc, comp, term)
         if self.ell:
-            sc, ss = self._signs
             gamma_part, delta_part = _correction_parts(
                 self._gamma_tri, self._delta_tri, self.N, self.ell, tau)
             acc = acc + 2.0 * (sc * gamma_part + ss * delta_part)
@@ -325,20 +325,24 @@ def _phi1_dense(M: np.ndarray) -> np.ndarray:
     return _expm_dense(B)[:n, n:]
 
 
-def reference_solution(A: BandedOperator, tau: float, f) -> np.ndarray:
+def reference_solution(A: BandedOperator, tau, f) -> np.ndarray:
     """z = (e^A - I)^{-1} e^{tau A} A f, the oracle behind every error table.
 
     Evaluated as phi_1(A)^{-1} e^{tau A} f, which is the same function of A
     but stays accurate (and defined) when the spectrum clusters at the
-    removable singularity, where e^A - I cancels catastrophically.
+    removable singularity, where e^A - I cancels catastrophically.  tau may
+    be an array: phi_1(A) is formed once and the result has shape
+    tau.shape + (s,).
     """
     if A.dimension > DENSE_CAP:
         raise ValueError(
             f"dense reference capped at dimension {DENSE_CAP}")
     f = np.asarray(f, dtype=float)
+    taus = np.asarray(tau, dtype=float)
     M = A.to_dense()
-    rhs = _expm_dense(tau * M) @ f
-    return np.linalg.solve(_phi1_dense(M), rhs)
+    phi = _phi1_dense(M)
+    z = [np.linalg.solve(phi, _expm_dense(t * M) @ f) for t in taus.flat]
+    return np.reshape(z, taus.shape + f.shape)
 
 
 def load_matrix_market(path) -> BandedOperator:
@@ -371,6 +375,8 @@ def load_matrix_market(path) -> BandedOperator:
                 continue
             i_s, j_s, v_s = line.split()[:3]
             i, j, v = int(i_s) - 1, int(j_s) - 1, float(v_s)
+            if not (0 <= i < rows and 0 <= j < rows):
+                raise ValueError(f"{path}: entry {line!r} is out of range")
             M[i, j] = v
             if symmetry == "symmetric" and i != j:
                 M[j, i] = v

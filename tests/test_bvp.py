@@ -151,6 +151,13 @@ class TestGridFiles:
         assert back.kind == "uniform"
         assert np.array_equal(back.nodes, grid.nodes)
 
+    @pytest.mark.parametrize("nodes", ["0.5\n", "0\n1\n"])
+    def test_too_few_nodes(self, tmp_path, nodes):
+        path = tmp_path / "grid.txt"
+        path.write_text(nodes)
+        with pytest.raises(ValueError, match="at least one interior node"):
+            load_grid(str(path))
+
     def test_geometric_round_trip(self, tmp_path):
         grid = geometric_grid(0.01, 1.005, 100)
         path = tmp_path / "grid.txt"

@@ -5,9 +5,13 @@ import io
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import berngen.matfunc
+from berngen.bvp import discretize_laplacian, uniform_grid
 from berngen.cli import SCHEMA, main
+from berngen.matfunc import ActionPlan, reference_solution
 
 HEADER = ",".join(SCHEMA)
 
@@ -176,16 +180,46 @@ class TestBvpCompare:
     def test_tiny_uniform_run(self, capsys):
         code, lines = _run(capsys, [
             "bvp-compare", "--s", "24", "--N", "8,12", "--n", "2",
-            "--ell", "2", "--tau", "0.25"])
+            "--ell", "2,3", "--tau", "0.25"])
         assert code == 0
         rows = _rows(lines)
-        assert len(rows) == 4
+        assert len(rows) == 6
         assert {r["experiment"] for r in rows} == {"bvp-uniform"}
         lanc = [r for r in rows if r["method"] == "lanc"]
         fast = [r for r in rows if r["method"] == "fastlanc"]
         assert {r["N"] for r in lanc} == {"8", "12"}
         assert all(r["p"] == "6" and r["n"] == "2" for r in lanc)
-        assert all(r["p"] == "2" and r["ell"] == "2" for r in fast)
+        assert all(r["p"] == "2" for r in fast)
+        assert {(r["N"], r["ell"]) for r in fast} == {
+            ("8", "2"), ("12", "2"), ("8", "3"), ("12", "3")}
+        # each cell equals a standalone plan against the dense reference
+        A = discretize_laplacian(uniform_grid(24.0, 24))
+        f = np.ones(A.dimension)
+        ref = reference_solution(A, 0.25, f)
+        for r in rows:
+            N = int(r["N"])
+            if r["method"] == "lanc":
+                plan = ActionPlan(A, 6, N, 0, f, scheme="direct")
+            else:
+                plan = ActionPlan(A, 2, N, int(r["ell"]), f)
+            err = float(np.max(np.abs(plan.evaluate(0.25) - ref)))
+            assert r["value"] == format(err, ".16e")
+
+    def test_cells_share_one_set_of_solves(self, capsys, monkeypatch):
+        calls = []
+        original = berngen.matfunc.shifted_solve
+
+        def counting(A, k, b):
+            calls.append(k)
+            return original(A, k, b)
+
+        monkeypatch.setattr(berngen.matfunc, "shifted_solve", counting)
+        code, lines = _run(capsys, [
+            "bvp-compare", "--s", "16", "--N", "8,12", "--n", "2",
+            "--ell", "2,3"])
+        assert code == 0
+        assert len(_rows(lines)) == 2 * (2 + 4)
+        assert sorted(calls) == list(range(1, 12 + 2 * 3 + 1))
 
     def test_tiny_geometric_run(self, capsys):
         code, lines = _run(capsys, [

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import berngen.matfunc
 from berngen.bvp import discretize_laplacian, uniform_grid
 from berngen.fourier import ApproxParams, reference_q
 from berngen.matfunc import (DENSE_CAP, ActionPlan, BandedOperator,
@@ -277,6 +278,71 @@ class TestActionPlan:
         got = ActionPlan(A, 1, 100, 3, f).evaluate(0.3)
         assert np.linalg.norm(got - expect) < 1e-7
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_view_matches_standalone_plan(self, dense):
+        rng = np.random.default_rng(35)
+        if dense:
+            A = BandedOperator.dense(0.3 * rng.standard_normal((8, 8)))
+        else:
+            A = _random_tridiagonal(rng, 8, scale=0.5)
+        f = rng.standard_normal(8)
+        base = ActionPlan(A, 2, 12, 2, f)
+        for p in (1, 2, 3, 6, 10):
+            for scheme in ("stabilized", "direct"):
+                for N, ell in ((8, 1), (12, 2), (15, 3), (20, 0)):
+                    view = base.view(p, N, ell, scheme)
+                    alone = ActionPlan(A, p, N, ell, f, scheme)
+                    for tau in (0.1, 0.3, 0.85):
+                        assert np.array_equal(view.evaluate(tau),
+                                              alone.evaluate(tau))
+
+    def test_view_solves_only_missing_modes(self, monkeypatch):
+        A = discretize_laplacian(uniform_grid(1.0, 14))
+        f = np.ones(A.dimension)
+        base = ActionPlan(A, 2, 12, 2, f)
+        calls = []
+        original = berngen.matfunc.shifted_solve
+
+        def counting(A, k, b):
+            calls.append(k)
+            return original(A, k, b)
+
+        monkeypatch.setattr(berngen.matfunc, "shifted_solve", counting)
+        for p, N, ell, scheme, missing in (
+                (2, 8, 3, "stabilized", 0), (6, 16, 0, "direct", 0),
+                (2, 12, 2, "stabilized", 0), (3, 20, 3, "direct", 10)):
+            calls.clear()
+            view = base.view(p, N, ell, scheme)
+            assert view.solve_count == missing == len(calls)
+            assert calls == list(range(17, 17 + missing))
+        calls.clear()
+        deeper = base.view(2, 20, 3).view(2, 26, 1)
+        assert deeper.solve_count == 2
+        assert calls == list(range(17, 29))
+
+    def test_base_unchanged_after_views(self):
+        rng = np.random.default_rng(36)
+        A = _random_tridiagonal(rng, 10, scale=0.5)
+        f = rng.standard_normal(10)
+        base = ActionPlan(A, 2, 10, 2, f)
+        taus = (0.2, 0.5, 0.9)
+        before = [base.evaluate(tau) for tau in taus]
+        for p, N, ell, scheme in ((1, 5, 1, "stabilized"),
+                                  (6, 20, 0, "direct"),
+                                  (2, 30, 4, "stabilized")):
+            base.view(p, N, ell, scheme).evaluate(0.5)
+        assert (base.p, base.N, base.ell, base.solve_count) == (2, 10, 2, 14)
+        assert base.view(2, 30, 4).solve_count == 30 + 8 - 14
+        for tau, expect in zip(taus, before):
+            assert np.array_equal(base.evaluate(tau), expect)
+
+    def test_view_validates(self):
+        base = ActionPlan(BandedOperator.diagonal([1.0]), 2, 10, 0, np.ones(1))
+        with pytest.raises(ValueError):
+            base.view(0, 10, 0)
+        with pytest.raises(ValueError):
+            base.view(2, 10, 0, scheme="magic")
+
 
 class TestMatrixApproximations:
     def test_diagonal_commutes_with_scalar(self):
@@ -440,6 +506,26 @@ class TestReferenceSolution:
         A = BandedOperator.diagonal(np.zeros(DENSE_CAP + 1))
         with pytest.raises(ValueError):
             reference_solution(A, 0.5, np.zeros(DENSE_CAP + 1))
+        with pytest.raises(ValueError):
+            reference_solution(A, [0.25, 0.5], np.zeros(DENSE_CAP + 1))
+
+    def test_tau_array_matches_scalar_calls(self):
+        A = discretize_laplacian(uniform_grid(24.0, 16))
+        f = np.linspace(-1.0, 2.0, A.dimension)
+        taus = [0.0, 1.0 / 12.0, 1.0 / 6.0, 0.5, 1.0]
+        z = reference_solution(A, taus, f)
+        assert z.shape == (5, A.dimension)
+        assert np.array_equal(
+            z, np.stack([reference_solution(A, t, f) for t in taus]))
+        grid = reference_solution(A, np.reshape(taus[:4], (2, 2)), f)
+        assert grid.shape == (2, 2, A.dimension)
+        assert np.array_equal(grid.reshape(4, -1), z[:4])
+        assert reference_solution(A, 0.5, f).shape == (A.dimension,)
+
+    def test_empty_tau_list(self):
+        A = discretize_laplacian(uniform_grid(24.0, 16))
+        z = reference_solution(A, [], np.ones(A.dimension))
+        assert z.shape == (0, A.dimension)
 
 
 class TestMatrixMarketLoader:
@@ -492,6 +578,16 @@ class TestMatrixMarketLoader:
             "1 1 1.0\n")
         with pytest.raises(ValueError):
             load_matrix_market(str(short))
+
+    @pytest.mark.parametrize("entry", ["0 1 2.0", "1 0 2.0", "4 1 2.0",
+                                       "1 4 2.0"])
+    def test_index_out_of_range(self, tmp_path, entry):
+        f = tmp_path / "range.mtx"
+        f.write_text(
+            "%%MatrixMarket matrix coordinate real general\n3 3 2\n"
+            f"1 1 1.0\n{entry}\n")
+        with pytest.raises(ValueError, match=entry):
+            load_matrix_market(str(f))
 
 
 class TestTridiagonalLoader:
