@@ -79,28 +79,21 @@ class ExperimentReport:
             writer.writerow(row.formatted())
 
 
-def _tokens(raw: str) -> list[str]:
-    return [t for t in (tok.strip() for tok in raw.split(",")) if t]
+def _ints(raw: str) -> list[int]:
+    return [int(t) for t in raw.split(",") if t.strip()]
 
 
-def _parse_value(key: str, raw: str, kind: str):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "ints":
-            return [int(t) for t in _tokens(raw)]
-        if kind == "floats":
-            return [float(t) for t in _tokens(raw)]
-        return raw
-    except ValueError as exc:
-        raise UsageError(f"invalid value for {key}: {raw!r}") from exc
+def _floats(raw: str) -> list[float]:
+    return [float(t) for t in raw.split(",") if t.strip()]
 
 
-def _parse_config_file(path: str) -> dict:
-    """key=value per line; '#' starts a comment."""
-    values: dict[str, str] = {}
+def _config_argv(path: str, keys) -> list[str]:
+    """A key = value file ('#' starts a comment) as --key=value flags.
+
+    The '=' form keeps a value such as '-1, 2' from reading as an option.
+    Only the command's own keys are accepted, never abbreviations.
+    """
+    argv = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -110,30 +103,13 @@ def _parse_config_file(path: str) -> dict:
                 key, sep, raw = line.partition("=")
                 if not sep:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
-                values[key.strip()] = raw.strip()
+                key = key.strip()
+                if key not in keys:
+                    raise UsageError(f"unknown config key {key!r}")
+                argv.append(f"--{key}={raw.strip()}")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
-    return values
-
-
-def _resolve_config(args, spec: dict, defaults: dict) -> dict:
-    """Defaults, overridden by the config file, overridden by flags."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        for key, raw in _parse_config_file(args.config).items():
-            if key == "out":
-                cfg["out"] = raw
-                continue
-            if key not in spec:
-                raise UsageError(f"unknown config key {key!r}")
-            cfg[key] = _parse_value(key, raw, spec[key])
-    for key, kind in spec.items():
-        raw = getattr(args, key, None)
-        if raw is not None:
-            cfg[key] = _parse_value(key, raw, kind)
-    if getattr(args, "out", None) is not None:
-        cfg["out"] = args.out
-    return cfg
+    return argv
 
 
 def cmd_delta_table(config: dict) -> ExperimentReport:
@@ -289,36 +265,57 @@ def cmd_arnoldi_compare(config: dict) -> ExperimentReport:
     return ExperimentReport(rows)
 
 
+#: command -> (function, {key: (parser, help)}, {key: default}, help)
 _COMMANDS = {
     "delta-table": (
         cmd_delta_table,
-        {"z": "floats", "N": "ints", "K": "int"},
+        {"z": (_floats, "comma-separated z values"),
+         "N": (_ints, "comma-separated mode counts"),
+         "K": (int, "tail length beyond each N")},
         {"z": [1.0, 0.1, 10.0], "N": [512, 1024, 2048], "K": 2048,
          "out": None},
+        "scaled residual norms Delta(N)",
     ),
     "scalar-error": (
         cmd_scalar_error,
-        {"p": "ints", "ell": "ints", "tau": "floats", "N": "int",
-         "points": "int", "wmin": "float", "wmax": "float",
-         "alpha": "float"},
+        {"p": (_ints, "comma-separated orders"),
+         "ell": (_ints, "comma-separated correction depths"),
+         "tau": (_floats,
+                 "comma-separated evaluation points (0 uses the shift)"),
+         "N": (int, "retained modes"),
+         "points": (int, "number of w grid points"),
+         "wmin": (float, "left end of the w grid"),
+         "wmax": (float, "right end of the w grid"),
+         "alpha": (float, "offset for the tau = 0 shift identity")},
         {"p": [2], "ell": [0, 1, 2, 3], "tau": [0.125, 0.0078125], "N": 100,
          "points": 400, "wmin": -10.0, "wmax": 0.0, "alpha": 0.125,
          "out": None},
+        "relative error sweep over a w grid",
     ),
     "bvp-compare": (
         cmd_bvp_compare,
-        {"grid": "str", "s": "int", "tau": "floats", "N": "ints",
-         "n": "ints", "ell": "ints"},
+        {"grid": (str, "grid family: uniform or geometric"),
+         "s": (int, "interior grid size"),
+         "tau": (_floats, "comma-separated evaluation times"),
+         "N": (_ints, "comma-separated mode counts"),
+         "n": (_ints, "comma-separated classical half-orders (p = 2n + 2)"),
+         "ell": (_ints, "comma-separated accelerated correction depths")},
         {"grid": "uniform", "s": 512, "tau": [1.0 / 12.0, 1.0 / 6.0],
          "N": [50, 100, 200], "n": [2, 3, 4], "ell": [2, 3, 4],
          "out": None},
+        "matrix-action error tables on the heat problems",
     ),
     "arnoldi-compare": (
         cmd_arnoldi_compare,
-        {"test": "int", "steps": "int", "s": "int", "N": "int",
-         "ell": "int", "tau": "float"},
+        {"test": (int, "test problem id (3 or 4)"),
+         "steps": (int, "maximum Krylov steps"),
+         "s": (int, "operator dimension"),
+         "N": (int, "accelerated mode count"),
+         "ell": (int, "accelerated correction depth"),
+         "tau": (float, "evaluation time")},
         {"test": 3, "steps": 100, "s": 512, "N": 50, "ell": None,
          "tau": 1.0 / 6.0, "out": None},
+        "Krylov iteration history vs the accelerated run",
     ),
 }
 
@@ -329,69 +326,39 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Error tables and convergence sweeps for the "
                     "Bernoulli generating function, written as CSV.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, flags: dict) -> None:
+    for name, (_, keys, defaults, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(**defaults)
         sp.add_argument("--out", help="write CSV here instead of stdout")
         sp.add_argument("--config",
-                        help="key=value file overriding the defaults")
-        for flag, help_line in flags.items():
-            kwargs = {"help": help_line}
-            if flag == "--grid":
-                kwargs["choices"] = ["uniform", "geometric"]
-            sp.add_argument(flag, **kwargs)
-
-    add("delta-table", "scaled residual norms Delta(N)", {
-        "--z": "comma-separated z values",
-        "--N": "comma-separated mode counts",
-        "--K": "tail length beyond each N",
-    })
-    add("scalar-error", "relative error sweep over a w grid", {
-        "--p": "comma-separated orders",
-        "--ell": "comma-separated correction depths",
-        "--tau": "comma-separated evaluation points (0 uses the shift)",
-        "--N": "retained modes",
-        "--alpha": "offset for the tau = 0 shift identity",
-    })
-    add("bvp-compare", "matrix-action error tables on the heat problems", {
-        "--grid": "grid family",
-        "--s": "interior grid size",
-        "--tau": "comma-separated evaluation times",
-        "--N": "comma-separated mode counts",
-        "--n": "comma-separated classical half-orders (p = 2n + 2)",
-        "--ell": "comma-separated accelerated correction depths",
-    })
-    add("arnoldi-compare", "Krylov iteration history vs the accelerated run", {
-        "--test": "test problem id (3 or 4)",
-        "--steps": "maximum Krylov steps",
-        "--s": "operator dimension",
-        "--N": "accelerated mode count",
-        "--ell": "accelerated correction depth",
-        "--tau": "evaluation time",
-    })
+                        help="key = value file; flags override it")
+        for key, (parse, help_line) in keys.items():
+            sp.add_argument(f"--{key}", type=parse, help=help_line)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    cmd, spec, defaults = _COMMANDS[args.command]
-    try:
-        config = _resolve_config(args, spec, defaults)
-        report = cmd(config)
-        out = config.get("out")
-        if out:
+        if args.config:
+            # file flags go first, so flags on the command line win
+            flags = _config_argv(args.config, _COMMANDS[args.command][2])
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
+        report = _COMMANDS[args.command][0](vars(args))
+        if args.out:
             try:
-                with open(out, "w", newline="") as fh:
+                with open(args.out, "w", newline="") as fh:
                     report.write(fh)
             except OSError as exc:
-                raise UsageError(f"cannot write output file {out}: {exc}")
+                raise UsageError(
+                    f"cannot write output file {args.out}: {exc}")
         else:
             report.write(sys.stdout)
         return 0
+    except SystemExit as exc:
+        return int(exc.code) if exc.code else 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -144,6 +144,9 @@ def shifted_solve(A: BandedOperator, k: int, b) -> np.ndarray:
         raise ValueError("k must be >= 1")
     t = TWO_PI * k
     b = np.asarray(b, dtype=float)
+    if b.shape != (A.dimension,):
+        raise ValueError(
+            f"right-hand side has shape {b.shape}, expected ({A.dimension},)")
     if A.is_tridiagonal:
         y = _tridiagonal_solve(A.sub.tolist(),
                                [complex(v, -t) for v in A.diag.tolist()],
@@ -223,11 +226,12 @@ class ActionPlan:
         for k, x in enumerate(self._solves[:N + 2 * ell], 1):
             tk = TWO_PI * k
             # (u, v) = (A^j x, A^{j+1} x), advanced to j = p; the
-            # stabilized start rebuilds A^2 x_k as f - tk^2 x_k, kept O(1)
+            # stabilized start rebuilds A^2 x_k as f - tk^2 x_k, kept O(1),
+            # and forms A x only for p = 1: any later advance discards it
             if scheme == "direct":
                 j, u, v = 0, x, A.matvec(x)
             else:
-                j, u, v = 1, A.matvec(x), f - tk ** 2 * x
+                j, u, v = 1, A.matvec(x) if p == 1 else None, f - tk ** 2 * x
             for _ in range(j, p):
                 u, v = v, A.matvec(v)
             gv, dv = u / tk ** (p - 2), v / tk ** (p - 1)
@@ -242,6 +246,8 @@ class ActionPlan:
 
     def evaluate(self, tau: float) -> np.ndarray:
         """q(tau, A) f from the precomputed mode vectors (no solves)."""
+        if not 0.0 <= tau <= 1.0:
+            raise ValueError("tau must lie in [0, 1]")
         acc = h_action(self.A, self.p, tau, self.f)
         comp = np.zeros_like(acc)
         sc, ss = parity_signs(self.p)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
 
@@ -119,9 +120,28 @@ class TestConfigFile:
         assert out.read_text().startswith(HEADER)
 
     def test_unknown_key(self, capsys, tmp_path):
+        """Only the command's own keys: not 'config', not an abbreviation
+        ('ste' for 'steps')."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("mystery = 7\n")
+        for command, key in (("delta-table", "mystery"),
+                             ("delta-table", "config"),
+                             ("arnoldi-compare", "ste")):
+            cfg.write_text(f"{key} = 7\n")
+            assert main([command, "--config", str(cfg)]) == 2
+            assert "unknown config key" in capsys.readouterr().err
+
+    def test_unparseable_value(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("K = abc\n")
         assert main(["delta-table", "--config", str(cfg)]) == 2
+
+    def test_negative_list_value(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("z = -1, 2\nN = 64\n")
+        code, lines = _run(capsys, ["delta-table", "--config", str(cfg)])
+        assert code == 0
+        assert [(r["z"], r["N"]) for r in _rows(lines)] == [
+            ("-1", "64"), ("2", "64")]
 
     def test_malformed_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -168,6 +188,19 @@ class TestScalarError:
         zs = sorted(float(r["z"]) for r in rows)
         assert zs[0] == pytest.approx(-2.0 / (2 * 3.14159265358979), rel=1e-9)
         assert zs[-1] == pytest.approx(-1.0 / (2 * 3.14159265358979), rel=1e-9)
+
+    def test_grid_keys_as_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("wmin = -2\nwmax = -1\npoints = 3\n")
+        sweep = ["--p", "2", "--ell", "1", "--tau", "0.25"]
+        _, from_file = _run(capsys, ["scalar-error", "--config", str(cfg),
+                                     *sweep])
+        code, from_flags = _run(capsys, [
+            "scalar-error", "--wmin=-2", "--wmax", "-1", "--points", "3",
+            *sweep])
+        assert code == 0
+        assert len(from_flags) == 4
+        assert _strip_elapsed(from_flags) == _strip_elapsed(from_file)
 
     def test_endpoint_tau_is_numerical_failure(self, capsys):
         assert main(["scalar-error", "--tau", "1e-9", "--ell", "1"]) == 3
@@ -221,6 +254,12 @@ class TestBvpCompare:
         assert len(_rows(lines)) == 2 * (2 + 4)
         assert sorted(calls) == list(range(1, 12 + 2 * 3 + 1))
 
+    def test_tau_outside_unit_interval(self, capsys):
+        code = main(["bvp-compare", "--s", "16", "--N", "8", "--n", "2",
+                     "--ell", "2", "--tau", "1.5"])
+        assert code == 2
+        assert "tau must lie in [0, 1]" in capsys.readouterr().err
+
     def test_tiny_geometric_run(self, capsys):
         code, lines = _run(capsys, [
             "bvp-compare", "--grid", "geometric", "--s", "16", "--N", "8",
@@ -266,10 +305,15 @@ class TestArnoldiCompare:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the same package as this process
+        src = os.path.dirname(os.path.dirname(berngen.__file__))
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "berngen", "delta-table", "--N", "512",
              "--z", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert proc.stdout.startswith(HEADER)
         assert len(proc.stdout.splitlines()) == 2

@@ -148,6 +148,18 @@ class TestShiftedSolve:
         with pytest.raises(ValueError):
             shifted_solve(A, 0, np.ones(1))
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_right_hand_side_length_validated(self, dense):
+        rng = np.random.default_rng(15)
+        A = _random_tridiagonal(rng, 6)
+        if dense:
+            A = BandedOperator.dense(A.to_dense())
+        for s in (5, 7):
+            with pytest.raises(ValueError):
+                shifted_solve(A, 1, np.ones(s))
+            with pytest.raises(ValueError):
+                ActionPlan(A, 2, 4, 1, np.ones(s))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=12),
            st.integers(min_value=1, max_value=4),
@@ -277,6 +289,30 @@ class TestActionPlan:
         assert np.linalg.norm(got - expect) < 1e-3
         got = ActionPlan(A, 1, 100, 3, f).evaluate(0.3)
         assert np.linalg.norm(got - expect) < 1e-7
+
+    def test_tau_outside_unit_interval(self):
+        A = discretize_laplacian(uniform_grid(24.0, 16))
+        plan = ActionPlan(A, 2, 50, 3, np.ones(A.dimension))
+        for tau in (-0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
+                plan.evaluate(tau)
+
+    def test_stabilized_build_matvec_count(self, monkeypatch):
+        """p >= 2 reaches A^p x_k from f - t_k^2 x_k in p - 1 products."""
+        A = discretize_laplacian(uniform_grid(1.0, 14))
+        f = np.ones(A.dimension)
+        calls = []
+        original = BandedOperator.matvec
+
+        def counting(self, v):
+            calls.append(1)
+            return original(self, v)
+
+        monkeypatch.setattr(BandedOperator, "matvec", counting)
+        for p, N, ell in ((2, 8, 2), (3, 10, 1), (6, 5, 0)):
+            calls.clear()
+            ActionPlan(A, p, N, ell, f)
+            assert len(calls) == (p - 1) * (N + 2 * ell)
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_view_matches_standalone_plan(self, dense):
