@@ -68,6 +68,10 @@ class CoefficientTriangle:
         level = self.levels[j - 1]
         return level[1], level[2]
 
+    def pairs(self) -> list:
+        """The entries pair(1) .. pair(depth) in order: a_1, b_1, ..."""
+        return [x for j in range(1, self.depth + 1) for x in self.pair(j)]
+
 
 def build_triangle(base: Sequence, ell: int) -> CoefficientTriangle:
     """Fill the pyramid from 2*ell + 1 base entries by second differences.
@@ -97,53 +101,44 @@ class CorrectionTerm:
     delta_part: complex
 
 
-def _denominator(tau: float) -> float:
+def pair_weights(N: int, ell: int, tau: float) -> tuple[list, list]:
+    """Weights (gw, dw) of CoefficientTriangle.pairs() in the correction.
+
+    Pair j of the cosine family gets den^-j (2 c_1 - c_0) and -den^-j c_1,
+    with c_i = cos(2 pi (N + j - 1 + i) tau) and den = 2 - 2 cos(2 pi tau);
+    dw is the same with sines.  Depth 0 gives empty lists at any tau.
+    """
+    if ell == 0:
+        return [], []
     den = 2.0 - 2.0 * math.cos(TWO_PI * tau)
     if abs(den) <= 2.0 * ENDPOINT_TOL:
         raise TauEndpointError(
             f"tau={tau} is too close to an endpoint for the rational "
             "correction; evaluate tau = 0 through q0_shift instead")
-    return den
-
-
-def _correction_parts(gamma_tri: CoefficientTriangle,
-                      delta_tri: CoefficientTriangle,
-                      N: int, ell: int, tau: float):
-    """Accumulate the depth-ell boundary sums; entries may be vectors."""
-    den = _denominator(tau)
-    gamma_part = None
-    delta_part = None
+    gw, dw = [], []
     for j in range(1, ell + 1):
         c1 = math.cos(TWO_PI * (N + j) * tau)
         c0 = math.cos(TWO_PI * (N + j - 1) * tau)
         s1 = math.sin(TWO_PI * (N + j) * tau)
         s0 = math.sin(TWO_PI * (N + j - 1) * tau)
-        ga, gb = gamma_tri.pair(j)
-        da, db = delta_tri.pair(j)
         scale = den ** -j
-        gterm = (ga * (2.0 * c1 - c0) - gb * c1) * scale
-        dterm = (da * (2.0 * s1 - s0) - db * s1) * scale
-        gamma_part = gterm if gamma_part is None else gamma_part + gterm
-        delta_part = dterm if delta_part is None else delta_part + dterm
-    return gamma_part, delta_part
+        gw += [(2.0 * c1 - c0) * scale, -c1 * scale]
+        dw += [(2.0 * s1 - s0) * scale, -s1 * scale]
+    return gw, dw
 
 
 def correction(p: int, N: int, ell: int, tau: float,
                w: complex) -> CorrectionTerm:
     """Depth-ell boundary correction of the order-p mode sum at tau."""
     _require_order_and_mode(p, N)
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
     w = check_pole(w)
-    if ell == 0:
-        return CorrectionTerm(0.0 + 0.0j, 0.0 + 0.0j)
-    gamma_tri = build_triangle(
-        [_gamma0(p, N + i, w) for i in range(2 * ell + 1)], ell)
-    delta_tri = build_triangle(
-        [_delta0(p, N + i, w) for i in range(2 * ell + 1)], ell)
-    gamma_part, delta_part = _correction_parts(gamma_tri, delta_tri,
-                                               N, ell, tau)
-    return CorrectionTerm(gamma_part, delta_part)
+    gamma = build_triangle(
+        [_gamma0(p, N + i, w) for i in range(2 * ell + 1)], ell).pairs()
+    delta = build_triangle(
+        [_delta0(p, N + i, w) for i in range(2 * ell + 1)], ell).pairs()
+    gw, dw = pair_weights(N, ell, tau)
+    return CorrectionTerm(sum((a * x for a, x in zip(gw, gamma)), 0j),
+                          sum((a * x for a, x in zip(dw, delta)), 0j))
 
 
 def G_approx(params: ApproxParams) -> complex:
@@ -165,13 +160,9 @@ def leading_error_term(p: int, N: int, tau: float, w: complex) -> complex:
     """Principal term of the order-p truncation residual at interior tau."""
     _require_order_and_mode(p, N)
     w = check_pole(w)
-    den = 0.5 * _denominator(tau)  # 1 - cos(2 pi tau)
+    (ga, gb), _ = pair_weights(N, 1, tau)
     sc, _ = parity_signs(p)
-    c1 = math.cos(TWO_PI * (N + 1) * tau)
-    c0 = math.cos(TWO_PI * N * tau)
-    num = (_gamma0(p, N + 1, w) * (2.0 * c1 - c0)
-           - _gamma0(p, N + 2, w) * c1)
-    return sc * num / den
+    return 2.0 * sc * (ga * _gamma0(p, N + 1, w) + gb * _gamma0(p, N + 2, w))
 
 
 def exp_direct(x: complex) -> complex:

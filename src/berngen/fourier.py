@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernoulli import eval_bernoulli, lanczos_polynomial, shared_table
+from .bernoulli import (DEGREE_CAP, eval_bernoulli, lanczos_polynomial,
+                        shared_table)
 from .summation import kahan_add
 
 TWO_PI = 2.0 * math.pi
@@ -53,8 +54,8 @@ class ApproxParams:
     alpha: float = 0.125
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        if not 1 <= self.p <= DEGREE_CAP + 1:
+            raise ValueError(f"p must lie in 1..{DEGREE_CAP + 1}")
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if self.ell < 0:
@@ -197,6 +198,8 @@ def residual_l2(p: int, w: complex, N: int, K: int) -> float:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     if K < N:
         raise ValueError("K must be >= N")
     if K == N:
@@ -210,6 +213,8 @@ def residual_l2(p: int, w: complex, N: int, K: int) -> float:
 
 def delta_of_N(z: complex, N: int, K: int) -> float:
     """Scaled residual norm N^{7/2} |z|^{-4} ||R_{4,N}||_2 over modes <= K."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if K < 2 * N:
         raise ValueError("K must be >= 2N")
     z = complex(z)

@@ -7,10 +7,9 @@ import math
 
 import numpy as np
 
-from .acceleration import _correction_parts, build_triangle
-from .bernoulli import eval_bernoulli, shared_table
+from .acceleration import build_triangle, pair_weights
+from .bernoulli import DEGREE_CAP, eval_bernoulli, shared_table
 from .fourier import TWO_PI, ApproxParams, parity_signs
-from .summation import kahan_add
 
 #: 1-norm bound under which the degree-13 diagonal Pade approximant of the
 #: exponential is accurate to machine precision
@@ -208,8 +207,8 @@ class ActionPlan:
         return plan
 
     def _build(self, p: int, N: int, ell: int, scheme: str) -> None:
-        if p < 1:
-            raise ValueError("p must be >= 1")
+        if not 1 <= p <= DEGREE_CAP + 1:
+            raise ValueError(f"p must lie in 1..{DEGREE_CAP + 1}")
         if N < 1:
             raise ValueError("N must be >= 1")
         if ell < 0:
@@ -222,7 +221,10 @@ class ActionPlan:
         for k in range(have + 1, N + 2 * ell + 1):
             self._solves.append(shifted_solve(A, k, f))
         self.solve_count = len(self._solves) - have
-        gvecs, dvecs = [], []
+        # rows 0..N-1 hold the mode vectors of modes 1..N, rows N.. the
+        # triangle pairs a_1, b_1, ..., a_ell, b_ell of modes N..N+2 ell
+        G = np.empty((N + 2 * ell, A.dimension))
+        D = np.empty_like(G)
         for k, x in enumerate(self._solves[:N + 2 * ell], 1):
             tk = TWO_PI * k
             # (u, v) = (A^j x, A^{j+1} x), advanced to j = p; the
@@ -237,29 +239,27 @@ class ActionPlan:
             gv, dv = u / tk ** (p - 2), v / tk ** (p - 1)
             if p % 2:
                 gv, dv = dv, gv
-            gvecs.append(gv)
-            dvecs.append(dv)
-        self._gvecs, self._dvecs = gvecs, dvecs
+            G[k - 1], D[k - 1] = gv, dv
         if ell:
-            self._gamma_tri = build_triangle(gvecs[N - 1:], ell)
-            self._delta_tri = build_triangle(dvecs[N - 1:], ell)
+            for rows in (G, D):
+                rows[N:] = build_triangle(rows[N - 1:], ell).pairs()
+        self._G, self._D = G, D
 
     def evaluate(self, tau: float) -> np.ndarray:
-        """q(tau, A) f from the precomputed mode vectors (no solves)."""
+        """q(tau, A) f from the stored rows (no solves).
+
+        One weight row per family times its (N + 2 ell, s) array, after
+        the p - 1 matvecs of the polynomial part.
+        """
         if not 0.0 <= tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
-        acc = h_action(self.A, self.p, tau, self.f)
-        comp = np.zeros_like(acc)
         sc, ss = parity_signs(self.p)
-        for k, g, d in zip(range(1, self.N + 1), self._gvecs, self._dvecs):
-            term = 2.0 * (sc * math.cos(TWO_PI * k * tau) * g
-                          + ss * math.sin(TWO_PI * k * tau) * d)
-            acc, comp = kahan_add(acc, comp, term)
-        if self.ell:
-            gamma_part, delta_part = _correction_parts(
-                self._gamma_tri, self._delta_tri, self.N, self.ell, tau)
-            acc = acc + 2.0 * (sc * gamma_part + ss * delta_part)
-        return acc
+        gw, dw = pair_weights(self.N, self.ell, tau)
+        angles = [TWO_PI * k * tau for k in range(1, self.N + 1)]
+        cw = np.array([math.cos(a) for a in angles] + gw)
+        sw = np.array([math.sin(a) for a in angles] + dw)
+        return h_action(self.A, self.p, tau, self.f) + 2.0 * (
+            sc * (cw @ self._G) + ss * (sw @ self._D))
 
 
 def g_action(A: BandedOperator, params: ApproxParams, f) -> np.ndarray:

@@ -61,6 +61,13 @@ class TestDeltaTable:
     def test_unparseable_value(self, capsys):
         assert main(["delta-table", "--K", "abc"]) == 2
 
+    @pytest.mark.parametrize("cutoff", ["--N=-5", "--N=0"])
+    def test_nonpositive_cutoff_is_usage_error(self, capsys, cutoff):
+        assert main(["delta-table", cutoff, "--K", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "N must be >= 1" in captured.err
+
     def test_runs_are_byte_identical_modulo_timing(self, capsys):
         _, first = _run(capsys, ["delta-table"])
         _, second = _run(capsys, ["delta-table"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from berngen.bernoulli import DEGREE_CAP
 from berngen.fourier import (ApproxParams, ModeCoefficients,
                              PoleProximityError, check_pole, delta_of_N,
                              fourier_partial, g_approx, hat_coefficients,
@@ -229,6 +230,12 @@ class TestResidualNorm:
         with pytest.raises(ValueError):
             residual_l2(0, 1.0, 16, 32)
 
+    def test_negative_cutoff_rejected(self):
+        """N < 0 would put the pole-free mode k = 0 into the tail."""
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            residual_l2(4, TWO_PI, -5, 5)
+        assert math.isfinite(residual_l2(4, TWO_PI, 0, 5))
+
     def test_quadrature_oracle(self):
         """Tail norm matches the L2 distance between q and the order-p sum."""
         p, w, N = 2, 1.0, 8
@@ -250,6 +257,11 @@ class TestDeltaOfN:
     def test_requires_long_tail(self):
         with pytest.raises(ValueError):
             delta_of_N(1.0, 512, 600)
+
+    def test_requires_positive_cutoff(self):
+        for N in (0, -5):
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                delta_of_N(1.0, N, 10)
 
     def test_z_independence(self):
         """The scaled functional approaches the same constant for every z."""
@@ -278,3 +290,10 @@ class TestApproxParams:
             ApproxParams(p=2, N=10, tau=0.5, ell=-1)
         with pytest.raises(PoleProximityError):
             ApproxParams(p=2, N=10, tau=0.5, w=TWO_PI * 1j)
+
+    def test_order_capped_by_bernoulli_table(self):
+        """p - 1 is the largest Bernoulli degree the polynomial part
+        needs, so the cap is checked before any mode is summed."""
+        with pytest.raises(ValueError):
+            ApproxParams(p=DEGREE_CAP + 2, N=10, tau=0.5)
+        assert ApproxParams(p=DEGREE_CAP + 1, N=10, tau=0.5).p == DEGREE_CAP + 1

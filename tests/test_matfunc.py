@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import berngen.matfunc
+from berngen.bernoulli import DEGREE_CAP
 from berngen.bvp import discretize_laplacian, uniform_grid
-from berngen.fourier import ApproxParams, reference_q
+from berngen.fourier import ApproxParams, parity_signs, reference_q
 from berngen.matfunc import (DENSE_CAP, ActionPlan, BandedOperator,
                              G_action, _expm_dense,
                              _phi1_dense, expm_action, g_action, h_action,
@@ -378,6 +380,118 @@ class TestActionPlan:
             base.view(0, 10, 0)
         with pytest.raises(ValueError):
             base.view(2, 10, 0, scheme="magic")
+
+    def test_order_above_bernoulli_cap_fails_before_solving(
+            self, monkeypatch):
+        A = discretize_laplacian(uniform_grid(1.0, 6))
+        f = np.ones(A.dimension)
+        base = ActionPlan(A, 2, 4, 1, f)
+        calls = []
+        original = berngen.matfunc.shifted_solve
+
+        def counting(A, k, b):
+            calls.append(k)
+            return original(A, k, b)
+
+        monkeypatch.setattr(berngen.matfunc, "shifted_solve", counting)
+        p = DEGREE_CAP + 2
+        with pytest.raises(ValueError):
+            ActionPlan(A, p, 4, 1, f)
+        with pytest.raises(ValueError):
+            base.view(p, 8, 1)
+        assert calls == []
+        got = base.view(p - 1, 4, 1).evaluate(0.3)
+        assert np.all(np.isfinite(got)) and calls == []
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 6])
+    @pytest.mark.parametrize("scheme", ["stabilized", "direct"])
+    def test_evaluate_matches_explicit_formula(self, p, scheme):
+        """evaluate equals the correctly rounded sum of every term of the
+        approximation, each built from dense solves and matrix powers."""
+        rng = np.random.default_rng(37)
+        s = 8
+        A = _random_tridiagonal(rng, s, scale=0.5)
+        f = rng.standard_normal(s)
+        M = A.to_dense()
+        sc, ss = parity_signs(p)
+        x = sympy.symbols("x")
+        bern = [sympy.bernoulli(k, x) / math.factorial(k) for k in range(p)]
+        poly = [np.linalg.matrix_power(M, k) @ f for k in range(p)]
+        gam, dlt = [], []
+        for k in range(1, 41):  # N + 2 ell of the deepest plan below
+            tk = TWO_PI * k
+            xk = np.linalg.solve(M @ M + tk ** 2 * np.eye(s), f)
+            u = np.linalg.matrix_power(M, p) @ xk / tk ** (p - 2)
+            v = np.linalg.matrix_power(M, p + 1) @ xk / tk ** (p - 1)
+            gam.append(v if p % 2 else u)
+            dlt.append(u if p % 2 else v)
+        for N, ell in ((1, 2), (7, 0), (12, 3), (30, 5)):
+            plan = ActionPlan(A, p, N, ell, f, scheme)
+            for tau in (0.1, 0.37, 0.8):
+                terms = [float(b.subs(x, tau)) * v
+                         for b, v in zip(bern, poly)]
+                for k in range(1, N + 1):
+                    terms.append(2.0 * sc * math.cos(TWO_PI * k * tau)
+                                 * gam[k - 1])
+                    terms.append(2.0 * ss * math.sin(TWO_PI * k * tau)
+                                 * dlt[k - 1])
+                den = 2.0 - 2.0 * math.cos(TWO_PI * tau)
+                for fam, sign, trig in ((gam, sc, math.cos),
+                                        (dlt, ss, math.sin)):
+                    level = fam[N - 1:N + 2 * ell]
+                    for j in range(1, ell + 1):
+                        t1 = trig(TWO_PI * (N + j) * tau)
+                        t0 = trig(TWO_PI * (N + j - 1) * tau)
+                        weight = 2.0 * sign * den ** -j
+                        terms.append(weight * (2.0 * t1 - t0) * level[1])
+                        terms.append(-weight * t1 * level[2])
+                        level = [-level[i - 1] + 2.0 * level[i]
+                                 - level[i + 1]
+                                 for i in range(1, len(level) - 1)]
+                expect = np.array([math.fsum(c) for c in zip(*terms)])
+                err = np.max(np.abs(plan.evaluate(tau) - expect))
+                assert err <= 1e-10 * np.max(np.abs(expect))
+
+
+def _dst1(x):
+    """y_k = sum_i x_i sin(pi i k / (n + 1)), from the FFT of the odd
+    extension of x."""
+    n = x.shape[0]
+    ext = np.zeros(2 * (n + 1))
+    ext[1:n + 1] = x
+    ext[n + 2:] = -x[::-1]
+    return -np.fft.rfft(ext)[1:n + 1].imag / 2.0
+
+
+class TestAboveDenseCap:
+    TAUS = (1.0 / 12.0, 1.0 / 6.0, 0.25, 0.5, 0.75, 11.0 / 12.0)
+
+    @pytest.mark.parametrize("rhs, measured", [
+        ("ones", (1.563e-7, 6.999e-10, 3.312e-11, 1.222e-13, 4.579e-11,
+                  4.928e-7)),
+        ("normal", (1.468e-6, 9.498e-9, 4.970e-10, 8.167e-13, 1.220e-9,
+                    1.431e-5)),
+    ])
+    def test_heat_operator_against_sine_transform(self, rhs, measured):
+        """The uniform heat operator is diagonalized by the DST-I, which
+        gives the exact action at s = 4096, where the dense oracles
+        refuse.  Each bound is three times the error measured when the
+        test was written."""
+        s, h = 4096, 24.0 / 513.0
+        assert s > DENSE_CAP
+        A = discretize_laplacian(uniform_grid(h * (s + 1), s))
+        f = (np.ones(s) if rhs == "ones"
+             else np.random.default_rng(7).standard_normal(s))
+        lam = -(4.0 / h ** 2) * np.sin(
+            np.arange(1, s + 1) * np.pi / (2 * (s + 1))) ** 2
+        scale = math.sqrt(2.0 / (s + 1))
+        coeffs = scale * _dst1(f)
+        plan = ActionPlan(A, 2, 50, 4, f)
+        for tau, error in zip(self.TAUS, measured):
+            expect = scale * _dst1(lam * np.exp(tau * lam) / np.expm1(lam)
+                                   * coeffs)
+            err = np.max(np.abs(plan.evaluate(tau) - expect))
+            assert err <= 3.0 * error * np.max(np.abs(expect))
 
 
 class TestMatrixApproximations:
