@@ -13,7 +13,8 @@ from .acceleration import (CoefficientTriangle, CorrectionTerm, G_approx,
                            load_exp_approximant, q0_shift)
 from .matfunc import (ActionPlan, BandedOperator, G_action, expm_action,
                       g_action, h_action, load_matrix_market,
-                      load_tridiagonal, reference_solution, shifted_solve)
+                      load_tridiagonal, reference_solution, shifted_solve,
+                      spectral_reference)
 from .arnoldi import (KrylovDecomposition, arnoldi_extend, arnoldi_q_approx,
                       orthogonality_loss)
 from .bvp import (Grid, circulant_shift, discretize_laplacian,
@@ -35,5 +36,5 @@ __all__ = [
     "load_grid", "load_matrix_market", "load_tridiagonal",
     "orthogonality_loss", "parity_signs", "q0_shift", "reference_q",
     "reference_solution", "residual_l2", "save_grid", "shared_table",
-    "shifted_solve", "uniform_grid",
+    "shifted_solve", "spectral_reference", "uniform_grid",
 ]

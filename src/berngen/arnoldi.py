@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matfunc import BandedOperator, _expm_dense
+from .matfunc import BandedOperator, _expm_dense, _phi1_dense
 
 #: happy-breakdown threshold, relative to ||A||_1
 BREAKDOWN_RTOL = 1e-14
@@ -71,13 +71,15 @@ def arnoldi_extend(A: BandedOperator, f, j: int,
 def arnoldi_q_approx(dec: KrylovDecomposition, tau: float) -> np.ndarray:
     """Project q(tau, A) f onto the Krylov basis.
 
-    Evaluates V_j (e^{H_j} - I)^{-1} e^{tau H_j} H_j (beta e_1) on the
-    small j x j Hessenberg matrix.
+    Evaluates V_j phi_1(H_j)^{-1} e^{tau H_j} (beta e_1) on the small j x j
+    Hessenberg matrix, the same function as (e^{H_j} - I)^{-1} e^{tau H_j}
+    H_j but without the cancellation of e^{H_j} - I when H_j has
+    eigenvalues near 0.
     """
     j = dec.j
     Hj = dec.H[:j, :j]
-    rhs = _expm_dense(tau * Hj) @ (dec.beta * Hj[:, 0])
-    y = np.linalg.solve(_expm_dense(Hj) - np.eye(j), rhs)
+    rhs = dec.beta * _expm_dense(tau * Hj)[:, 0]
+    y = np.linalg.solve(_phi1_dense(Hj), rhs)
     return dec.V[:, :j] @ y
 
 

@@ -18,6 +18,10 @@ PADE_THETA = 5.371920351148152
 #: dense oracles (matrix exponential, reference solve) refuse above this
 DENSE_CAP = 1024
 
+#: spectral_reference refuses above this: eigh costs O(s^3) (2.2 s at
+#: s = 2048 on one core, so ~15 s at 4096) and the eigenvectors s^2 doubles
+SPECTRAL_CAP = 4096
+
 
 class BandedOperator:
     """Real square operator stored as tridiagonal bands or a dense matrix.
@@ -349,6 +353,45 @@ def reference_solution(A: BandedOperator, tau, f) -> np.ndarray:
     phi = _phi1_dense(M)
     z = [np.linalg.solve(phi, _expm_dense(t * M) @ f) for t in taus.flat]
     return np.reshape(z, taus.shape + f.shape)
+
+
+def spectral_reference(A: BandedOperator, tau, f) -> np.ndarray:
+    """q(tau, A) f from one symmetric eigendecomposition.
+
+    A tridiagonal A with sub[i] * sup[i] > 0 for every i is diagonally
+    similar to the symmetric S = D^-1 A D, so with S = Q Lambda Q^T
+    q(tau, A) f = D Q q(tau, Lambda) Q^T D^-1 f.  log D is a centred
+    cumulative sum, so D stays finite on strongly stretched grids.  A zero
+    eigenvalue takes the removable value q(tau, 0) = 1.  tau is handled as
+    in reference_solution; every tau costs one row of a single GEMM.
+    Any other A raises ValueError.
+    """
+    if not A.is_tridiagonal:
+        raise ValueError("spectral reference needs a tridiagonal operator")
+    s = A.dimension
+    if s > SPECTRAL_CAP:
+        raise ValueError(
+            f"spectral reference capped at dimension {SPECTRAL_CAP}")
+    f = np.asarray(f, dtype=float)
+    if f.shape != (s,):
+        raise ValueError(f"f has shape {f.shape}, expected ({s},)")
+    if not np.all(A.sub * A.sup > 0):
+        raise ValueError(
+            "spectral reference needs sub[i] * sup[i] > 0 for every i")
+    # D^-1 A D is symmetric when d[i+1] / d[i] = sqrt(sub[i] / sup[i])
+    logd = np.concatenate(([0.0], np.cumsum(
+        0.5 * (np.log(np.abs(A.sub)) - np.log(np.abs(A.sup))))))
+    d = np.exp(logd - 0.5 * (logd.max() + logd.min()))
+    off = np.sign(A.sup) * np.sqrt(A.sub * A.sup)
+    S = BandedOperator.tridiagonal(off, A.diag, off).to_dense()
+    lam, Q = np.linalg.eigh(S)
+    ratio = np.ones_like(lam)   # lam / expm1(lam), 1 at lam == 0
+    nonzero = lam != 0
+    ratio[nonzero] = lam[nonzero] / np.expm1(lam[nonzero])
+    taus = np.asarray(tau, dtype=float)
+    weights = np.exp(np.multiply.outer(taus.ravel(), lam)) * (
+        ratio * (Q.T @ (f / d)))
+    return np.reshape((weights @ Q.T) * d, taus.shape + (s,))
 
 
 def load_matrix_market(path) -> BandedOperator:

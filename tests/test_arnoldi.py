@@ -142,6 +142,24 @@ class TestProjectedEvaluator:
         got = arnoldi_q_approx(dec, 0.4)[0]
         assert abs(got - 2.0 * reference_q(0.4, -1.7)) < 1e-13
 
+    @pytest.mark.parametrize("w", [1e-9, 1e-6, -1e-5])
+    def test_no_cancellation_near_removable_singularity(self, w):
+        """phi_1(H_j) stays accurate where e^{H_j} - I cancels (the
+        e^{H_j} - I form was off by 1.6e-7 at w = 1e-9)."""
+        dec = arnoldi_extend(BandedOperator.diagonal([w]), np.array([2.0]), 1)
+        got = arnoldi_q_approx(dec, 0.4)[0]
+        assert abs(got - 2.0 * reference_q(0.4, w)) <= 4e-15
+
+    def test_clustered_circulant_breakdown(self):
+        """f = ones is an eigenvector of the circulant, so Arnoldi stops at
+        j = 1 with H_1 = 1e-8 and must match the dense reference."""
+        A = circulant_shift(64, 1e-8)
+        f = np.ones(64)
+        dec = arnoldi_extend(A, f, 5)
+        assert dec.breakdown and dec.j == 1
+        z = reference_solution(A, 1.0 / 6.0, f)
+        assert np.max(np.abs(arnoldi_q_approx(dec, 1.0 / 6.0) - z)) <= 1e-14
+
     def test_full_dimension_is_exact(self):
         grid = uniform_grid(1.0, 32)
         A = discretize_laplacian(grid)

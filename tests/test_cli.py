@@ -12,7 +12,8 @@ import pytest
 import berngen.matfunc
 from berngen.bvp import discretize_laplacian, uniform_grid
 from berngen.cli import SCHEMA, main
-from berngen.matfunc import ActionPlan, reference_solution
+from berngen.matfunc import (DENSE_CAP, SPECTRAL_CAP, ActionPlan,
+                             spectral_reference)
 
 HEADER = ",".join(SCHEMA)
 
@@ -232,10 +233,10 @@ class TestBvpCompare:
         assert all(r["p"] == "2" for r in fast)
         assert {(r["N"], r["ell"]) for r in fast} == {
             ("8", "2"), ("12", "2"), ("8", "3"), ("12", "3")}
-        # each cell equals a standalone plan against the dense reference
+        # each cell equals a standalone plan against the spectral reference
         A = discretize_laplacian(uniform_grid(24.0, 24))
         f = np.ones(A.dimension)
-        ref = reference_solution(A, 0.25, f)
+        ref = spectral_reference(A, 0.25, f)
         for r in rows:
             N = int(r["N"])
             if r["method"] == "lanc":
@@ -266,6 +267,24 @@ class TestBvpCompare:
                      "--ell", "2", "--tau", "1.5"])
         assert code == 2
         assert "tau must lie in [0, 1]" in capsys.readouterr().err
+
+    def test_runs_above_dense_cap(self, capsys):
+        """The spectral reference forms no dense exponential, so s may
+        exceed DENSE_CAP."""
+        assert 1536 > DENSE_CAP
+        code, lines = _run(capsys, [
+            "bvp-compare", "--s", "1536", "--N", "20", "--n", "2",
+            "--ell", "2", "--tau", "0.25"])
+        assert code == 0
+        rows = _rows(lines)
+        assert {r["method"] for r in rows} == {"lanc", "fastlanc"}
+        assert len(rows) == 2
+
+    def test_above_spectral_cap_is_usage_error(self, capsys):
+        code = main(["bvp-compare", "--s", str(SPECTRAL_CAP + 1), "--N", "8",
+                     "--n", "2", "--ell", "2"])
+        assert code == 2
+        assert "capped at dimension" in capsys.readouterr().err
 
     def test_tiny_geometric_run(self, capsys):
         code, lines = _run(capsys, [

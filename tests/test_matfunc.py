@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 import berngen.matfunc
 from berngen.bernoulli import DEGREE_CAP
-from berngen.bvp import discretize_laplacian, uniform_grid
+from berngen.bvp import discretize_laplacian, geometric_grid, uniform_grid
 from berngen.fourier import ApproxParams, parity_signs, reference_q
-from berngen.matfunc import (DENSE_CAP, ActionPlan, BandedOperator,
-                             G_action, _expm_dense,
+from berngen.matfunc import (DENSE_CAP, SPECTRAL_CAP, ActionPlan,
+                             BandedOperator, G_action, _expm_dense,
                              _phi1_dense, expm_action, g_action, h_action,
                              load_matrix_market, load_tridiagonal,
-                             reference_solution, shifted_solve)
+                             reference_solution, shifted_solve,
+                             spectral_reference)
 
 TWO_PI = 2.0 * math.pi
 
@@ -493,6 +494,21 @@ class TestAboveDenseCap:
             err = np.max(np.abs(plan.evaluate(tau) - expect))
             assert err <= 3.0 * error * np.max(np.abs(expect))
 
+    def test_geometric_plan_against_spectral_reference(self):
+        """The stretched grid has no closed form; above DENSE_CAP only
+        the spectral reference checks it.  Each bound is three times the
+        relative error measured when the test was written."""
+        s = 2048
+        assert DENSE_CAP < s <= SPECTRAL_CAP
+        A = discretize_laplacian(geometric_grid(0.01, 1.005, s))
+        f = np.ones(s)
+        taus = (1.0 / 12.0, 1.0 / 6.0, 0.5)
+        refs = spectral_reference(A, taus, f)
+        plan = ActionPlan(A, 2, 100, 4, f)
+        for tau, ref, error in zip(taus, refs, (4.07e-9, 3.99e-11, 2.04e-12)):
+            err = np.max(np.abs(plan.evaluate(tau) - ref))
+            assert err <= 3.0 * error * np.max(np.abs(ref))
+
 
 class TestMatrixApproximations:
     def test_diagonal_commutes_with_scalar(self):
@@ -676,6 +692,119 @@ class TestReferenceSolution:
         A = discretize_laplacian(uniform_grid(24.0, 16))
         z = reference_solution(A, [], np.ones(A.dimension))
         assert z.shape == (0, A.dimension)
+
+
+class TestSpectralReference:
+    TAUS = (1.0 / 12.0, 1.0 / 6.0, 0.5)
+
+    @staticmethod
+    def _heat(kind, s=512):
+        grid = (uniform_grid(24.0, s) if kind == "uniform"
+                else geometric_grid(0.01, 1.005, s))
+        return discretize_laplacian(grid)
+
+    @pytest.mark.parametrize("kind, measured", [
+        ("uniform", (4.16e-13, 7.29e-13, 1.33e-12)),
+        ("geometric", (4.87e-12, 7.02e-12, 6.01e-12)),
+    ])
+    def test_matches_pade_reference(self, kind, measured):
+        """Both oracles on both heat grids at s = 512.  Each bound is three
+        times the larger relative difference measured with one and with
+        two BLAS threads when the test was written."""
+        A = self._heat(kind)
+        f = np.ones(A.dimension)
+        pade = reference_solution(A, self.TAUS, f)
+        spec = spectral_reference(A, self.TAUS, f)
+        for z, ref, diff in zip(spec, pade, measured):
+            assert np.max(np.abs(z - ref)) <= 3.0 * diff * np.max(np.abs(ref))
+
+    def test_uniform_grid_against_sine_transform(self):
+        """The closed-form DST-I action; each bound is three times the
+        relative error measured when the test was written."""
+        s, h = 512, 24.0 / 513.0
+        A = self._heat("uniform", s)
+        f = np.ones(s)
+        lam = -(4.0 / h ** 2) * np.sin(
+            np.arange(1, s + 1) * np.pi / (2 * (s + 1))) ** 2
+        scale = math.sqrt(2.0 / (s + 1))
+        coeffs = scale * _dst1(f)
+        spec = spectral_reference(A, self.TAUS, f)
+        for tau, z, error in zip(self.TAUS, spec,
+                                 (4.28e-14, 5.37e-14, 2.00e-14)):
+            expect = scale * _dst1(lam * np.exp(tau * lam) / np.expm1(lam)
+                                   * coeffs)
+            err = np.max(np.abs(z - expect))
+            assert err <= 3.0 * error * np.max(np.abs(expect))
+
+    def test_signed_off_diagonals_match_pade(self):
+        """Off-diagonal pairs of either sign, unequal in size."""
+        rng = np.random.default_rng(41)
+        s = 12
+        sign = np.where(rng.standard_normal(s - 1) > 0, 1.0, -1.0)
+        A = BandedOperator.tridiagonal(
+            sign * rng.uniform(0.1, 2.0, s - 1), rng.standard_normal(s),
+            sign * rng.uniform(0.1, 2.0, s - 1))
+        f = rng.standard_normal(s)
+        taus = [0.0, 0.3, 1.0]
+        ref = reference_solution(A, taus, f)
+        got = spectral_reference(A, taus, f)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_scalar_matches_reference_q(self):
+        for a, tau in ((-2.0, 0.3), (1.5, 0.0), (-40.0, 1.0), (1e-12, 0.5)):
+            got = spectral_reference(BandedOperator.diagonal([a]), tau,
+                                     np.array([1.0]))[0]
+            expect = reference_q(tau, a)
+            assert abs(got - expect) < 1e-12 * max(1.0, abs(expect))
+
+    def test_zero_eigenvalue_takes_removable_value(self):
+        A = BandedOperator.diagonal([0.0])
+        f = np.array([2.5])
+        for tau in (0.0, 0.5, 1.0):
+            assert np.array_equal(spectral_reference(A, tau, f), f)
+
+    def test_tau_shapes(self):
+        A = self._heat("uniform", 16)
+        f = np.linspace(-1.0, 2.0, A.dimension)
+        taus = [0.0, 1.0 / 12.0, 1.0 / 6.0, 0.5, 1.0]
+        z = spectral_reference(A, taus, f)
+        assert z.shape == (5, A.dimension)
+        assert spectral_reference(A, 0.5, f).shape == (A.dimension,)
+        single = np.stack([spectral_reference(A, t, f) for t in taus])
+        assert np.max(np.abs(z - single)) <= 1e-14 * np.max(np.abs(z))
+        grid = spectral_reference(A, np.reshape(taus[:4], (2, 2)), f)
+        assert grid.shape == (2, 2, A.dimension)
+        assert np.array_equal(grid.reshape(4, -1), z[:4])
+        assert spectral_reference(A, [], f).shape == (0, A.dimension)
+
+    def test_dense_operator_refused(self):
+        A = BandedOperator.dense(self._heat("uniform", 8).to_dense())
+        with pytest.raises(ValueError, match="tridiagonal"):
+            spectral_reference(A, 0.5, np.ones(8))
+
+    @pytest.mark.parametrize("sub, sup", [
+        ([1.0, 0.0], [1.0, 1.0]),
+        ([1.0, -1.0], [1.0, 1.0]),
+        ([1.0, 1.0], [1.0, -2.0]),
+    ])
+    def test_non_symmetrizable_refused(self, sub, sup):
+        A = BandedOperator.tridiagonal(sub, [-2.0, -2.0, -2.0], sup)
+        with pytest.raises(ValueError, match="sub"):
+            spectral_reference(A, 0.5, np.ones(3))
+        assert np.all(np.isfinite(reference_solution(A, 0.5, np.ones(3))))
+
+    def test_rhs_length_checked(self):
+        A = self._heat("uniform", 8)
+        with pytest.raises(ValueError, match="shape"):
+            spectral_reference(A, 0.5, np.ones(1))
+
+    def test_dimension_cap(self):
+        assert SPECTRAL_CAP == 4096 > DENSE_CAP
+        s = SPECTRAL_CAP + 1
+        A = BandedOperator.tridiagonal(np.ones(s - 1), -2.0 * np.ones(s),
+                                       np.ones(s - 1))
+        with pytest.raises(ValueError, match="capped"):
+            spectral_reference(A, 0.5, np.ones(s))
 
 
 class TestMatrixMarketLoader:
