@@ -106,14 +106,16 @@ def circulant_shift(s: int, scale: float) -> BandedOperator:
 
     Column i maps to row (i + 1) mod s; all eigenvalues lie on the
     circle of radius |scale|, making it a stiff test away from symmetric
-    spectra.
+    spectra.  Stored as a periodic tridiagonal: the subdiagonal plus the
+    corner A[0, s-1], which for s = 2 is the superdiagonal.
     """
     if s < 2:
         raise ValueError("shift needs dimension >= 2")
-    C = np.zeros((s, s))
-    C[np.arange(1, s), np.arange(s - 1)] = scale
-    C[0, s - 1] = scale
-    return BandedOperator.dense(C)
+    shift = np.full(s - 1, float(scale))
+    if s == 2:
+        return BandedOperator.tridiagonal(shift, np.zeros(2), shift)
+    return BandedOperator.tridiagonal(shift, np.zeros(s), np.zeros(s - 1),
+                                      corners=(scale, 0.0))
 
 
 def save_grid(grid: Grid, path) -> None:

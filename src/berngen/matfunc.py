@@ -26,23 +26,29 @@ SPECTRAL_CAP = 4096
 class BandedOperator:
     """Real square operator stored as tridiagonal bands or a dense matrix.
 
-    Immutable after construction; matvec and the shifted solve never
-    write back, so instances are safe to share.
+    The tridiagonal form may carry the two corner entries
+    corners = (A[0, s-1], A[s-1, 0]) of a periodic (cyclic) tridiagonal
+    matrix; corners is None when both are zero.  Immutable after
+    construction; matvec and the shifted solve never write back, so
+    instances are safe to share.
     """
 
-    __slots__ = ("dimension", "sub", "diag", "sup", "_dense")
+    __slots__ = ("dimension", "sub", "diag", "sup", "corners", "_dense")
 
     def __init__(self, *, dimension: int, sub=None, diag=None, sup=None,
-                 dense=None):
+                 corners=None, dense=None):
         self.dimension = dimension
         self.sub = sub
         self.diag = diag
         self.sup = sup
+        self.corners = corners
         self._dense = dense
 
     @classmethod
-    def tridiagonal(cls, sub, diag, sup) -> "BandedOperator":
-        """Operator from sub-, main and super-diagonals (lengths s-1, s, s-1)."""
+    def tridiagonal(cls, sub, diag, sup,
+                    corners=(0.0, 0.0)) -> "BandedOperator":
+        """Operator from sub-, main and super-diagonals (lengths s-1, s, s-1)
+        and the corners (A[0, s-1], A[s-1, 0]), which need s >= 3."""
         sub = np.asarray(sub, dtype=float)
         diag = np.asarray(diag, dtype=float)
         sup = np.asarray(sup, dtype=float)
@@ -51,7 +57,11 @@ class BandedOperator:
             raise ValueError("empty diagonal")
         if sub.shape != (s - 1,) or sup.shape != (s - 1,):
             raise ValueError("off-diagonals must have length s - 1")
-        return cls(dimension=s, sub=sub, diag=diag, sup=sup)
+        corners = tuple(float(c) for c in corners)
+        if any(corners) and s < 3:
+            raise ValueError("corner entries need dimension >= 3")
+        return cls(dimension=s, sub=sub, diag=diag, sup=sup,
+                   corners=corners if any(corners) else None)
 
     @classmethod
     def diagonal(cls, d) -> "BandedOperator":
@@ -68,7 +78,8 @@ class BandedOperator:
 
     @property
     def is_tridiagonal(self) -> bool:
-        return self._dense is None
+        """True for plain tridiagonal storage: no dense matrix, no corner."""
+        return self._dense is None and self.corners is None
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self._dense is not None:
@@ -77,6 +88,9 @@ class BandedOperator:
         if self.dimension > 1:
             y[1:] += self.sub * v[:-1]
             y[:-1] += self.sup * v[1:]
+        if self.corners is not None:
+            y[0] += self.corners[0] * v[-1]
+            y[-1] += self.corners[1] * v[0]
         return y
 
     def to_dense(self) -> np.ndarray:
@@ -88,6 +102,8 @@ class BandedOperator:
         if s > 1:
             M[np.arange(1, s), np.arange(s - 1)] = self.sub
             M[np.arange(s - 1), np.arange(1, s)] = self.sup
+        if self.corners is not None:
+            M[0, s - 1], M[s - 1, 0] = self.corners
         return M
 
     def norm1(self) -> float:
@@ -99,6 +115,9 @@ class BandedOperator:
         if s > 1:
             col[:-1] += np.abs(self.sub)
             col[1:] += np.abs(self.sup)
+        if self.corners is not None:
+            col[s - 1] += abs(self.corners[0])
+            col[0] += abs(self.corners[1])
         return float(col.max())
 
 
@@ -106,7 +125,7 @@ def _tridiagonal_solve(dl: list, d: list, du: list, b: list) -> np.ndarray:
     """Gaussian elimination with partial pivoting on a tridiagonal system.
 
     dl, d, du are the sub-, main and super-diagonals (lengths n-1, n, n-1);
-    dl and d are overwritten.  Rows i and i+1 swap when |dl[i]| > |d[i]|, the
+    d is overwritten.  Rows i and i+1 swap when |dl[i]| > |d[i]|, the
     row interchanges of LAPACK gtsv; a swap fills the second
     superdiagonal du2.  A zero pivot raises LinAlgError.
     """
@@ -136,12 +155,52 @@ def _tridiagonal_solve(dl: list, d: list, du: list, b: list) -> np.ndarray:
     return np.array(x[:n])
 
 
+def _periodic_solve(A: BandedOperator, t: float, b: np.ndarray) -> np.ndarray:
+    """Solve (A - i t I) y = b for a periodic tridiagonal A.
+
+    A - i t I is T + u v^T with u = (g, 0, ..., 0, A[s-1, 0]),
+    v = (1, 0, ..., 0, A[0, s-1] / g) and g = -(A[0, 0] - i t), so T is
+    tridiagonal and differs only in T[0, 0] and T[s-1, s-1] (Temperton
+    1975).  With z = T^-1 u, Sherman-Morrison gives
+    y = w - (v.w) / (1 + v.z) z for w = T^-1 b.  T can be far worse
+    conditioned than A - i t I, so a y whose normwise backward error
+    exceeds machine epsilon takes one step of iterative refinement, which
+    reuses z.  A vanishing 1 + v.z, or a zero pivot of T, raises
+    LinAlgError.
+    """
+    top, bottom = A.corners
+    dl, du = A.sub.tolist(), A.sup.tolist()
+    d = [complex(v, -t) for v in A.diag.tolist()]
+    g = -d[0]
+    d[0] -= g
+    d[-1] -= top * bottom / g
+    z = _tridiagonal_solve(dl, list(d), du,
+                           [g] + [0.0] * (len(d) - 2) + [bottom])
+    den = 1.0 + z[0] + top / g * z[-1]
+    if den == 0:
+        raise np.linalg.LinAlgError(
+            "shifted system is singular: the Sherman-Morrison denominator "
+            "vanishes")
+
+    def solve(rhs):
+        w = _tridiagonal_solve(dl, list(d), du, rhs.tolist())
+        return w - ((w[0] + top / g * w[-1]) / den) * z
+
+    y = solve(b)
+    r = b - A.matvec(y) + 1j * t * y
+    if np.abs(r).sum() > np.finfo(float).eps * (
+            (A.norm1() + t) * np.abs(y).sum() + np.abs(b).sum()):
+        y += solve(r)
+    return y
+
+
 def shifted_solve(A: BandedOperator, k: int, b) -> np.ndarray:
     """Solve (A^2 + (2 pi k)^2 I) x = b through one complex solve.
 
     For real A and b and t = 2 pi k, (A - i t I)^{-1} b = A x + i t x, so
     x is the imaginary part over t and A^2 is never formed.  Tridiagonal
-    operators use the pivoted elimination above, dense ones numpy's LU.
+    operators use the pivoted elimination above, periodic ones its
+    Sherman-Morrison correction, dense ones numpy's LU.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -150,12 +209,14 @@ def shifted_solve(A: BandedOperator, k: int, b) -> np.ndarray:
     if b.shape != (A.dimension,):
         raise ValueError(
             f"right-hand side has shape {b.shape}, expected ({A.dimension},)")
-    if A.is_tridiagonal:
+    if A._dense is not None:
+        y = np.linalg.solve(A.to_dense() - 1j * t * np.eye(A.dimension), b)
+    elif A.corners is None:
         y = _tridiagonal_solve(A.sub.tolist(),
                                [complex(v, -t) for v in A.diag.tolist()],
                                A.sup.tolist(), b.tolist())
     else:
-        y = np.linalg.solve(A.to_dense() - 1j * t * np.eye(A.dimension), b)
+        y = _periodic_solve(A, t, b)
     return y.imag / t
 
 
@@ -395,7 +456,12 @@ def spectral_reference(A: BandedOperator, tau, f) -> np.ndarray:
 
 
 def load_matrix_market(path) -> BandedOperator:
-    """Read a coordinate-format matrix (real/integer, general/symmetric)."""
+    """Read a coordinate-format matrix (real/integer, general/symmetric).
+
+    The result is banded when every nonzero lies on the three central
+    diagonals or, for s >= 3, the corners A[0, s-1] and A[s-1, 0];
+    otherwise it is dense.
+    """
     with open(path) as fh:
         header = fh.readline()
         parts = header.lower().split()
@@ -416,7 +482,7 @@ def load_matrix_market(path) -> BandedOperator:
             raise ValueError(f"{path}: malformed size line") from exc
         if rows != cols:
             raise ValueError(f"{path}: only square matrices are supported")
-        M = np.zeros((rows, cols))
+        entries = {}   # (i, j) -> value; a repeated entry overwrites
         seen = 0
         for line in fh:
             line = line.strip()
@@ -426,12 +492,27 @@ def load_matrix_market(path) -> BandedOperator:
             i, j, v = int(i_s) - 1, int(j_s) - 1, float(v_s)
             if not (0 <= i < rows and 0 <= j < rows):
                 raise ValueError(f"{path}: entry {line!r} is out of range")
-            M[i, j] = v
-            if symmetry == "symmetric" and i != j:
-                M[j, i] = v
+            entries[i, j] = v
+            if symmetry == "symmetric":
+                entries[j, i] = v
             seen += 1
         if seen != nnz:
             raise ValueError(f"{path}: expected {nnz} entries, found {seen}")
+    entries = {ij: v for ij, v in entries.items() if v}
+    s = rows
+    slot = {(0, s - 1): 0, (s - 1, 0): 1} if s >= 3 else {}
+    if s and all(abs(i - j) <= 1 or (i, j) in slot for i, j in entries):
+        bands = (np.zeros(s - 1), np.zeros(s), np.zeros(s - 1))
+        corners = [0.0, 0.0]
+        for (i, j), v in entries.items():
+            if (i, j) in slot:
+                corners[slot[i, j]] = v
+            else:
+                bands[j - i + 1][min(i, j)] = v
+        return BandedOperator.tridiagonal(*bands, corners=corners)
+    M = np.zeros((s, s))
+    for (i, j), v in entries.items():
+        M[i, j] = v
     return BandedOperator.dense(M)
 
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import berngen.matfunc
 from berngen.bernoulli import DEGREE_CAP
-from berngen.bvp import discretize_laplacian, geometric_grid, uniform_grid
+from berngen.bvp import (circulant_shift, discretize_laplacian,
+                         geometric_grid, uniform_grid)
 from berngen.fourier import ApproxParams, parity_signs, reference_q
 from berngen.matfunc import (DENSE_CAP, SPECTRAL_CAP, ActionPlan,
                              BandedOperator, G_action, _expm_dense,
@@ -26,6 +27,17 @@ def _random_tridiagonal(rng, s, scale=1.0):
     return BandedOperator.tridiagonal(scale * rng.standard_normal(s - 1),
                                       scale * rng.standard_normal(s),
                                       scale * rng.standard_normal(s - 1))
+
+
+def _random_periodic(rng, s, off_range=(0.0, 2.0), diag_scale=1.0):
+    """Periodic tridiagonal with signed off-diagonals and corners whose
+    moduli lie in off_range."""
+    def off(n):
+        return rng.choice([-1.0, 1.0], n) * rng.uniform(*off_range, n)
+
+    return BandedOperator.tridiagonal(
+        off(s - 1), diag_scale * rng.uniform(-2, 2, s), off(s - 1),
+        corners=off(2))
 
 
 class TestBandedOperator:
@@ -72,6 +84,41 @@ class TestBandedOperator:
             BandedOperator.tridiagonal([], [], [])
         with pytest.raises(ValueError):
             BandedOperator.dense(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("s", [3, 4, 9, 30])
+    def test_periodic_matches_dense(self, s):
+        rng = np.random.default_rng(5 + s)
+        for _ in range(5):
+            A = _random_periodic(rng, s)
+            M = A.to_dense()
+            assert M[0, s - 1] == A.corners[0] != 0.0
+            assert M[s - 1, 0] == A.corners[1] != 0.0
+            assert np.array_equal(np.diag(M, -1), A.sub)
+            assert np.array_equal(np.diag(M), A.diag)
+            assert np.array_equal(np.diag(M, 1), A.sup)
+            assert np.count_nonzero(M) == 3 * s
+            v = rng.standard_normal(s)
+            assert np.allclose(A.matvec(v), M @ v, rtol=1e-14, atol=1e-14)
+            assert abs(A.norm1() - np.abs(M).sum(axis=0).max()) < 1e-13
+            assert not A.is_tridiagonal
+
+    def test_norm1_counts_a_lone_corner(self):
+        """Column s-1 holds only the corner A[0, s-1], the largest entry."""
+        sub, sup = [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]
+        A = BandedOperator.tridiagonal(sub, [1.0, 1.0, 1.0, 0.0], sup,
+                                       corners=(-7.0, 0.0))
+        assert A.norm1() == np.abs(A.to_dense()).sum(axis=0).max() == 7.0
+        B = BandedOperator.tridiagonal(sup[::-1], [0.0, 1.0, 1.0, 1.0],
+                                       sub, corners=(0.0, 7.0))
+        assert B.norm1() == 7.0
+
+    def test_corner_validation(self):
+        with pytest.raises(ValueError, match="dimension >= 3"):
+            BandedOperator.tridiagonal([1.0], [1.0, 2.0], [1.0],
+                                       corners=(1.0, 0.0))
+        A = BandedOperator.tridiagonal([1.0], [1.0, 2.0], [1.0],
+                                       corners=(0.0, 0.0))
+        assert A.corners is None and A.is_tridiagonal
 
 
 class TestShiftedSolve:
@@ -187,6 +234,53 @@ class TestShiftedSolve:
         residual = A.matvec(A.matvec(x)) + t * t * x - b
         assert np.linalg.norm(residual) <= 1e-14 * (
             (A.norm1() + t) ** 2 * np.linalg.norm(x))
+
+    @pytest.mark.parametrize("s", [3, 4, 7, 12, 40])
+    def test_periodic_matches_dense_path(self, s):
+        """Off-diagonals and corners of modulus 30..60 against a diagonal
+        of at most 2 force row swaps in the eliminations."""
+        rng = np.random.default_rng(16 + s)
+        for k in (1, 2, 4):
+            for _ in range(6):
+                A = _random_periodic(rng, s, (30.0, 60.0))
+                b = rng.standard_normal(s)
+                got = shifted_solve(A, k, b)
+                expect = shifted_solve(BandedOperator.dense(A.to_dense()),
+                                       k, b)
+                assert np.linalg.norm(got - expect) <= 1e-13 * (
+                    np.linalg.norm(expect))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=3, max_value=12),
+           st.integers(min_value=1, max_value=4),
+           st.sampled_from([(0.0, 2.0), (30.0, 60.0)]),
+           st.sampled_from([1.0, 1e-9]),
+           st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @example(4, 1, (30.0, 60.0), 1.0, 545)
+    def test_periodic_apply_inverts_solve(self, s, k, off_range, diag_scale,
+                                          seed):
+        """The residual bound of test_apply_inverts_solve on periodic
+        operators, corners drawn like the off-diagonals.  In the explicit
+        example A - 2 pi i I has condition number 1.5 but its tridiagonal
+        split T about 1.2e3: the plain Sherman-Morrison result misses the
+        bound (8.9e-14 of the scale), the refined one meets it (2e-18)."""
+        A = _random_periodic(np.random.default_rng(seed), s, off_range,
+                             diag_scale)
+        b = np.random.default_rng(seed + 1).uniform(-2, 2, s)
+        t = TWO_PI * k
+        x = shifted_solve(A, k, b)
+        residual = A.matvec(A.matvec(x)) + t * t * x - b
+        assert np.linalg.norm(residual) <= 1e-14 * (
+            (A.norm1() + t) ** 2 * np.linalg.norm(x))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_periodic_singular_shift_raises(self, dense):
+        """The spectrum of 2 pi times the 4-cycle holds 2 pi i."""
+        A = circulant_shift(4, TWO_PI)
+        if dense:
+            A = BandedOperator.dense(A.to_dense())
+        with pytest.raises(np.linalg.LinAlgError):
+            shifted_solve(A, 1, np.ones(4))
 
 
 class TestPolynomialAction:
@@ -316,6 +410,21 @@ class TestActionPlan:
             calls.clear()
             ActionPlan(A, p, N, ell, f)
             assert len(calls) == (p - 1) * (N + 2 * ell)
+
+    def test_circulant_plan_avoids_dense_solve(self, monkeypatch):
+        """The clustered circulant of arnoldi-compare --test 4 is solved in
+        its periodic form, never by the dense LU."""
+        calls = []
+        original = np.linalg.solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(berngen.matfunc.np.linalg, "solve", counting)
+        plan = ActionPlan(circulant_shift(512, 1e-8), 2, 50, 4, np.ones(512))
+        assert plan.solve_count == 58
+        assert calls == []
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_view_matches_standalone_plan(self, dense):
@@ -782,6 +891,11 @@ class TestSpectralReference:
         with pytest.raises(ValueError, match="tridiagonal"):
             spectral_reference(A, 0.5, np.ones(8))
 
+    def test_periodic_operator_refused(self):
+        A = circulant_shift(8, 1.0)
+        with pytest.raises(ValueError, match="tridiagonal"):
+            spectral_reference(A, 0.5, np.ones(8))
+
     @pytest.mark.parametrize("sub, sup", [
         ([1.0, 0.0], [1.0, 1.0]),
         ([1.0, -1.0], [1.0, 1.0]),
@@ -867,6 +981,38 @@ class TestMatrixMarketLoader:
             f"1 1 1.0\n{entry}\n")
         with pytest.raises(ValueError, match=entry):
             load_matrix_market(str(f))
+
+
+    def test_periodic_pattern_is_banded(self, tmp_path):
+        f = tmp_path / "cyc.mtx"
+        f.write_text(
+            "%%MatrixMarket matrix coordinate real general\n4 4 7\n"
+            "1 1 -2\n2 1 1\n3 2 1\n4 3 1\n1 2 0.5\n1 4 3\n4 1 -4\n")
+        A = load_matrix_market(str(f))
+        expect = np.array([[-2.0, 0.5, 0.0, 3.0], [1.0, 0.0, 0.0, 0.0],
+                           [0.0, 1.0, 0.0, 0.0], [-4.0, 0.0, 1.0, 0.0]])
+        assert A.corners == (3.0, -4.0)
+        assert np.array_equal(A.to_dense(), expect)
+        tri = tmp_path / "tri.mtx"
+        tri.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n"
+            "1 1 2\n2 1 -1\n3 1 0\n")
+        B = load_matrix_market(str(tri))
+        assert B.is_tridiagonal
+        assert np.array_equal(B.to_dense(), [[2.0, -1.0, 0.0],
+                                             [-1.0, 0.0, 0.0],
+                                             [0.0, 0.0, 0.0]])
+
+    def test_off_band_entry_stays_dense(self, tmp_path):
+        f = tmp_path / "off.mtx"
+        f.write_text(
+            "%%MatrixMarket matrix coordinate real general\n4 4 3\n"
+            "1 1 1\n2 1 2\n1 3 5\n")
+        A = load_matrix_market(str(f))
+        assert not A.is_tridiagonal and A.corners is None
+        expect = np.zeros((4, 4))
+        expect[0, 0], expect[1, 0], expect[0, 2] = 1.0, 2.0, 5.0
+        assert np.array_equal(A.to_dense(), expect)
 
 
 class TestTridiagonalLoader:
