@@ -11,10 +11,9 @@ from .acceleration import (CoefficientTriangle, CorrectionTerm, G_approx,
                            TauEndpointError, build_triangle, correction,
                            delta0, gamma0, leading_error_term,
                            load_exp_approximant, q0_shift)
-from .matfunc import (ActionPlan, BandedOperator, G_action, expm_action,
-                      g_action, h_action, load_matrix_market,
-                      load_tridiagonal, reference_solution, shifted_solve,
-                      spectral_reference)
+from .matfunc import (ActionPlan, BandedOperator, G_action, g_action,
+                      h_action, load_matrix_market, load_tridiagonal,
+                      reference_solution, shifted_solve, spectral_reference)
 from .arnoldi import (KrylovDecomposition, arnoldi_extend, arnoldi_q_approx,
                       orthogonality_loss)
 from .bvp import (Grid, circulant_shift, discretize_laplacian,
@@ -29,8 +28,8 @@ __all__ = [
     "TauEndpointError", "arnoldi_extend", "arnoldi_q_approx",
     "build_bernoulli_table", "build_triangle", "check_pole",
     "circulant_shift", "correction", "delta0", "delta_of_N",
-    "discretize_laplacian", "eval_bernoulli", "expm_action",
-    "fourier_partial", "g_action", "g_approx", "gamma0", "geometric_grid",
+    "discretize_laplacian", "eval_bernoulli", "fourier_partial",
+    "g_action", "g_approx", "gamma0", "geometric_grid",
     "h_action", "hat_coefficients", "lanczos_coefficients",
     "lanczos_polynomial", "leading_error_term", "load_exp_approximant",
     "load_grid", "load_matrix_market", "load_tridiagonal",

@@ -157,17 +157,10 @@ def G_approx(params: ApproxParams) -> complex:
 
 
 def leading_error_term(p: int, N: int, tau: float, w: complex) -> complex:
-    """Principal term of the order-p truncation residual at interior tau."""
-    _require_order_and_mode(p, N)
-    w = check_pole(w)
-    (ga, gb), _ = pair_weights(N, 1, tau)
+    """Principal term of the order-p truncation residual at interior tau:
+    the cosine half of the depth-1 correction."""
     sc, _ = parity_signs(p)
-    return 2.0 * sc * (ga * _gamma0(p, N + 1, w) + gb * _gamma0(p, N + 2, w))
-
-
-def exp_direct(x: complex) -> complex:
-    """Built-in exponential evaluator for q0_shift."""
-    return cmath.exp(x)
+    return 2.0 * sc * correction(p, N, 1, tau, w).gamma_part
 
 
 def load_exp_approximant(path) -> Callable[[complex], complex]:
@@ -212,14 +205,14 @@ def q0_shift(w: complex, alpha: float = 0.125,
     """Evaluate at tau = 0 through the interior point 1 - alpha.
 
     Uses q(0, w) = q(1 - alpha, w) e^{alpha w} - w with the value at
-    1 - alpha supplied by G_approx.  exp_eval defaults to the scalar
-    exponential; a rational approximant from load_exp_approximant may be
-    plugged in instead.
+    1 - alpha supplied by G_approx.  exp_eval defaults to cmath.exp; a
+    rational approximant from load_exp_approximant may be plugged in
+    instead.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     w = check_pole(w)
-    evaluator = exp_direct if exp_eval is None else exp_eval
+    evaluator = cmath.exp if exp_eval is None else exp_eval
     if params is None:
         params = ApproxParams(p=2, N=100, tau=1.0 - alpha, w=w, ell=3,
                               alpha=alpha)

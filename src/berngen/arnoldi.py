@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matfunc import BandedOperator, _expm_dense, _phi1_dense
+from .matfunc import BandedOperator, _phi1_solve
 
 #: happy-breakdown threshold, relative to ||A||_1
 BREAKDOWN_RTOL = 1e-14
@@ -72,14 +72,12 @@ def arnoldi_q_approx(dec: KrylovDecomposition, tau: float) -> np.ndarray:
     """Project q(tau, A) f onto the Krylov basis.
 
     Evaluates V_j phi_1(H_j)^{-1} e^{tau H_j} (beta e_1) on the small j x j
-    Hessenberg matrix, the same function as (e^{H_j} - I)^{-1} e^{tau H_j}
-    H_j but without the cancellation of e^{H_j} - I when H_j has
-    eigenvalues near 0.
+    Hessenberg matrix, with the dense kernel of reference_solution.
     """
     j = dec.j
-    Hj = dec.H[:j, :j]
-    rhs = dec.beta * _expm_dense(tau * Hj)[:, 0]
-    y = np.linalg.solve(_phi1_dense(Hj), rhs)
+    e1 = np.zeros(j)
+    e1[0] = dec.beta
+    y, = _phi1_solve(dec.H[:j, :j], [tau], e1)
     return dec.V[:, :j] @ y
 
 

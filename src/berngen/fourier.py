@@ -10,7 +10,6 @@ import numpy as np
 
 from .bernoulli import (DEGREE_CAP, eval_bernoulli, lanczos_polynomial,
                         shared_table)
-from .summation import kahan_add
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,17 +63,6 @@ class ApproxParams:
             raise ValueError("tau must lie in [0, 1]")
         check_pole(self.w)
 
-    @property
-    def n(self) -> int | None:
-        """Half-order with p = 2n + 2; None when p is odd."""
-        if self.p % 2 == 0 and self.p >= 2:
-            return (self.p - 2) // 2
-        return None
-
-    @property
-    def z(self) -> complex:
-        return complex(self.w) / TWO_PI
-
 
 @dataclass(frozen=True)
 class ModeCoefficients:
@@ -106,15 +94,6 @@ def reference_q(tau: float, w: complex) -> complex:
     if w.real > 0.0:
         return w * cmath.exp(w * (tau - 1.0)) / (1.0 - cmath.exp(-w))
     return w * cmath.exp(w * tau) / (cmath.exp(w) - 1.0)
-
-
-def hat_coefficients(k: int, w: complex) -> tuple[complex, complex]:
-    """Fourier coefficients of q itself: (c_hat_k, s_hat_k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    w = check_pole(w)
-    den = w * w + (TWO_PI * k) ** 2
-    return w * w / den, -TWO_PI * k * w / den
 
 
 def parity_signs(p: int) -> tuple[float, float]:
@@ -160,19 +139,15 @@ def lanczos_coefficients(p: int, k: int, w: complex) -> ModeCoefficients:
                             s=ss * _delta0(p, k, w))
 
 
+def hat_coefficients(k: int, w: complex) -> tuple[complex, complex]:
+    """Fourier coefficients (c_hat_k, s_hat_k) of q: the order-1 modes."""
+    m = lanczos_coefficients(1, k, w)
+    return m.c, m.s
+
+
 def fourier_partial(tau: float, w: complex, N: int) -> complex:
-    """Plain N-mode Fourier partial sum of q (slow O(1/N) convergence)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    w = check_pole(w)
-    acc = 1.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for k in range(1, N + 1):
-        ch, sh = hat_coefficients(k, w)
-        term = 2.0 * (ch * math.cos(TWO_PI * k * tau)
-                      + sh * math.sin(TWO_PI * k * tau))
-        acc, comp = kahan_add(acc, comp, term)
-    return acc
+    """Plain N-mode Fourier partial sum of q: g_approx at order p = 1."""
+    return g_approx(ApproxParams(p=1, N=N, tau=tau, w=w))
 
 
 def g_approx(params: ApproxParams) -> complex:
@@ -183,10 +158,13 @@ def g_approx(params: ApproxParams) -> complex:
     acc = lanczos_polynomial(table, p, tau, w)
     comp = 0.0 + 0.0j
     sc, ss = parity_signs(p)
+    # compensated (Kahan) sum in ascending k, so tables reproduce exactly
     for k in range(1, N + 1):
         term = 2.0 * (sc * _gamma0(p, k, w) * math.cos(TWO_PI * k * tau)
                       + ss * _delta0(p, k, w) * math.sin(TWO_PI * k * tau))
-        acc, comp = kahan_add(acc, comp, term)
+        y = term - comp
+        total = acc + y
+        acc, comp = total, (total - acc) - y
     return acc
 
 
@@ -218,4 +196,6 @@ def delta_of_N(z: complex, N: int, K: int) -> float:
     if K < 2 * N:
         raise ValueError("K must be >= 2N")
     z = complex(z)
+    if z == 0:
+        raise ValueError("z must be nonzero")
     return N ** 3.5 * abs(z) ** -4.0 * residual_l2(4, TWO_PI * z, N, K)

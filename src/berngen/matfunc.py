@@ -15,7 +15,7 @@ from .fourier import TWO_PI, ApproxParams, parity_signs
 #: exponential is accurate to machine precision
 PADE_THETA = 5.371920351148152
 
-#: dense oracles (matrix exponential, reference solve) refuse above this
+#: the dense reference_solution refuses above this
 DENSE_CAP = 1024
 
 #: spectral_reference refuses above this: eigh costs O(s^3) (2.2 s at
@@ -374,15 +374,6 @@ def _expm_dense(M: np.ndarray) -> np.ndarray:
     return F
 
 
-def expm_action(A: BandedOperator, t: float, f) -> np.ndarray:
-    """e^{tA} f as a dense computation (dimension capped at DENSE_CAP)."""
-    if A.dimension > DENSE_CAP:
-        raise ValueError(
-            f"dense exponential capped at dimension {DENSE_CAP}")
-    f = np.asarray(f, dtype=float)
-    return _expm_dense(t * A.to_dense()) @ f
-
-
 def _phi1_dense(M: np.ndarray) -> np.ndarray:
     """phi_1(M) = sum_k M^k / (k+1)!, read off the augmented exponential.
 
@@ -396,13 +387,23 @@ def _phi1_dense(M: np.ndarray) -> np.ndarray:
     return _expm_dense(B)[:n, n:]
 
 
-def reference_solution(A: BandedOperator, tau, f) -> np.ndarray:
-    """z = (e^A - I)^{-1} e^{tau A} A f, the oracle behind every error table.
+def _phi1_solve(M: np.ndarray, taus, v: np.ndarray) -> list:
+    """phi_1(M)^{-1} e^{tau M} v for each tau, with phi_1(M) formed once.
 
-    Evaluated as phi_1(A)^{-1} e^{tau A} f, which is the same function of A
-    but stays accurate (and defined) when the spectrum clusters at the
-    removable singularity, where e^A - I cancels catastrophically.  tau may
-    be an array: phi_1(A) is formed once and the result has shape
+    The same function of M as (e^M - I)^{-1} e^{tau M} M v, but accurate
+    (and defined) when the spectrum clusters at the removable singularity,
+    where e^M - I cancels catastrophically.
+    """
+    phi = _phi1_dense(M)
+    return [np.linalg.solve(phi, _expm_dense(t * M) @ v) for t in taus]
+
+
+def reference_solution(A: BandedOperator, tau, f) -> np.ndarray:
+    """q(tau, A) f = (e^A - I)^{-1} e^{tau A} A f by dense Pade exponentials.
+
+    The general dense oracle, for any operator up to DENSE_CAP; it is used
+    by tests/test_acceptance.py and arnoldi-compare --test 4.  tau may be
+    an array: phi_1(A) is formed once and the result has shape
     tau.shape + (s,).
     """
     if A.dimension > DENSE_CAP:
@@ -410,9 +411,7 @@ def reference_solution(A: BandedOperator, tau, f) -> np.ndarray:
             f"dense reference capped at dimension {DENSE_CAP}")
     f = np.asarray(f, dtype=float)
     taus = np.asarray(tau, dtype=float)
-    M = A.to_dense()
-    phi = _phi1_dense(M)
-    z = [np.linalg.solve(phi, _expm_dense(t * M) @ f) for t in taus.flat]
+    z = _phi1_solve(A.to_dense(), taus.flat, f)
     return np.reshape(z, taus.shape + f.shape)
 
 

@@ -1,12 +1,13 @@
 """Second-difference correction triangles and the accelerated evaluator."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from berngen.acceleration import (G_approx, TauEndpointError, build_triangle,
-                                  correction, delta0, exp_direct, gamma0,
+                                  correction, delta0, gamma0,
                                   leading_error_term, load_exp_approximant,
                                   q0_shift)
 from berngen.fourier import (ApproxParams, PoleProximityError, g_approx,
@@ -170,6 +171,16 @@ class TestLeadingErrorTerm:
         with pytest.raises(TauEndpointError):
             leading_error_term(2, 100, 1e-12, 1.0)
 
+    @pytest.mark.parametrize("p, N, tau, w", [
+        (1, 7, 0.3, -2.0), (2, 50, 0.125, -4.0), (3, 33, 0.7, 1.5 - 2.0j),
+        (4, 100, 0.0078125, -10.0), (5, 12, 0.45, 0.25j),
+        (6, 200, 0.9, 3.0 + 1.0j)])
+    def test_is_depth_one_cosine_pair(self, p, N, tau, w):
+        """Exactly the signed Gamma of the depth-1 correction."""
+        sc, _ = parity_signs(p)
+        assert leading_error_term(p, N, tau, w) == (
+            2.0 * sc * correction(p, N, 1, tau, w).gamma_part)
+
 
 class TestTailIdentity:
     def test_residual_equals_mode_tail(self):
@@ -191,34 +202,34 @@ class TestZeroTauShift:
     def test_identity_with_exact_exponential(self):
         """Shift route equals q(0, w) when the exponential is exact."""
         for w in (-1.0, -6.0, -0.25):
-            got = q0_shift(w, 0.125, exp_direct)
+            got = q0_shift(w, 0.125, cmath.exp)
             ref = reference_q(0.0, w)
             assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
 
     def test_large_negative_argument(self):
-        got = q0_shift(-50.0, 0.125, exp_direct)
+        got = q0_shift(-50.0, 0.125, cmath.exp)
         assert abs(got - reference_q(0.0, -50.0)) < 1e-9
 
     def test_grid_accuracy(self):
         for w in np.linspace(-10.0, -0.05, 25):
-            got = q0_shift(float(w), 0.125, exp_direct)
+            got = q0_shift(float(w), 0.125, cmath.exp)
             ref = reference_q(0.0, float(w))
             assert abs(got - ref) < 1e-6 * max(1.0, abs(ref))
 
     def test_zero_argument(self):
-        assert abs(q0_shift(0.0, 0.125, exp_direct) - 1.0) < 1e-12
+        assert abs(q0_shift(0.0, 0.125, cmath.exp) - 1.0) < 1e-12
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
-            q0_shift(-1.0, 0.0, exp_direct)
+            q0_shift(-1.0, 0.0, cmath.exp)
         with pytest.raises(ValueError):
-            q0_shift(-1.0, 1.0, exp_direct)
+            q0_shift(-1.0, 1.0, cmath.exp)
 
     def test_params_override(self):
         """A caller-supplied parameter set keeps its p, N, ell; tau, w and
         alpha are forced to the shift configuration."""
         params = ApproxParams(p=2, N=120, tau=0.3, w=7.0, ell=2, alpha=0.5)
-        got = q0_shift(-2.0, 0.125, exp_direct, params=params)
+        got = q0_shift(-2.0, 0.125, cmath.exp, params=params)
         assert abs(got - reference_q(0.0, -2.0)) < 1e-10
 
 

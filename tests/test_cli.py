@@ -69,6 +69,12 @@ class TestDeltaTable:
         assert captured.out == ""
         assert "N must be >= 1" in captured.err
 
+    def test_zero_z_is_usage_error(self, capsys):
+        assert main(["delta-table", "--z", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "z must be nonzero" in captured.err
+
     def test_runs_are_byte_identical_modulo_timing(self, capsys):
         _, first = _run(capsys, ["delta-table"])
         _, second = _run(capsys, ["delta-table"])
@@ -343,3 +349,11 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.startswith(HEADER)
         assert len(proc.stdout.splitlines()) == 2
+
+
+class TestPackageExports:
+    def test_every_export_resolves_once(self):
+        names = berngen.__all__
+        assert len(names) == len(set(names))
+        for name in names:
+            assert hasattr(berngen, name), name

@@ -116,6 +116,34 @@ class TestFourierPartial:
         with pytest.raises(ValueError):
             fourier_partial(0.5, 1.0, 0)
 
+    @pytest.mark.parametrize("tau", [-0.5, 1.5])
+    def test_tau_outside_unit_interval_refused(self, tau):
+        """No periodic extension: q(1.5, 1) is 2.608, the sum's 0.9595."""
+        with pytest.raises(ValueError, match="tau must lie in"):
+            fourier_partial(tau, 1.0, 200)
+
+
+#: (N, tau, w) cases for the exact order-1 relations
+ORDER_ONE_CASES = [(7, 0.3, -2.0), (50, 0.125, -4.0), (33, 0.7, 1.5 - 2.0j),
+                   (100, 0.0078125, -10.0), (12, 0.45, 0.25j),
+                   (200, 0.9, 3.0 + 1.0j)]
+
+
+class TestOrderOneRelations:
+    """The classical Fourier quantities are the p = 1 case of the
+    residual-mode code, bit for bit."""
+
+    @pytest.mark.parametrize("N, tau, w", ORDER_ONE_CASES)
+    def test_partial_sum_is_order_one_g_approx(self, N, tau, w):
+        assert fourier_partial(tau, w, N) == g_approx(
+            ApproxParams(p=1, N=N, tau=tau, w=w))
+
+    @pytest.mark.parametrize("N, tau, w", ORDER_ONE_CASES)
+    def test_hat_coefficients_are_order_one_modes(self, N, tau, w):
+        for k in (1, 2, N):
+            m = lanczos_coefficients(1, k, w)
+            assert hat_coefficients(k, w) == (m.c, m.s)
+
 
 class TestLanczosCoefficients:
     def test_base_case(self):
@@ -263,6 +291,11 @@ class TestDeltaOfN:
             with pytest.raises(ValueError, match="N must be >= 1"):
                 delta_of_N(1.0, N, 10)
 
+    @pytest.mark.parametrize("z", [0, 0.0, 0j])
+    def test_zero_z_refused(self, z):
+        with pytest.raises(ValueError, match="z must be nonzero"):
+            delta_of_N(z, 512, 2048)
+
     def test_z_independence(self):
         """The scaled functional approaches the same constant for every z."""
         vals = [delta_of_N(z, 2048, 8192) for z in (1.0, 0.1, 10.0)]
@@ -271,12 +304,6 @@ class TestDeltaOfN:
 
 
 class TestApproxParams:
-    def test_derived_fields(self):
-        params = ApproxParams(p=6, N=100, tau=0.25, w=TWO_PI * 1.5)
-        assert params.n == 2  # p = 2n + 2
-        assert abs(params.z - 1.5) < 1e-15
-        assert ApproxParams(p=3, N=10, tau=0.5).n is None
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ApproxParams(p=0, N=10, tau=0.5)

@@ -15,7 +15,7 @@ from berngen.bvp import (circulant_shift, discretize_laplacian,
 from berngen.fourier import ApproxParams, parity_signs, reference_q
 from berngen.matfunc import (DENSE_CAP, SPECTRAL_CAP, ActionPlan,
                              BandedOperator, G_action, _expm_dense,
-                             _phi1_dense, expm_action, g_action, h_action,
+                             _phi1_dense, g_action, h_action,
                              load_matrix_market, load_tridiagonal,
                              reference_solution, shifted_solve,
                              spectral_reference)
@@ -693,21 +693,6 @@ class TestDenseExponential:
             got = _expm_dense(scale * M)
             ref = scipy.linalg.expm(scale * M)
             assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
-
-    def test_action_wrapper(self):
-        rng = np.random.default_rng(41)
-        A = _random_tridiagonal(rng, 9)
-        f = rng.standard_normal(9)
-        got = expm_action(A, 0.0, f)
-        assert np.allclose(got, f, atol=1e-15)
-        got = expm_action(A, 0.7, f)
-        ref = scipy.linalg.expm(0.7 * A.to_dense()) @ f
-        assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
-
-    def test_dimension_cap(self):
-        A = BandedOperator.diagonal(np.zeros(DENSE_CAP + 1))
-        with pytest.raises(ValueError):
-            expm_action(A, 1.0, np.zeros(DENSE_CAP + 1))
 
 
 class TestPhiOne:
