@@ -9,8 +9,8 @@ from .fourier import (ApproxParams, ModeCoefficients, PoleProximityError,
                       reference_q, residual_l2)
 from .acceleration import (CoefficientTriangle, CorrectionTerm, G_approx,
                            TauEndpointError, build_triangle, correction,
-                           delta0, gamma0, leading_error_term,
-                           load_exp_approximant, q0_shift)
+                           leading_error_term, load_exp_approximant,
+                           q0_shift)
 from .matfunc import (ActionPlan, BandedOperator, G_action, g_action,
                       h_action, load_matrix_market, load_tridiagonal,
                       reference_solution, shifted_solve, spectral_reference)
@@ -26,14 +26,13 @@ __all__ = [
     "CoefficientTriangle", "CorrectionTerm", "G_action", "G_approx", "Grid",
     "KrylovDecomposition", "ModeCoefficients", "PoleProximityError",
     "TauEndpointError", "arnoldi_extend", "arnoldi_q_approx",
-    "build_bernoulli_table", "build_triangle", "check_pole",
-    "circulant_shift", "correction", "delta0", "delta_of_N",
-    "discretize_laplacian", "eval_bernoulli", "fourier_partial",
-    "g_action", "g_approx", "gamma0", "geometric_grid",
-    "h_action", "hat_coefficients", "lanczos_coefficients",
-    "lanczos_polynomial", "leading_error_term", "load_exp_approximant",
-    "load_grid", "load_matrix_market", "load_tridiagonal",
-    "orthogonality_loss", "parity_signs", "q0_shift", "reference_q",
-    "reference_solution", "residual_l2", "save_grid", "shared_table",
-    "shifted_solve", "spectral_reference", "uniform_grid",
+    "build_bernoulli_table", "build_triangle", "check_pole", "circulant_shift",
+    "correction", "delta_of_N", "discretize_laplacian", "eval_bernoulli",
+    "fourier_partial", "g_action", "g_approx", "geometric_grid", "h_action",
+    "hat_coefficients", "lanczos_coefficients", "lanczos_polynomial",
+    "leading_error_term", "load_exp_approximant", "load_grid",
+    "load_matrix_market", "load_tridiagonal", "orthogonality_loss",
+    "parity_signs", "q0_shift", "reference_q", "reference_solution",
+    "residual_l2", "save_grid", "shared_table", "shifted_solve",
+    "spectral_reference", "uniform_grid",
 ]

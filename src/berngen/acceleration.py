@@ -8,8 +8,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .fourier import (TWO_PI, ApproxParams, _delta0, _gamma0, check_pole,
-                      g_approx, parity_signs)
+from .fourier import (TWO_PI, ApproxParams, _check_order, _modes,
+                      check_pole, g_approx, parity_signs)
 
 #: |1 - cos(2 pi tau)| below this leaves the correction denominators
 #: dominated by roundoff
@@ -18,29 +18,6 @@ ENDPOINT_TOL = 1e-8
 
 class TauEndpointError(ValueError):
     """tau too close to 0 or 1 for the rational correction."""
-
-
-def _require_order_and_mode(p: int, k: int) -> None:
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
-
-def gamma0(p: int, k: int, w: complex) -> complex:
-    """Base magnitude of the cosine family at mode k.
-
-    Even p: w^p / ((2 pi k)^{p-2} (w^2 + (2 pi k)^2)); odd p swaps the
-    exponents with the sine family.
-    """
-    _require_order_and_mode(p, k)
-    return _gamma0(p, k, check_pole(w))
-
-
-def delta0(p: int, k: int, w: complex) -> complex:
-    """Base magnitude of the sine family (parity-swapped gamma0)."""
-    _require_order_and_mode(p, k)
-    return _delta0(p, k, check_pole(w))
 
 
 @dataclass(frozen=True)
@@ -130,12 +107,10 @@ def pair_weights(N: int, ell: int, tau: float) -> tuple[list, list]:
 def correction(p: int, N: int, ell: int, tau: float,
                w: complex) -> CorrectionTerm:
     """Depth-ell boundary correction of the order-p mode sum at tau."""
-    _require_order_and_mode(p, N)
+    _check_order(p, N, ell)
     w = check_pole(w)
-    gamma = build_triangle(
-        [_gamma0(p, N + i, w) for i in range(2 * ell + 1)], ell).pairs()
-    delta = build_triangle(
-        [_delta0(p, N + i, w) for i in range(2 * ell + 1)], ell).pairs()
+    bases = zip(*[_modes(p, N + i, w) for i in range(2 * ell + 1)])
+    gamma, delta = (build_triangle(base, ell).pairs() for base in bases)
     gw, dw = pair_weights(N, ell, tau)
     return CorrectionTerm(sum((a * x for a, x in zip(gw, gamma)), 0j),
                           sum((a * x for a, x in zip(dw, delta)), 0j))
@@ -158,9 +133,14 @@ def G_approx(params: ApproxParams) -> complex:
 
 def leading_error_term(p: int, N: int, tau: float, w: complex) -> complex:
     """Principal term of the order-p truncation residual at interior tau:
-    the cosine half of the depth-1 correction."""
+    the cosine half of the depth-1 correction, formed from its two modes
+    N + 1 and N + 2 only."""
+    _check_order(p, N, 1)
+    w = check_pole(w)
+    gw, _ = pair_weights(N, 1, tau)
+    (a, _), (b, _) = _modes(p, N + 1, w), _modes(p, N + 2, w)
     sc, _ = parity_signs(p)
-    return 2.0 * sc * correction(p, N, 1, tau, w).gamma_part
+    return 2.0 * sc * (0j + gw[0] * a + gw[1] * b)
 
 
 def load_exp_approximant(path) -> Callable[[complex], complex]:

@@ -367,9 +367,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PoleProximityError, TauEndpointError,
-            np.linalg.LinAlgError, FloatingPointError,
-            ZeroDivisionError) as exc:
+    except (PoleProximityError, TauEndpointError, np.linalg.LinAlgError,
+            ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -28,11 +28,23 @@ class PoleProximityError(ValueError):
 def check_pole(w: complex) -> complex:
     """Return w as a complex number, refusing near-pole arguments."""
     w = complex(w)
+    if not cmath.isfinite(w):
+        raise ValueError(f"w={w} must be finite")
     k = round(w.imag / TWO_PI)
     if k != 0 and abs(w - complex(0.0, TWO_PI * k)) < POLE_TOL:
         raise PoleProximityError(
             f"w={w} is within {POLE_TOL} of the pole {TWO_PI * k}i")
     return w
+
+
+def _check_order(p: int, N: int, ell: int) -> None:
+    """Refuse an order p, mode count N or correction depth ell out of range."""
+    if not 1 <= p <= DEGREE_CAP + 1:
+        raise ValueError(f"p must lie in 1..{DEGREE_CAP + 1}")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -53,12 +65,7 @@ class ApproxParams:
     alpha: float = 0.125
 
     def __post_init__(self):
-        if not 1 <= self.p <= DEGREE_CAP + 1:
-            raise ValueError(f"p must lie in 1..{DEGREE_CAP + 1}")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if self.ell < 0:
-            raise ValueError("ell must be >= 0")
+        _check_order(self.p, self.N, self.ell)
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
         check_pole(self.w)
@@ -85,11 +92,8 @@ def reference_q(tau: float, w: complex) -> complex:
         acc = 0.0 + 0.0j
         term = 1.0 + 0.0j  # w^k / k!
         for k in range(table.max_degree + 1):
-            t = eval_bernoulli(table, k, tau) * term
-            acc += t
+            acc += eval_bernoulli(table, k, tau) * term
             term *= w / (k + 1)
-            if abs(t) <= 1e-18 * abs(acc):
-                break
         return acc
     if w.real > 0.0:
         return w * cmath.exp(w * (tau - 1.0)) / (1.0 - cmath.exp(-w))
@@ -101,7 +105,7 @@ def parity_signs(p: int) -> tuple[float, float]:
 
     The shared sign is (-1)^ceil((p+1)/2); for odd p the cosine family
     carries the opposite sign (verified against quadrature of the Fourier
-    integrals, see the acceleration module's base coefficients).
+    integrals of the _modes magnitudes).
     """
     sg = (-1.0) ** ((p + 2) // 2)
     if p % 2 == 0:
@@ -109,22 +113,17 @@ def parity_signs(p: int) -> tuple[float, float]:
     return -sg, sg
 
 
-def _gamma0(p, k, w):
-    """Cosine-family base magnitude; k may be an int or a numpy array."""
+def _modes(p, k, w):
+    """Magnitudes (gamma, delta) of order-p mode k; k is an int or array.
+
+    Even p: gamma = w^p / ((2 pi k)^{p-2} (w^2 + (2 pi k)^2)), and delta
+    carries one more power of w / (2 pi k); odd p swaps the two.
+    """
     tk = TWO_PI * k
     den = w * w + tk * tk
-    if p % 2 == 0:
-        return w ** p / (tk ** (p - 2) * den)
-    return w ** (p + 1) / (tk ** (p - 1) * den)
-
-
-def _delta0(p, k, w):
-    """Sine-family base magnitude (parity-swapped counterpart of _gamma0)."""
-    tk = TWO_PI * k
-    den = w * w + tk * tk
-    if p % 2 == 0:
-        return w ** (p + 1) / (tk ** (p - 1) * den)
-    return w ** p / (tk ** (p - 2) * den)
+    lo = w ** p / (tk ** (p - 2) * den)
+    hi = w ** (p + 1) / (tk ** (p - 1) * den)
+    return (hi, lo) if p % 2 else (lo, hi)
 
 
 def lanczos_coefficients(p: int, k: int, w: complex) -> ModeCoefficients:
@@ -135,8 +134,8 @@ def lanczos_coefficients(p: int, k: int, w: complex) -> ModeCoefficients:
         raise ValueError("k must be >= 1")
     w = check_pole(w)
     sc, ss = parity_signs(p)
-    return ModeCoefficients(k=k, c=sc * _gamma0(p, k, w),
-                            s=ss * _delta0(p, k, w))
+    g, d = _modes(p, k, w)
+    return ModeCoefficients(k=k, c=sc * g, s=ss * d)
 
 
 def hat_coefficients(k: int, w: complex) -> tuple[complex, complex]:
@@ -160,8 +159,9 @@ def g_approx(params: ApproxParams) -> complex:
     sc, ss = parity_signs(p)
     # compensated (Kahan) sum in ascending k, so tables reproduce exactly
     for k in range(1, N + 1):
-        term = 2.0 * (sc * _gamma0(p, k, w) * math.cos(TWO_PI * k * tau)
-                      + ss * _delta0(p, k, w) * math.sin(TWO_PI * k * tau))
+        g, d = _modes(p, k, w)
+        term = 2.0 * (sc * g * math.cos(TWO_PI * k * tau)
+                      + ss * d * math.sin(TWO_PI * k * tau))
         y = term - comp
         total = acc + y
         acc, comp = total, (total - acc) - y
@@ -183,8 +183,8 @@ def residual_l2(p: int, w: complex, N: int, K: int) -> float:
     if K == N:
         return 0.0
     w = check_pole(w)
-    k = np.arange(N + 1, K + 1, dtype=np.float64)
-    mags = np.abs(_gamma0(p, k, w)) ** 2 + np.abs(_delta0(p, k, w)) ** 2
+    g, d = _modes(p, np.arange(N + 1, K + 1, dtype=np.float64), w)
+    mags = np.abs(g) ** 2 + np.abs(d) ** 2
     # summed in ascending magnitude, i.e. descending k
     return math.sqrt(2.0 * float(np.sum(mags[::-1])))
 
@@ -198,4 +198,6 @@ def delta_of_N(z: complex, N: int, K: int) -> float:
     z = complex(z)
     if z == 0:
         raise ValueError("z must be nonzero")
+    if not cmath.isfinite(z):
+        raise ValueError(f"z={z} must be finite")
     return N ** 3.5 * abs(z) ** -4.0 * residual_l2(4, TWO_PI * z, N, K)

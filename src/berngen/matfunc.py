@@ -8,8 +8,8 @@ import math
 import numpy as np
 
 from .acceleration import build_triangle, pair_weights
-from .bernoulli import DEGREE_CAP, eval_bernoulli, shared_table
-from .fourier import TWO_PI, ApproxParams, parity_signs
+from .bernoulli import eval_bernoulli, shared_table
+from .fourier import TWO_PI, ApproxParams, _check_order, parity_signs
 
 #: 1-norm bound under which the degree-13 diagonal Pade approximant of the
 #: exponential is accurate to machine precision
@@ -272,12 +272,7 @@ class ActionPlan:
         return plan
 
     def _build(self, p: int, N: int, ell: int, scheme: str) -> None:
-        if not 1 <= p <= DEGREE_CAP + 1:
-            raise ValueError(f"p must lie in 1..{DEGREE_CAP + 1}")
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        if ell < 0:
-            raise ValueError("ell must be >= 0")
+        _check_order(p, N, ell)
         if scheme not in ("stabilized", "direct"):
             raise ValueError(f"unknown scheme {scheme!r}")
         A, f = self.A, self.f

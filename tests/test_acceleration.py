@@ -6,38 +6,48 @@ import math
 import numpy as np
 import pytest
 
+import berngen.acceleration
 from berngen.acceleration import (G_approx, TauEndpointError, build_triangle,
-                                  correction, delta0, gamma0,
-                                  leading_error_term, load_exp_approximant,
-                                  q0_shift)
-from berngen.fourier import (ApproxParams, PoleProximityError, g_approx,
-                             parity_signs, reference_q)
+                                  correction, leading_error_term,
+                                  load_exp_approximant, q0_shift)
+from berngen.fourier import (ApproxParams, PoleProximityError, _modes,
+                             g_approx, lanczos_coefficients, parity_signs,
+                             reference_q)
 
 TWO_PI = 2.0 * math.pi
 
 
 class TestBaseMagnitudes:
     def test_reference_values(self):
-        assert abs(gamma0(2, 1, TWO_PI) - 0.5) < 1e-14
-        assert abs(delta0(2, 1, TWO_PI) - 0.5) < 1e-14
+        gamma, delta = _modes(2, 1, TWO_PI)
+        assert abs(gamma - 0.5) < 1e-14
+        assert abs(delta - 0.5) < 1e-14
 
     def test_parity_ladder(self):
         """Stepping p -> p + 1 at even p swaps which factor gains a power."""
         for k in (1, 3, 10):
             for w in (1.0, -3.0, 0.5):
                 tk = TWO_PI * k
-                assert abs(delta0(3, k, w) - delta0(2, k, w)) < 1e-15
-                lhs = gamma0(3, k, w) * tk * tk
-                rhs = gamma0(2, k, w) * w * w
+                g2, d2 = _modes(2, k, w)
+                g3, d3 = _modes(3, k, w)
+                assert abs(d3 - d2) < 1e-15
+                lhs = g3 * tk * tk
+                rhs = g2 * w * w
                 assert abs(lhs - rhs) < 1e-15 * (1.0 + abs(rhs))
 
     def test_validation(self):
+        """The validated entry points to the modes refuse p, k or N below 1
+        and a near-pole w."""
         with pytest.raises(ValueError):
-            gamma0(0, 1, 1.0)
+            lanczos_coefficients(0, 1, 1.0)
         with pytest.raises(ValueError):
-            delta0(2, 0, 1.0)
+            lanczos_coefficients(2, 0, 1.0)
         with pytest.raises(PoleProximityError):
-            gamma0(2, 1, TWO_PI * 1j)
+            lanczos_coefficients(2, 1, TWO_PI * 1j)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            correction(2, 0, 1, 0.3, 1.0)
+        with pytest.raises(PoleProximityError):
+            correction(2, 50, 1, 0.3, TWO_PI * 1j)
 
 
 class TestCoefficientTriangle:
@@ -99,10 +109,9 @@ class TestCorrection:
         c0 = math.cos(TWO_PI * N * tau)
         s1 = math.sin(TWO_PI * (N + 1) * tau)
         s0 = math.sin(TWO_PI * N * tau)
-        expect_g = (gamma0(p, N + 1, w) * (2.0 * c1 - c0)
-                    - gamma0(p, N + 2, w) * c1) / den
-        expect_d = (delta0(p, N + 1, w) * (2.0 * s1 - s0)
-                    - delta0(p, N + 2, w) * s1) / den
+        (g1, d1), (g2, d2) = _modes(p, N + 1, w), _modes(p, N + 2, w)
+        expect_g = (g1 * (2.0 * c1 - c0) - g2 * c1) / den
+        expect_d = (d1 * (2.0 * s1 - s0) - d2 * s1) / den
         term = correction(p, N, 1, tau, w)
         assert abs(term.gamma_part - expect_g) < 1e-15 * (1.0 + abs(expect_g))
         assert abs(term.delta_part - expect_d) < 1e-15 * (1.0 + abs(expect_d))
@@ -181,18 +190,30 @@ class TestLeadingErrorTerm:
         assert leading_error_term(p, N, tau, w) == (
             2.0 * sc * correction(p, N, 1, tau, w).gamma_part)
 
+    def test_forms_only_its_two_modes(self, monkeypatch):
+        """Modes N + 1 and N + 2 carry the whole term; mode N and the sine
+        family are never formed."""
+        seen = []
+
+        def counting(p, k, w):
+            seen.append(k)
+            return _modes(p, k, w)
+
+        monkeypatch.setattr(berngen.acceleration, "_modes", counting)
+        leading_error_term(2, 100, 0.3, -4.0)
+        assert seen == [101, 102]
+
 
 class TestTailIdentity:
     def test_residual_equals_mode_tail(self):
         """q - g equals the summed discarded modes to well below roundoff
         accumulation."""
-        from berngen.fourier import _delta0, _gamma0
         p, N, tau, w = 2, 50, 0.3, 1.0
         ks = np.arange(N + 1, 100_001, dtype=float)
         sc, ss = parity_signs(p)
-        tail = 2.0 * np.sum(
-            sc * _gamma0(p, ks, w) * np.cos(TWO_PI * ks * tau)
-            + ss * _delta0(p, ks, w) * np.sin(TWO_PI * ks * tau))
+        gamma, delta = _modes(p, ks, w)
+        tail = 2.0 * np.sum(sc * gamma * np.cos(TWO_PI * ks * tau)
+                            + ss * delta * np.sin(TWO_PI * ks * tau))
         resid = reference_q(tau, w) - g_approx(
             ApproxParams(p=p, N=N, tau=tau, w=w))
         assert abs(resid - tail) < 1e-10

@@ -75,6 +75,18 @@ class TestDeltaTable:
         assert captured.out == ""
         assert "z must be nonzero" in captured.err
 
+    @pytest.mark.parametrize("z", ["inf", "nan"])
+    def test_non_finite_z_is_usage_error(self, capsys, z):
+        assert main(["delta-table", "--z", z]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err and "z=" in captured.err
+
+    def test_overflow_is_numerical_failure(self, capsys):
+        assert main(["delta-table", "--z", "1e-100", "--N", "4",
+                     "--K", "8"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_runs_are_byte_identical_modulo_timing(self, capsys):
         _, first = _run(capsys, ["delta-table"])
         _, second = _run(capsys, ["delta-table"])
@@ -221,6 +233,18 @@ class TestScalarError:
 
     def test_invalid_order(self, capsys):
         assert main(["scalar-error", "--p", "0"]) == 2
+
+    def test_non_finite_w_is_usage_error(self, capsys):
+        assert main(["scalar-error", "--wmin=nan", "--points", "2",
+                     "--ell", "0", "--tau", "0.125"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err and "w=" in captured.err
+
+    def test_overflow_is_numerical_failure(self, capsys):
+        assert main(["scalar-error", "--wmin=-1e200", "--wmax=0", "--points",
+                     "3", "--ell", "0", "--tau", "0.125"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestBvpCompare:

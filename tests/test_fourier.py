@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from scipy.integrate import quad
 
 from berngen.bernoulli import DEGREE_CAP
 from berngen.fourier import (ApproxParams, ModeCoefficients,
-                             PoleProximityError, check_pole, delta_of_N,
+                             PoleProximityError, _modes, check_pole,
+                             delta_of_N,
                              fourier_partial, g_approx, hat_coefficients,
                              lanczos_coefficients, parity_signs, reference_q,
                              residual_l2)
@@ -61,6 +63,26 @@ class TestReferenceQ:
             reference_q(0.5, 6j * math.pi + 1e-13)
         check_pole(2j * math.pi + 0.01)
         check_pole(1e-14)
+
+    @pytest.mark.parametrize("w", [complex(0.0, math.inf), math.nan,
+                                   -math.inf, complex(1.0, math.nan)])
+    def test_non_finite_w_refused(self, w):
+        with pytest.raises(ValueError, match="must be finite"):
+            check_pole(w)
+        with pytest.raises(ValueError, match="must be finite"):
+            reference_q(0.5, w)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0,
+                                     (3.0 - math.sqrt(3.0)) / 6.0])
+    @pytest.mark.parametrize("w", [0.05, -0.09, 0.02j, 1e-5, 0.0999])
+    def test_series_matches_sympy(self, tau, w):
+        """The series sums every tabulated term, also past a zero term:
+        B_1(1/2) = B_3(0) = B_3(1) = 0, and B_2 vanishes at (3 - sqrt 3)/6."""
+        t = sympy.Rational(tau)
+        z = sympy.Rational(complex(w).real) + sympy.I * sympy.Rational(
+            complex(w).imag)
+        exact = complex(sympy.N(z * sympy.exp(z * t) / (sympy.exp(z) - 1), 40))
+        assert abs(reference_q(tau, w) - exact) <= 1e-14 * abs(exact)
 
 
 class TestHatCoefficients:
@@ -152,6 +174,15 @@ class TestLanczosCoefficients:
         assert mode.k == 1
         assert abs(mode.c - 0.5) < 1e-14
         assert abs(mode.s - 0.5) < 1e-14
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_signed_mode_pair(self, p):
+        """(c, s) is the _modes pair times the exact +-1 parity signs."""
+        sc, ss = parity_signs(p)
+        for k, w in ((1, -4.0), (7, 2.5), (3, 1.5 - 2.0j), (12, 0.25j)):
+            gamma, delta = _modes(p, k, complex(w))
+            mode = lanczos_coefficients(p, k, w)
+            assert (mode.c, mode.s) == (sc * gamma, ss * delta)
 
     def test_order_four_values(self):
         mode = lanczos_coefficients(4, 2, TWO_PI)
@@ -295,6 +326,12 @@ class TestDeltaOfN:
     def test_zero_z_refused(self, z):
         with pytest.raises(ValueError, match="z must be nonzero"):
             delta_of_N(z, 512, 2048)
+
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan,
+                                   complex(0.0, math.inf)])
+    def test_non_finite_z_refused(self, z):
+        with pytest.raises(ValueError, match="z=.* must be finite"):
+            delta_of_N(z, 4, 8)
 
     def test_z_independence(self):
         """The scaled functional approaches the same constant for every z."""
