@@ -133,14 +133,9 @@ def G_approx(params: ApproxParams) -> complex:
 
 def leading_error_term(p: int, N: int, tau: float, w: complex) -> complex:
     """Principal term of the order-p truncation residual at interior tau:
-    the cosine half of the depth-1 correction, formed from its two modes
-    N + 1 and N + 2 only."""
-    _check_order(p, N, 1)
-    w = check_pole(w)
-    gw, _ = pair_weights(N, 1, tau)
-    (a, _), (b, _) = _modes(p, N + 1, w), _modes(p, N + 2, w)
+    the cosine half of the depth-1 correction."""
     sc, _ = parity_signs(p)
-    return 2.0 * sc * (0j + gw[0] * a + gw[1] * b)
+    return 2.0 * sc * correction(p, N, 1, tau, w).gamma_part
 
 
 def load_exp_approximant(path) -> Callable[[complex], complex]:

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-import berngen.acceleration
 from berngen.acceleration import (G_approx, TauEndpointError, build_triangle,
                                   correction, leading_error_term,
                                   load_exp_approximant, q0_shift)
@@ -189,19 +188,6 @@ class TestLeadingErrorTerm:
         sc, _ = parity_signs(p)
         assert leading_error_term(p, N, tau, w) == (
             2.0 * sc * correction(p, N, 1, tau, w).gamma_part)
-
-    def test_forms_only_its_two_modes(self, monkeypatch):
-        """Modes N + 1 and N + 2 carry the whole term; mode N and the sine
-        family are never formed."""
-        seen = []
-
-        def counting(p, k, w):
-            seen.append(k)
-            return _modes(p, k, w)
-
-        monkeypatch.setattr(berngen.acceleration, "_modes", counting)
-        leading_error_term(2, 100, 0.3, -4.0)
-        assert seen == [101, 102]
 
 
 class TestTailIdentity:
