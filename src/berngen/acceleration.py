@@ -31,23 +31,9 @@ class CoefficientTriangle:
 
     levels: tuple[tuple, ...]
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-    def pair(self, j: int):
-        """The two level-(j-1) entries feeding the j-th correction term.
-
-        These are the entries at modes start + j and start + j + 1.
-        """
-        if not 1 <= j <= self.depth:
-            raise ValueError(f"level index {j} outside 1..{self.depth}")
-        level = self.levels[j - 1]
-        return level[1], level[2]
-
     def pairs(self) -> list:
-        """The entries pair(1) .. pair(depth) in order: a_1, b_1, ..."""
-        return [x for j in range(1, self.depth + 1) for x in self.pair(j)]
+        """a_1, b_1, ..., a_ell, b_ell: entries 1, 2 of levels 0 .. ell-1."""
+        return [x for level in self.levels[:-1] for x in level[1:3]]
 
 
 def build_triangle(base: Sequence, ell: int) -> CoefficientTriangle:
@@ -68,14 +54,6 @@ def build_triangle(base: Sequence, ell: int) -> CoefficientTriangle:
         levels.append(tuple(-prev[i - 1] + 2 * prev[i] - prev[i + 1]
                             for i in range(1, len(prev) - 1)))
     return CoefficientTriangle(levels=tuple(levels))
-
-
-@dataclass(frozen=True)
-class CorrectionTerm:
-    """Boundary-correction pair (Gamma, Delta)."""
-
-    gamma_part: complex
-    delta_part: complex
 
 
 def pair_weights(N: int, ell: int, tau: float) -> tuple[list, list]:
@@ -105,15 +83,15 @@ def pair_weights(N: int, ell: int, tau: float) -> tuple[list, list]:
 
 
 def correction(p: int, N: int, ell: int, tau: float,
-               w: complex) -> CorrectionTerm:
-    """Depth-ell boundary correction of the order-p mode sum at tau."""
+               w: complex) -> tuple[complex, complex]:
+    """Depth-ell boundary correction (Gamma, Delta) of the order-p sum."""
     _check_order(p, N, ell)
     w = check_pole(w)
     bases = zip(*[_modes(p, N + i, w) for i in range(2 * ell + 1)])
     gamma, delta = (build_triangle(base, ell).pairs() for base in bases)
     gw, dw = pair_weights(N, ell, tau)
-    return CorrectionTerm(sum((a * x for a, x in zip(gw, gamma)), 0j),
-                          sum((a * x for a, x in zip(dw, delta)), 0j))
+    return (sum((a * x for a, x in zip(gw, gamma)), 0j),
+            sum((a * x for a, x in zip(dw, delta)), 0j))
 
 
 def G_approx(params: ApproxParams) -> complex:
@@ -126,16 +104,17 @@ def G_approx(params: ApproxParams) -> complex:
     base = g_approx(params)
     if params.ell == 0:
         return base
-    corr = correction(params.p, params.N, params.ell, params.tau, params.w)
+    gamma, delta = correction(params.p, params.N, params.ell, params.tau,
+                              params.w)
     sc, ss = parity_signs(params.p)
-    return base + 2.0 * (sc * corr.gamma_part + ss * corr.delta_part)
+    return base + 2.0 * (sc * gamma + ss * delta)
 
 
 def leading_error_term(p: int, N: int, tau: float, w: complex) -> complex:
     """Principal term of the order-p truncation residual at interior tau:
     the cosine half of the depth-1 correction."""
     sc, _ = parity_signs(p)
-    return 2.0 * sc * correction(p, N, 1, tau, w).gamma_part
+    return 2.0 * sc * correction(p, N, 1, tau, w)[0]
 
 
 def load_exp_approximant(path) -> Callable[[complex], complex]:

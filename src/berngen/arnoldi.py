@@ -29,13 +29,9 @@ class KrylovDecomposition:
     breakdown: bool
 
 
-def arnoldi_extend(A: BandedOperator, f, j: int,
-                   reorthogonalize: bool = False) -> KrylovDecomposition:
-    """Run j Arnoldi steps from starting vector f.
-
-    reorthogonalize repeats the Gram-Schmidt sweep once per step, trading
-    one extra pass for orthogonality in ill-conditioned bases.
-    """
+def arnoldi_extend(A: BandedOperator, f, j: int) -> KrylovDecomposition:
+    """Run j Arnoldi steps from starting vector f, one modified
+    Gram-Schmidt sweep per step."""
     if j < 1:
         raise ValueError("j must be >= 1")
     if j > A.dimension:
@@ -50,14 +46,10 @@ def arnoldi_extend(A: BandedOperator, f, j: int,
     V[:, 0] = f / beta
     for m in range(j):
         w = A.matvec(V[:, m])
-        for sweep in range(2 if reorthogonalize else 1):
-            for i in range(m + 1):
-                h = float(V[:, i] @ w)
-                w -= h * V[:, i]
-                if sweep == 0:
-                    H[i, m] = h
-                else:
-                    H[i, m] += h
+        for i in range(m + 1):
+            h = float(V[:, i] @ w)
+            w -= h * V[:, i]
+            H[i, m] = h
         hnext = float(np.linalg.norm(w))
         if hnext <= tol:
             return KrylovDecomposition(V=V[:, :m + 1].copy(),

@@ -8,12 +8,6 @@ import numpy as np
 
 from .matfunc import BandedOperator
 
-def _uniform_spacing(nodes: np.ndarray) -> bool:
-    """Spacing jitter is bounded by rounding on the node magnitudes."""
-    d = np.diff(nodes)
-    tol = 16.0 * np.finfo(float).eps * float(np.abs(nodes).max())
-    return bool(np.all(np.abs(d - d[0]) <= tol))
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -24,29 +18,18 @@ class Grid:
     """
 
     nodes: np.ndarray
-    kind: str
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.shape[0] < 3:
             raise ValueError("grid needs at least one interior node")
-        d = np.diff(nodes)
-        if not np.all(d > 0):
+        if not np.all(np.diff(nodes) > 0):
             raise ValueError("grid nodes must be strictly increasing")
-        if self.kind == "uniform":
-            if not _uniform_spacing(nodes):
-                raise ValueError("uniform grid has non-uniform spacing")
-        elif self.kind != "geometric":
-            raise ValueError(f"unknown grid kind {self.kind!r}")
 
     @property
     def interior_size(self) -> int:
         return self.nodes.shape[0] - 2
-
-    @property
-    def length(self) -> float:
-        return float(self.nodes[-1])
 
 
 def uniform_grid(a: float, s: int) -> Grid:
@@ -55,7 +38,7 @@ def uniform_grid(a: float, s: int) -> Grid:
         raise ValueError("interval length must be positive")
     if s < 1:
         raise ValueError("need at least one interior node")
-    return Grid(nodes=np.linspace(0.0, a, s + 2), kind="uniform")
+    return Grid(nodes=np.linspace(0.0, a, s + 2))
 
 
 def geometric_grid(x1: float, sigma: float, s: int) -> Grid:
@@ -78,7 +61,7 @@ def geometric_grid(x1: float, sigma: float, s: int) -> Grid:
     for i in range(2, s + 2):
         h *= sigma
         nodes[i] = nodes[i - 1] + h
-    return Grid(nodes=nodes, kind="geometric")
+    return Grid(nodes=nodes)
 
 
 def discretize_laplacian(grid: Grid) -> BandedOperator:
@@ -124,7 +107,5 @@ def save_grid(grid: Grid, path) -> None:
 
 
 def load_grid(path) -> Grid:
-    """Read nodes written by save_grid; spacing decides the kind."""
-    nodes = np.loadtxt(path, ndmin=1)
-    uniform = len(nodes) >= 3 and _uniform_spacing(nodes)  # Grid needs 3
-    return Grid(nodes=nodes, kind="uniform" if uniform else "geometric")
+    """Read nodes written by save_grid."""
+    return Grid(nodes=np.loadtxt(path, ndmin=1))

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bernoulli import (DEGREE_CAP, eval_bernoulli, lanczos_polynomial,
-                        shared_table)
+from .bernoulli import DEGREE_CAP, lanczos_polynomial, shared_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,15 +71,6 @@ class ApproxParams:
         check_pole(self.w)
 
 
-@dataclass(frozen=True)
-class ModeCoefficients:
-    """Trigonometric coefficients (c_k, s_k) of one residual mode."""
-
-    k: int
-    c: complex
-    s: complex
-
-
 def reference_q(tau: float, w: complex) -> complex:
     """Closed-form q for |w| >= SERIES_RADIUS, generating series below it.
 
@@ -89,12 +80,7 @@ def reference_q(tau: float, w: complex) -> complex:
     w = check_pole(w)
     if abs(w) < SERIES_RADIUS:
         table = shared_table()
-        acc = 0.0 + 0.0j
-        term = 1.0 + 0.0j  # w^k / k!
-        for k in range(table.max_degree + 1):
-            acc += eval_bernoulli(table, k, tau) * term
-            term *= w / (k + 1)
-        return acc
+        return lanczos_polynomial(table, table.max_degree + 1, tau, w)
     if w.real > 0.0:
         return w * cmath.exp(w * (tau - 1.0)) / (1.0 - cmath.exp(-w))
     return w * cmath.exp(w * tau) / (cmath.exp(w) - 1.0)
@@ -126,22 +112,22 @@ def _modes(p, k, w):
     return (hi, lo) if p % 2 else (lo, hi)
 
 
-def lanczos_coefficients(p: int, k: int, w: complex) -> ModeCoefficients:
-    """Order-p residual-mode coefficients (c_k, s_k)."""
+def lanczos_coefficients(p: int, k: int,
+                         w: complex) -> tuple[complex, complex]:
+    """Order-p residual-mode coefficients (c_k, s_k) of integer mode k."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    if k < 1:
+    if operator.index(k) < 1:
         raise ValueError("k must be >= 1")
     w = check_pole(w)
     sc, ss = parity_signs(p)
     g, d = _modes(p, k, w)
-    return ModeCoefficients(k=k, c=sc * g, s=ss * d)
+    return sc * g, ss * d
 
 
 def hat_coefficients(k: int, w: complex) -> tuple[complex, complex]:
     """Fourier coefficients (c_hat_k, s_hat_k) of q: the order-1 modes."""
-    m = lanczos_coefficients(1, k, w)
-    return m.c, m.s
+    return lanczos_coefficients(1, k, w)
 
 
 def fourier_partial(tau: float, w: complex, N: int) -> complex:

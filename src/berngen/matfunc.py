@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 
 import numpy as np
 
@@ -195,14 +196,14 @@ def _periodic_solve(A: BandedOperator, t: float, b: np.ndarray) -> np.ndarray:
 
 
 def shifted_solve(A: BandedOperator, k: int, b) -> np.ndarray:
-    """Solve (A^2 + (2 pi k)^2 I) x = b through one complex solve.
+    """Solve (A^2 + (2 pi k)^2 I) x = b, k an integer, by one complex solve.
 
     For real A and b and t = 2 pi k, (A - i t I)^{-1} b = A x + i t x, so
     x is the imaginary part over t and A^2 is never formed.  Tridiagonal
     operators use the pivoted elimination above, periodic ones its
     Sherman-Morrison correction, dense ones numpy's LU.
     """
-    if k < 1:
+    if operator.index(k) < 1:
         raise ValueError("k must be >= 1")
     t = TWO_PI * k
     b = np.asarray(b, dtype=float)
@@ -405,6 +406,8 @@ def reference_solution(A: BandedOperator, tau, f) -> np.ndarray:
         raise ValueError(
             f"dense reference capped at dimension {DENSE_CAP}")
     f = np.asarray(f, dtype=float)
+    if f.shape != (A.dimension,):
+        raise ValueError(f"f has shape {f.shape}, expected ({A.dimension},)")
     taus = np.asarray(tau, dtype=float)
     z = _phi1_solve(A.to_dense(), taus.flat, f)
     return np.reshape(z, taus.shape + f.shape)

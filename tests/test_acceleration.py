@@ -73,14 +73,13 @@ class TestCoefficientTriangle:
             prev = manual
 
     def test_pair_selection(self):
-        base = tuple(float(k) ** 3 for k in range(1, 6))
-        tri = build_triangle(base, 2)
-        assert tri.pair(1) == (tri.levels[0][1], tri.levels[0][2])
-        assert tri.pair(2) == (tri.levels[1][1], tri.levels[1][2])
-        with pytest.raises(ValueError):
-            tri.pair(0)
-        with pytest.raises(ValueError):
-            tri.pair(3)
+        """pairs() is entries 1 and 2 of levels 0 .. ell - 1, in order."""
+        for ell in range(5):
+            base = tuple(float(k) ** 3 for k in range(1, 2 * ell + 2))
+            tri = build_triangle(base, ell)
+            expect = [x for j in range(ell) for x in tri.levels[j][1:3]]
+            assert len(expect) == 2 * ell
+            assert tri.pairs() == expect
 
     def test_length_validated(self):
         with pytest.raises(ValueError):
@@ -92,8 +91,7 @@ class TestCoefficientTriangle:
 class TestCorrection:
     def test_zero_depth_is_zero(self):
         """Depth 0 returns a zero pair without touching the denominator."""
-        term = correction(2, 50, 0, 1e-12, 1.0)
-        assert term.gamma_part == 0.0 and term.delta_part == 0.0
+        assert correction(2, 50, 0, 1e-12, 1.0) == (0j, 0j)
 
     def test_endpoint_guard(self):
         for tau in (1e-10, 1.0 - 1e-10):
@@ -111,9 +109,9 @@ class TestCorrection:
         (g1, d1), (g2, d2) = _modes(p, N + 1, w), _modes(p, N + 2, w)
         expect_g = (g1 * (2.0 * c1 - c0) - g2 * c1) / den
         expect_d = (d1 * (2.0 * s1 - s0) - d2 * s1) / den
-        term = correction(p, N, 1, tau, w)
-        assert abs(term.gamma_part - expect_g) < 1e-15 * (1.0 + abs(expect_g))
-        assert abs(term.delta_part - expect_d) < 1e-15 * (1.0 + abs(expect_d))
+        gamma, delta = correction(p, N, 1, tau, w)
+        assert abs(gamma - expect_g) < 1e-15 * (1.0 + abs(expect_g))
+        assert abs(delta - expect_d) < 1e-15 * (1.0 + abs(expect_d))
 
     def test_accelerates_truncation(self):
         """One level shrinks the truncation error by a large factor."""
@@ -187,7 +185,7 @@ class TestLeadingErrorTerm:
         """Exactly the signed Gamma of the depth-1 correction."""
         sc, _ = parity_signs(p)
         assert leading_error_term(p, N, tau, w) == (
-            2.0 * sc * correction(p, N, 1, tau, w).gamma_part)
+            2.0 * sc * correction(p, N, 1, tau, w)[0])
 
 
 class TestTailIdentity:

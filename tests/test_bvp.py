@@ -12,29 +12,19 @@ from berngen.bvp import (Grid, circulant_shift, discretize_laplacian,
 class TestGrids:
     def test_uniform_construction(self):
         grid = uniform_grid(24.0, 512)
-        assert grid.kind == "uniform"
         assert grid.interior_size == 512
-        assert grid.length == 24.0
+        assert grid.nodes[-1] == 24.0
         assert grid.nodes[0] == 0.0
         h = 24.0 / 513.0
         assert abs(grid.nodes[1] - h) < 1e-15
 
     def test_geometric_construction(self):
         grid = geometric_grid(0.01, 1.005, 512)
-        assert grid.kind == "geometric"
         assert grid.interior_size == 512
         assert grid.nodes[0] == 0.0
         assert abs(grid.nodes[1] - 0.01) < 1e-17
         assert abs(grid.nodes[2] - 0.02005) < 1e-15
-        assert 23.0 < grid.length < 24.5
-
-    def test_unit_stretch_is_still_tagged_geometric(self):
-        """sigma = 1 yields equal spacings, but the kind records the
-        construction, not the measured spacing."""
-        grid = geometric_grid(0.5, 1.0, 5)
-        d = np.diff(grid.nodes)
-        assert np.all(np.abs(d - d[0]) < 1e-15)
-        assert grid.kind == "geometric"
+        assert 23.0 < grid.nodes[-1] < 24.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -48,19 +38,14 @@ class TestGrids:
         with pytest.raises(ValueError):
             geometric_grid(0.01, 1.005, 0)
         with pytest.raises(ValueError):
-            Grid(nodes=np.array([0.0, 1.0]), kind="uniform")
+            Grid(nodes=np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
-            Grid(nodes=np.array([0.0, 0.5, 0.4, 1.0]), kind="geometric")
-        with pytest.raises(ValueError):
-            Grid(nodes=np.array([0.0, 0.1, 1.0]), kind="uniform")
-        with pytest.raises(ValueError):
-            Grid(nodes=np.array([0.0, 0.5, 1.0]), kind="chebyshev")
+            Grid(nodes=np.array([0.0, 0.5, 0.4, 1.0]))
 
 
 class TestLaplacian:
     def test_two_point_stencil_exact(self):
-        grid = Grid(nodes=np.array([0.0, 1.0, 2.0, 3.0]) / 3.0,
-                    kind="uniform")
+        grid = Grid(nodes=np.array([0.0, 1.0, 2.0, 3.0]) / 3.0)
         M = discretize_laplacian(grid).to_dense()
         expect = np.array([[-18.0, 9.0], [9.0, -18.0]])
         assert np.abs(M - expect).max() < 1e-12
@@ -76,7 +61,7 @@ class TestLaplacian:
         """Exactly representable spacings give an exactly symmetric
         operator; a geometric grid does not."""
         exact = discretize_laplacian(
-            Grid(nodes=0.25 * np.arange(34.0), kind="uniform")).to_dense()
+            Grid(nodes=0.25 * np.arange(34.0))).to_dense()
         assert np.array_equal(exact, exact.T)
         geo = discretize_laplacian(geometric_grid(0.01, 1.005, 32)).to_dense()
         assert not np.array_equal(geo, geo.T)
@@ -148,7 +133,6 @@ class TestGridFiles:
         path = tmp_path / "grid.txt"
         save_grid(grid, str(path))
         back = load_grid(str(path))
-        assert back.kind == "uniform"
         assert np.array_equal(back.nodes, grid.nodes)
 
     @pytest.mark.parametrize("nodes", ["0.5\n", "0\n1\n"])
@@ -163,5 +147,4 @@ class TestGridFiles:
         path = tmp_path / "grid.txt"
         save_grid(grid, str(path))
         back = load_grid(str(path))
-        assert back.kind == "geometric"
         assert np.array_equal(back.nodes, grid.nodes)

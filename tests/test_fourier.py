@@ -8,10 +8,9 @@ import pytest
 import sympy
 from scipy.integrate import quad
 
-from berngen.bernoulli import DEGREE_CAP
-from berngen.fourier import (ApproxParams, ModeCoefficients,
-                             PoleProximityError, _modes, check_pole,
-                             delta_of_N,
+from berngen.bernoulli import DEGREE_CAP, lanczos_polynomial, shared_table
+from berngen.fourier import (ApproxParams, PoleProximityError, _modes,
+                             check_pole, delta_of_N,
                              fourier_partial, g_approx, hat_coefficients,
                              lanczos_coefficients, parity_signs, reference_q,
                              residual_l2)
@@ -83,6 +82,15 @@ class TestReferenceQ:
             complex(w).imag)
         exact = complex(sympy.N(z * sympy.exp(z * t) / (sympy.exp(z) - 1), 40))
         assert abs(reference_q(tau, w) - exact) <= 1e-14 * abs(exact)
+
+    def test_series_is_table_degree_polynomial(self):
+        """Below the switch radius the series is lanczos_polynomial through
+        the shared table's degree, bit for bit."""
+        table = shared_table()
+        for tau in (0.0, 0.3, 0.5, 1.0):
+            for w in (0.05, -0.09, 0.02j, 1e-5, 0.0999, 0.06 - 0.07j):
+                assert reference_q(tau, w) == lanczos_polynomial(
+                    table, table.max_degree + 1, tau, w)
 
 
 class TestHatCoefficients:
@@ -163,17 +171,25 @@ class TestOrderOneRelations:
     @pytest.mark.parametrize("N, tau, w", ORDER_ONE_CASES)
     def test_hat_coefficients_are_order_one_modes(self, N, tau, w):
         for k in (1, 2, N):
-            m = lanczos_coefficients(1, k, w)
-            assert hat_coefficients(k, w) == (m.c, m.s)
+            assert hat_coefficients(k, w) == lanczos_coefficients(1, k, w)
 
 
 class TestLanczosCoefficients:
     def test_base_case(self):
         mode = lanczos_coefficients(2, 1, TWO_PI)
-        assert isinstance(mode, ModeCoefficients)
-        assert mode.k == 1
-        assert abs(mode.c - 0.5) < 1e-14
-        assert abs(mode.s - 0.5) < 1e-14
+        assert isinstance(mode, tuple) and len(mode) == 2
+        c, s = mode
+        assert abs(c - 0.5) < 1e-14
+        assert abs(s - 0.5) < 1e-14
+
+    def test_non_integer_mode_index_refused(self):
+        """k must be an integer: 1.5 and 2.0 are refused, numpy ints are
+        the same mode as Python ints."""
+        for k in (1.5, 2.0):
+            with pytest.raises(TypeError):
+                lanczos_coefficients(2, k, 1.0)
+        assert lanczos_coefficients(2, np.int64(3), 1.0) == (
+            lanczos_coefficients(2, 3, 1.0))
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_signed_mode_pair(self, p):
@@ -181,18 +197,16 @@ class TestLanczosCoefficients:
         sc, ss = parity_signs(p)
         for k, w in ((1, -4.0), (7, 2.5), (3, 1.5 - 2.0j), (12, 0.25j)):
             gamma, delta = _modes(p, k, complex(w))
-            mode = lanczos_coefficients(p, k, w)
-            assert (mode.c, mode.s) == (sc * gamma, ss * delta)
+            assert lanczos_coefficients(p, k, w) == (sc * gamma, ss * delta)
 
     def test_order_four_values(self):
-        mode = lanczos_coefficients(4, 2, TWO_PI)
-        assert abs(mode.c + 0.05) < 1e-14
-        assert abs(mode.s + 0.025) < 1e-14
+        c, s = lanczos_coefficients(4, 2, TWO_PI)
+        assert abs(c + 0.05) < 1e-14
+        assert abs(s + 0.025) < 1e-14
 
     def test_quadrature_oracle(self):
         """Coefficients equal the Fourier integrals of q minus the order-p
         polynomial part."""
-        from berngen.bernoulli import lanczos_polynomial, shared_table
         for p, k, w in ((2, 1, 1.0), (3, 2, 1.3), (4, 1, -2.0), (5, 1, 2.2)):
             table = shared_table(p - 1)
 
@@ -204,9 +218,9 @@ class TestLanczosCoefficients:
                             0.0, 1.0, epsabs=1e-14, limit=200)
             s_ref, _ = quad(lambda t: residual(t) * math.sin(TWO_PI * k * t),
                             0.0, 1.0, epsabs=1e-14, limit=200)
-            mode = lanczos_coefficients(p, k, w)
-            assert abs(mode.c - c_ref) < 1e-10
-            assert abs(mode.s - s_ref) < 1e-10
+            c, s = lanczos_coefficients(p, k, w)
+            assert abs(c - c_ref) < 1e-10
+            assert abs(s - s_ref) < 1e-10
 
     def test_z_scaled_identity(self):
         """Writing w = 2 pi z turns the magnitudes into the z-form ratio."""
@@ -215,20 +229,18 @@ class TestLanczosCoefficients:
             p = int(rng.integers(1, 7))
             k = int(rng.integers(1, 40))
             z = float(rng.uniform(0.05, 4.0))
-            mode = lanczos_coefficients(p, k, TWO_PI * z)
+            c, s = lanczos_coefficients(p, k, TWO_PI * z)
             if p % 2 == 0:
                 mag_c = z ** p / (k ** (p - 2) * (z * z + k * k))
                 mag_s = z ** (p + 1) / (k ** (p - 1) * (z * z + k * k))
             else:
                 mag_c = z ** (p + 1) / (k ** (p - 1) * (z * z + k * k))
                 mag_s = z ** p / (k ** (p - 2) * (z * z + k * k))
-            assert abs(abs(mode.c) - abs(mag_c)) < 1e-14 * (1.0 + abs(mag_c))
-            assert abs(abs(mode.s) - abs(mag_s)) < 1e-14 * (1.0 + abs(mag_s))
+            assert abs(abs(c) - abs(mag_c)) < 1e-14 * (1.0 + abs(mag_c))
+            assert abs(abs(s) - abs(mag_s)) < 1e-14 * (1.0 + abs(mag_s))
 
     def test_vanish_at_zero_w(self):
-        mode = lanczos_coefficients(3, 5, 0.0)
-        assert mode.c == 0.0
-        assert mode.s == 0.0
+        assert lanczos_coefficients(3, 5, 0.0) == (0.0, 0.0)
 
     def test_mode_decay_rate(self):
         """max(|c_k|, |s_k|) falls off like k^{-p}."""
@@ -236,8 +248,8 @@ class TestLanczosCoefficients:
         for p in (2, 3, 4, 5):
             mags = []
             for k in ks:
-                mode = lanczos_coefficients(p, int(k), 1.0)
-                mags.append(max(abs(mode.c), abs(mode.s)))
+                c, s = lanczos_coefficients(p, int(k), 1.0)
+                mags.append(max(abs(c), abs(s)))
             slope = np.polyfit(np.log(ks), np.log(mags), 1)[0]
             assert abs(slope + p) < 0.05 * p
 

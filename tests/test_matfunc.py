@@ -198,6 +198,15 @@ class TestShiftedSolve:
         with pytest.raises(ValueError):
             shifted_solve(A, 0, np.ones(1))
 
+    def test_non_integer_mode_index_refused(self):
+        """k = 1.5 would solve at the shift (3 pi)^2, between two modes."""
+        A = discretize_laplacian(uniform_grid(1.0, 8))
+        for k in (1.5, 3.0):
+            with pytest.raises(TypeError):
+                shifted_solve(A, k, np.ones(8))
+        assert np.array_equal(shifted_solve(A, np.int64(3), np.ones(8)),
+                              shifted_solve(A, 3, np.ones(8)))
+
     @pytest.mark.parametrize("dense", [False, True])
     def test_right_hand_side_length_validated(self, dense):
         rng = np.random.default_rng(15)
@@ -786,6 +795,14 @@ class TestReferenceSolution:
         A = discretize_laplacian(uniform_grid(24.0, 16))
         z = reference_solution(A, [], np.ones(A.dimension))
         assert z.shape == (0, A.dimension)
+
+    def test_right_hand_side_length_validated(self):
+        """A wrong-length f gets spectral_reference's message, not a numpy
+        matmul error."""
+        A = discretize_laplacian(uniform_grid(1.0, 8))
+        for oracle in (reference_solution, spectral_reference):
+            with pytest.raises(ValueError, match=r"expected \(8,\)"):
+                oracle(A, 0.5, np.ones(7))
 
 
 class TestSpectralReference:
