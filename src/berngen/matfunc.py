@@ -391,16 +391,22 @@ def _phi1_solve(M: np.ndarray, taus, v: np.ndarray) -> list:
     where e^M - I cancels catastrophically.
     """
     phi = _phi1_dense(M)
-    return [np.linalg.solve(phi, _expm_dense(t * M) @ v) for t in taus]
+    z = [np.linalg.solve(phi, _expm_dense(t * M) @ v) for t in taus]
+    if not all(np.isfinite(x).all() for x in z):
+        # e^M overflows once M has an eigenvalue of real part near 1000
+        raise FloatingPointError(
+            "dense phi_1 kernel returned a non-finite vector")
+    return z
 
 
 def reference_solution(A: BandedOperator, tau, f) -> np.ndarray:
     """q(tau, A) f = (e^A - I)^{-1} e^{tau A} A f by dense Pade exponentials.
 
-    The general dense oracle, for any operator up to DENSE_CAP; it is used
-    by tests/test_acceptance.py and arnoldi-compare --test 4.  tau may be
-    an array: phi_1(A) is formed once and the result has shape
-    tau.shape + (s,).
+    The general dense oracle, for any operator up to DENSE_CAP, and
+    independent of spectral_reference; no CLI command calls it, the tests
+    check both oracles against each other.  tau may be an array: phi_1(A)
+    is formed once and the result has shape tau.shape + (s,).  A
+    non-finite result raises FloatingPointError.
     """
     if A.dimension > DENSE_CAP:
         raise ValueError(
@@ -413,26 +419,69 @@ def reference_solution(A: BandedOperator, tau, f) -> np.ndarray:
     return np.reshape(z, taus.shape + f.shape)
 
 
-def spectral_reference(A: BandedOperator, tau, f) -> np.ndarray:
-    """q(tau, A) f from one symmetric eigendecomposition.
+def _circulant_column(A: BandedOperator):
+    """First column of A when A is a circulant, else None.
 
-    A tridiagonal A with sub[i] * sup[i] > 0 for every i is diagonally
-    similar to the symmetric S = D^-1 A D, so with S = Q Lambda Q^T
-    q(tau, A) f = D Q q(tau, Lambda) Q^T D^-1 f.  log D is a centred
-    cumulative sum, so D stays finite on strongly stretched grids.  A zero
-    eigenvalue takes the removable value q(tau, 0) = 1.  tau is handled as
-    in reference_solution; every tau costs one row of a single GEMM.
-    Any other A raises ValueError.
+    A periodic tridiagonal A is circulant when its three bands are
+    constant and its corners continue them: A[0, s-1] == sub and
+    A[s-1, 0] == sup.
     """
-    if not A.is_tridiagonal:
-        raise ValueError("spectral reference needs a tridiagonal operator")
+    if A.corners is None:
+        return None
+    if (any(np.any(band != band[0]) for band in (A.sub, A.diag, A.sup))
+            or A.corners != (A.sub[0], A.sup[0])):
+        return None
+    column = np.zeros(A.dimension)
+    column[0], column[1], column[-1] = A.diag[0], A.sub[0], A.sup[0]
+    return column
+
+
+def _q_weights(taus: np.ndarray, lam: np.ndarray, coeffs) -> np.ndarray:
+    """q(tau, lam) * coeffs, one row per tau and one column per eigenvalue.
+
+    Re lam <= 0 uses e^{tau lam} lam / expm1(lam), with the removable value
+    1 at lam == 0; Re lam > 0 uses e^{(tau - 1) lam} lam / -expm1(-lam),
+    the same q without the overflow of e^{tau lam}.
+    """
+    grow = lam.real > 0
+    ratio = np.ones_like(lam)   # the removable value at lam == 0
+    decay = (lam != 0) & ~grow
+    ratio[decay] = lam[decay] / np.expm1(lam[decay])
+    ratio[grow] = lam[grow] / -np.expm1(-lam[grow])
+    exponent = np.multiply.outer(taus, lam)
+    exponent[:, grow] = np.multiply.outer(taus - 1.0, lam[grow])
+    return np.exp(exponent) * (ratio * coeffs)
+
+
+def spectral_reference(A: BandedOperator, tau, f) -> np.ndarray:
+    """q(tau, A) f in closed form from the eigenvalues of A.
+
+    A circulant (see _circulant_column) with first column c is
+    diagonalized by the DFT, so with lam = fft(c)
+    q(tau, A) f = ifft(q(tau, lam) fft(f)), at any dimension.  A
+    tridiagonal A with sub[i] * sup[i] > 0 for every i is diagonally
+    similar to the symmetric S = D^-1 A D, so with S = Q Lambda Q^T
+    q(tau, A) f = D Q q(tau, Lambda) Q^T D^-1 f, up to SPECTRAL_CAP.
+    log D is a centred cumulative sum, so D stays finite on strongly
+    stretched grids.  tau may be an array: the result has shape
+    tau.shape + (s,), and every tau costs one row of a single inverse FFT
+    or GEMM.  Any other A raises ValueError.
+    """
     s = A.dimension
-    if s > SPECTRAL_CAP:
-        raise ValueError(
-            f"spectral reference capped at dimension {SPECTRAL_CAP}")
     f = np.asarray(f, dtype=float)
     if f.shape != (s,):
         raise ValueError(f"f has shape {f.shape}, expected ({s},)")
+    taus = np.asarray(tau, dtype=float)
+    column = _circulant_column(A)
+    if column is not None:
+        weights = _q_weights(taus.ravel(), np.fft.fft(column), np.fft.fft(f))
+        return np.reshape(np.fft.ifft(weights).real, taus.shape + (s,))
+    if not A.is_tridiagonal:
+        raise ValueError(
+            "spectral reference needs a tridiagonal operator or a circulant")
+    if s > SPECTRAL_CAP:
+        raise ValueError(
+            f"spectral reference capped at dimension {SPECTRAL_CAP}")
     if not np.all(A.sub * A.sup > 0):
         raise ValueError(
             "spectral reference needs sub[i] * sup[i] > 0 for every i")
@@ -443,12 +492,7 @@ def spectral_reference(A: BandedOperator, tau, f) -> np.ndarray:
     off = np.sign(A.sup) * np.sqrt(A.sub * A.sup)
     S = BandedOperator.tridiagonal(off, A.diag, off).to_dense()
     lam, Q = np.linalg.eigh(S)
-    ratio = np.ones_like(lam)   # lam / expm1(lam), 1 at lam == 0
-    nonzero = lam != 0
-    ratio[nonzero] = lam[nonzero] / np.expm1(lam[nonzero])
-    taus = np.asarray(tau, dtype=float)
-    weights = np.exp(np.multiply.outer(taus.ravel(), lam)) * (
-        ratio * (Q.T @ (f / d)))
+    weights = _q_weights(taus.ravel(), lam, Q.T @ (f / d))
     return np.reshape((weights @ Q.T) * d, taus.shape + (s,))
 
 

@@ -148,6 +148,14 @@ class TestProjectedEvaluator:
         z = reference_solution(A, 1.0 / 6.0, f)
         assert np.max(np.abs(arnoldi_q_approx(dec, 1.0 / 6.0) - z)) <= 1e-14
 
+    def test_overflow_raises(self):
+        """A radius-1e8 circulant overflows the dense kernel on the
+        Hessenberg block; the evaluator raises instead of returning NaN."""
+        dec = arnoldi_extend(circulant_shift(512, 1e8), np.ones(512), 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                arnoldi_q_approx(dec, 1.0 / 6.0)
+
     def test_full_dimension_is_exact(self):
         grid = uniform_grid(1.0, 32)
         A = discretize_laplacian(grid)

@@ -352,6 +352,16 @@ class TestArnoldiCompare:
         assert {r["method"] for r in rows} == {"fastlanc", "arnoldi",
                                                "arnoldi-loss"}
 
+    def test_circulant_runs_above_dense_cap(self, capsys):
+        """Test 4's oracle is the FFT, so s may exceed DENSE_CAP."""
+        assert 2048 > DENSE_CAP
+        code, lines = _run(capsys, [
+            "arnoldi-compare", "--test", "4", "--s", "2048", "--steps", "2"])
+        assert code == 0
+        summary = [r for r in _rows(lines) if r["method"] == "fastlanc"]
+        assert len(summary) == 1
+        assert float(summary[0]["value"]) <= 1e-12
+
     def test_unknown_test_id(self, capsys):
         assert main(["arnoldi-compare", "--test", "5"]) == 2
 

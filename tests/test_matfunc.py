@@ -627,6 +627,21 @@ class TestAboveDenseCap:
             err = np.max(np.abs(plan.evaluate(tau) - ref))
             assert err <= 3.0 * error * np.max(np.abs(ref))
 
+    def test_circulant_plan_against_fft(self):
+        """The unit-radius cyclic shift at s = 2^14 has only the FFT
+        oracle.  N = 32, ell = 4 keeps the build near one second.  Each
+        bound is three times the relative error measured when the test
+        was written."""
+        s = 2 ** 14
+        A = circulant_shift(s, 1.0)
+        f = np.random.default_rng(s).standard_normal(s)
+        taus = (1.0 / 6.0, 0.5)
+        refs = spectral_reference(A, taus, f)
+        plan = ActionPlan(A, 2, 32, 4, f)
+        for tau, ref, error in zip(taus, refs, (1.18e-12, 8.67e-15)):
+            err = np.max(np.abs(plan.evaluate(tau) - ref))
+            assert err <= 3.0 * error * np.max(np.abs(ref))
+
 
 class TestMatrixApproximations:
     def test_diagonal_commutes_with_scalar(self):
@@ -796,6 +811,14 @@ class TestReferenceSolution:
         z = reference_solution(A, [], np.ones(A.dimension))
         assert z.shape == (0, A.dimension)
 
+    def test_overflow_raises(self):
+        """Eigenvalues of real part 1000 overflow the dense exponential;
+        the kernel raises instead of returning a non-finite vector."""
+        A = circulant_shift(8, 1e3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                reference_solution(A, 1.0 / 6.0, np.linspace(-1.0, 2.0, 8))
+
     def test_right_hand_side_length_validated(self):
         """A wrong-length f gets spectral_reference's message, not a numpy
         matmul error."""
@@ -847,6 +870,45 @@ class TestSpectralReference:
             err = np.max(np.abs(z - expect))
             assert err <= 3.0 * error * np.max(np.abs(expect))
 
+    def test_positive_spectrum_against_sine_transform(self):
+        """The negated heat operator has eigenvalues up to ||A||_1 = 16900,
+        where e^{tau lam} overflows although q stays finite.  Each bound
+        is three times the relative error measured when the test was
+        written."""
+        s, h = 64, 1.0 / 65.0
+        A = discretize_laplacian(uniform_grid(1.0, s))
+        B = BandedOperator.tridiagonal(-A.sub, -A.diag, -A.sup)
+        f = np.linspace(-1.0, 2.0, s)
+        lam = (4.0 / h ** 2) * np.sin(
+            np.arange(1, s + 1) * np.pi / (2 * (s + 1))) ** 2
+        scale = math.sqrt(2.0 / (s + 1))
+        coeffs = scale * _dst1(f)
+        taus = (1.0 / 6.0, 0.5, 1.0)
+        got = spectral_reference(B, taus, f)
+        assert np.all(np.isfinite(got))
+        for tau, z, error in zip(taus, got, (2.78e-13, 1.59e-13, 8.83e-15)):
+            expect = scale * _dst1(lam * np.exp((tau - 1.0) * lam)
+                                   / -np.expm1(-lam) * coeffs)
+            err = np.max(np.abs(z - expect))
+            assert err <= 3.0 * error * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("s, radius, measured", [
+        (512, 1e-8, (2.91e-16, 2.91e-16)),
+        (64, 1.0, (5.82e-16, 4.49e-16)),
+        (300, 3.0, (7.40e-16, 1.19e-15)),
+    ])
+    def test_circulant_matches_pade(self, s, radius, measured):
+        """The FFT branch against the dense Pade oracle.  Each bound is
+        three times the relative difference measured when the test was
+        written."""
+        A = circulant_shift(s, radius)
+        f = np.random.default_rng(s).standard_normal(s)
+        taus = (1.0 / 6.0, 0.5)
+        pade = reference_solution(A, taus, f)
+        fft = spectral_reference(A, taus, f)
+        for z, ref, diff in zip(fft, pade, measured):
+            assert np.max(np.abs(z - ref)) <= 3.0 * diff * np.max(np.abs(ref))
+
     def test_signed_off_diagonals_match_pade(self):
         """Off-diagonal pairs of either sign, unequal in size."""
         rng = np.random.default_rng(41)
@@ -862,7 +924,9 @@ class TestSpectralReference:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_scalar_matches_reference_q(self):
-        for a, tau in ((-2.0, 0.3), (1.5, 0.0), (-40.0, 1.0), (1e-12, 0.5)):
+        for a, tau in ((-2.0, 0.3), (1.5, 0.0), (-40.0, 1.0), (1e-12, 0.5),
+                       (800.0, 0.99), (800.0, 1.0), (1e4, 0.999),
+                       (1e4, 0.5)):
             got = spectral_reference(BandedOperator.diagonal([a]), tau,
                                      np.array([1.0]))[0]
             expect = reference_q(tau, a)
@@ -894,9 +958,19 @@ class TestSpectralReference:
             spectral_reference(A, 0.5, np.ones(8))
 
     def test_periodic_operator_refused(self):
-        A = circulant_shift(8, 1.0)
-        with pytest.raises(ValueError, match="tridiagonal"):
-            spectral_reference(A, 0.5, np.ones(8))
+        """Only a periodic operator with constant bands whose corners
+        continue them is a circulant; any other one is refused."""
+        ones = np.ones(7)
+        assert spectral_reference(circulant_shift(8, 1.0), 0.5,
+                                  np.ones(8)).shape == (8,)
+        refused = [BandedOperator.tridiagonal(ones, np.arange(8.0), ones,
+                                              corners=(1.0, 1.0))]
+        refused += [BandedOperator.tridiagonal(ones, -2.0 * np.ones(8), ones,
+                                               corners=corners)
+                    for corners in ((1.0, 2.0), (2.0, 1.0), (1.0, 0.0))]
+        for A in refused:
+            with pytest.raises(ValueError, match="tridiagonal"):
+                spectral_reference(A, 0.5, np.ones(8))
 
     @pytest.mark.parametrize("sub, sup", [
         ([1.0, 0.0], [1.0, 1.0]),
