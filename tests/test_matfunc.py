@@ -12,7 +12,8 @@ import berngen.matfunc
 from berngen.bernoulli import DEGREE_CAP
 from berngen.bvp import (circulant_shift, discretize_laplacian,
                          geometric_grid, uniform_grid)
-from berngen.fourier import ApproxParams, parity_signs, reference_q
+from berngen.fourier import (ApproxParams, PoleProximityError, parity_signs,
+                             reference_q)
 from berngen.matfunc import (DENSE_CAP, SPECTRAL_CAP, ActionPlan,
                              BandedOperator, G_action, _expm_dense,
                              _phi1_dense, g_action, h_action,
@@ -54,6 +55,23 @@ class TestBandedOperator:
         A = _random_tridiagonal(rng, 9)
         v = rng.standard_normal(9)
         assert np.allclose(A.matvec(v), A.to_dense() @ v, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["tridiagonal", "periodic", "dense"])
+    def test_row_stack_matvec_matches_row_wise(self, kind):
+        """A 2-D matvec applies A to each row: the bands give each row the
+        arithmetic of a lone vector, the dense GEMM agrees to rounding."""
+        rng = np.random.default_rng(4)
+        A = (_random_periodic(rng, 9) if kind == "periodic"
+             else _random_tridiagonal(rng, 9))
+        if kind == "dense":
+            A = BandedOperator.dense(A.to_dense())
+        V = rng.standard_normal((5, 9))
+        rows = np.array([A.matvec(v) for v in V])
+        if kind == "dense":
+            assert np.allclose(A.matvec(V), rows, rtol=1e-15, atol=1e-14)
+        else:
+            assert np.array_equal(A.matvec(V), rows)
+        assert np.array_equal(A.matvec(V[2]), rows[2])
 
     def test_dense_constructor(self):
         M = np.array([[1.0, 2.0], [2.0, 5.0]])
@@ -195,13 +213,14 @@ class TestShiftedSolve:
 
     def test_mode_index_validated(self):
         A = BandedOperator.diagonal([1.0])
-        with pytest.raises(ValueError):
-            shifted_solve(A, 0, np.ones(1))
+        for k in (0, np.array([1, 0, 2])):
+            with pytest.raises(ValueError):
+                shifted_solve(A, k, np.ones(1))
 
     def test_non_integer_mode_index_refused(self):
         """k = 1.5 would solve at the shift (3 pi)^2, between two modes."""
         A = discretize_laplacian(uniform_grid(1.0, 8))
-        for k in (1.5, 3.0):
+        for k in (1.5, 3.0, np.array([1.0, 2.0]), np.array([[1, 2]])):
             with pytest.raises(TypeError):
                 shifted_solve(A, k, np.ones(8))
         assert np.array_equal(shifted_solve(A, np.int64(3), np.ones(8)),
@@ -290,6 +309,103 @@ class TestShiftedSolve:
             A = BandedOperator.dense(A.to_dense())
         with pytest.raises(np.linalg.LinAlgError):
             shifted_solve(A, 1, np.ones(4))
+
+    @pytest.mark.parametrize("kind", ["tridiagonal", "swapping",
+                                      "periodic", "dense"])
+    def test_batch_rows_equal_single_solves(self, kind):
+        """Each row of a batched call is the single-k result bit for bit,
+        whatever else the batch holds and in whatever order."""
+        rng = np.random.default_rng(17)
+        if kind == "periodic":
+            A = _random_periodic(rng, 12, (30.0, 60.0))
+        else:
+            A = _random_tridiagonal(rng, 12,
+                                    scale=20.0 if kind == "swapping" else 1.0)
+        if kind == "dense":
+            A = BandedOperator.dense(A.to_dense())
+        b = rng.standard_normal(12)
+        single = {k: shifted_solve(A, k, b) for k in range(1, 9)}
+        for ks in ([1, 2, 3, 4, 5, 6, 7, 8], [8, 3, 1], [5], [2, 2, 7],
+                   np.arange(4, 9)):
+            got = shifted_solve(A, np.asarray(ks), b)
+            assert got.shape == (len(ks), 12)
+            for k, row in zip(ks, got):
+                assert np.array_equal(row, single[k])
+
+    @pytest.mark.parametrize("sub, diag, sup", [
+        (10.0 * np.ones(8), np.zeros(9), 10.0 * np.ones(8)),
+        ([10.0, 10.0], [0.0, 1e-12, 0.0], [-TWO_PI ** 2 / 10.0, 1.0])])
+    def test_batch_mixes_swapping_and_plain_shifts(self, sub, diag, sup):
+        """Diagonal 0 against a subdiagonal 10: at k = 1 the first column
+        swaps (|2 pi i| < 10), at k = 2 it does not (|4 pi i| > 10).  In
+        the 3x3 case the unswapped k = 1 elimination would meet the
+        pivot 1e-12 in the second column."""
+        A = BandedOperator.tridiagonal(sub, diag, sup)
+        s = A.dimension
+        b = np.random.default_rng(18).standard_normal(s)
+        M = A.to_dense()
+        got = shifted_solve(A, np.array([1, 2]), b)
+        for k, row in zip((1, 2), got):
+            t = TWO_PI * k
+            expect = np.linalg.solve(M - 1j * t * np.eye(s), b).imag / t
+            assert np.linalg.norm(row - expect) <= 1e-14 * np.linalg.norm(
+                expect)
+
+    @pytest.mark.parametrize("grid, replaced", [
+        (uniform_grid(24.0, 512), 2.57e-15),
+        (geometric_grid(0.01, 1.005, 512), 8.09e-15)])
+    def test_heat_operators_against_dense_lu(self, grid, replaced):
+        """The bvp-compare operators at k = 1..16 and 208; the largest
+        error over k = 1..208 falls at k <= 3 on both grids.  The bound is
+        2x the error of the per-k elimination this solve replaced: 2.57e-15
+        (uniform) and 8.09e-15 (geometric) relative in the max norm."""
+        A = discretize_laplacian(grid)
+        M = A.to_dense()
+        b = np.ones(A.dimension)
+        ks = np.append(np.arange(1, 17), 208)
+        for k, row in zip(ks, shifted_solve(A, ks, b)):
+            t = TWO_PI * k
+            expect = np.linalg.solve(M - 1j * t * np.eye(len(b)), b).imag / t
+            assert np.abs(row - expect).max() <= 2 * replaced * np.abs(
+                expect).max()
+
+    def test_periodic_batch_meets_residual_bound(self):
+        """k = 1..4 on the explicit example of
+        test_periodic_apply_inverts_solve, where k = 1 needs the
+        refinement step, held to the same residual bound."""
+        A = _random_periodic(np.random.default_rng(545), 4, (30.0, 60.0))
+        b = np.random.default_rng(546).uniform(-2, 2, 4)
+        ks = np.arange(1, 5)
+        for k, x in zip(ks, shifted_solve(A, ks, b)):
+            t = TWO_PI * k
+            residual = A.matvec(A.matvec(x)) + t * t * x - b
+            assert np.linalg.norm(residual) <= 1e-14 * (
+                (A.norm1() + t) ** 2 * np.linalg.norm(x))
+
+    @pytest.mark.parametrize("kind", ["tridiagonal", "periodic", "dense"])
+    def test_singular_shift_inside_batch_raises(self, kind):
+        if kind == "periodic":
+            A = circulant_shift(4, TWO_PI)
+        else:
+            A = BandedOperator.tridiagonal([-TWO_PI], [0.0, 0.0], [TWO_PI])
+        if kind == "dense":
+            A = BandedOperator.dense(A.to_dense())
+        with pytest.raises(np.linalg.LinAlgError):
+            shifted_solve(A, np.array([2, 1, 3]), np.ones(A.dimension))
+
+    def test_near_pole_shift_raises(self):
+        """Bands [a], [0, 0], [-a] give the eigenvalues +-a i.  At
+        a = 6 pi + 1e-14 the k = 3 system is not singular, but its
+        solution is ~1e14 times b, which a plan would turn into a vector
+        of norm 2e15; at a = 6 pi the elimination meets a zero pivot."""
+        f = np.ones(2)
+        for a, error in ((3 * TWO_PI + 1e-14, PoleProximityError),
+                         (3 * TWO_PI, np.linalg.LinAlgError)):
+            A = BandedOperator.tridiagonal([a], [0.0, 0.0], [-a])
+            with pytest.raises(error):
+                ActionPlan(A, 2, 10, 2, f).evaluate(0.3)
+            with pytest.raises(error):
+                shifted_solve(A, np.arange(1, 6), f)
 
 
 class TestPolynomialAction:
@@ -404,21 +520,22 @@ class TestActionPlan:
                 plan.evaluate(tau)
 
     def test_stabilized_build_matvec_count(self, monkeypatch):
-        """p >= 2 reaches A^p x_k from f - t_k^2 x_k in p - 1 products."""
+        """p >= 2 reaches A^p x_k from f - t_k^2 x_k in p - 1 products,
+        counted as rows: a 2-D matvec is one product per row."""
         A = discretize_laplacian(uniform_grid(1.0, 14))
         f = np.ones(A.dimension)
         calls = []
         original = BandedOperator.matvec
 
         def counting(self, v):
-            calls.append(1)
+            calls.append(len(v) if np.ndim(v) == 2 else 1)
             return original(self, v)
 
         monkeypatch.setattr(BandedOperator, "matvec", counting)
         for p, N, ell in ((2, 8, 2), (3, 10, 1), (6, 5, 0)):
             calls.clear()
             ActionPlan(A, p, N, ell, f)
-            assert len(calls) == (p - 1) * (N + 2 * ell)
+            assert sum(calls) == (p - 1) * (N + 2 * ell)
 
     def test_circulant_plan_avoids_dense_solve(self, monkeypatch):
         """The clustered circulant of arnoldi-compare --test 4 is solved in
@@ -461,7 +578,7 @@ class TestActionPlan:
         original = berngen.matfunc.shifted_solve
 
         def counting(A, k, b):
-            calls.append(k)
+            calls.extend(np.atleast_1d(k).tolist())
             return original(A, k, b)
 
         monkeypatch.setattr(berngen.matfunc, "shifted_solve", counting)
@@ -509,7 +626,7 @@ class TestActionPlan:
         original = berngen.matfunc.shifted_solve
 
         def counting(A, k, b):
-            calls.append(k)
+            calls.extend(np.atleast_1d(k).tolist())
             return original(A, k, b)
 
         monkeypatch.setattr(berngen.matfunc, "shifted_solve", counting)
