@@ -123,20 +123,18 @@ class BandedOperator:
         return float(col.max())
 
 
-def _tridiagonal_solve(A: BandedOperator, d, b) -> np.ndarray:
-    """Pivoted elimination on m systems with the off-diagonals of A and
-    the (n, m) complex main diagonals d (overwritten); b is (n, 1) or
-    (n, m), the result (m, n).  System j swaps rows i and i+1 when
-    |dl[i]| > |d[i, j]|, as LAPACK gtsv does.  du stays one float per row
-    until a swap makes it depend on the system, and a column where no
-    system swaps skips the masks; each system sees the arithmetic it
-    would see alone.  A pivot is final once its step ends, so a zero
-    pivot is found after the loop and raises LinAlgError.
+def _tridiagonal_solve(A: BandedOperator, d, x) -> np.ndarray:
+    """Pivoted elimination, in place, of the right-hand sides x, shape
+    (n + 2, ..., m) with two zero rows last, against m systems with the
+    off-diagonals of A and the (n, m) complex main diagonals d; returns the
+    solutions x[:n].  System j swaps rows i and i+1 when |dl[i]| > |d[i, j]|,
+    as LAPACK gtsv does.  du stays one float per row until a swap makes it
+    depend on the system, and a column where no system swaps skips the
+    masks; each system sees the arithmetic it would see alone.  A pivot is
+    final once its step ends, so a zero pivot raises LinAlgError after it.
     """
-    n, m = d.shape
+    n = d.shape[0]
     dl, du, du2 = A.sub.tolist(), A.sup.tolist() + [0.0], [0.0] * n
-    x = np.zeros((n + 2, m), dtype=complex)
-    x[:n] = b
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(n - 1):
             swap = np.abs(d[i]) < abs(dl[i])
@@ -160,7 +158,7 @@ def _tridiagonal_solve(A: BandedOperator, d, b) -> np.ndarray:
                                     f"{np.argwhere(d == 0)[0, 0]}")
     for i in range(n - 1, -1, -1):
         x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
-    return x[:n].T
+    return x[:n]
 
 
 def _periodic_solve(A: BandedOperator, t, b: np.ndarray) -> np.ndarray:
@@ -170,22 +168,23 @@ def _periodic_solve(A: BandedOperator, t, b: np.ndarray) -> np.ndarray:
     A - i t I is T + u v^T with u = (g, 0, ..., 0, A[s-1, 0]),
     v = (1, 0, ..., 0, A[0, s-1] / g) and g = -(A[0, 0] - i t), so T is
     tridiagonal and differs only in T[0, 0] and T[s-1, s-1] (Temperton
-    1975).  With z = T^-1 u and w = T^-1 b, from one elimination,
-    Sherman-Morrison gives y = w - (v.w) / (1 + v.z) z.  T can be far
-    worse conditioned than A - i t I, so a y whose normwise backward
-    error exceeds machine epsilon takes one step of iterative refinement,
-    which reuses z.  A vanishing 1 + v.z, or a zero pivot of T, raises
-    LinAlgError.
+    1975).  With z = T^-1 u and w = T^-1 b, from one elimination over u
+    and b in place, Sherman-Morrison gives y = w - (v.w) / (1 + v.z) z.  A
+    y whose normwise backward error exceeds machine epsilon (T can be far
+    worse conditioned than A - i t I) takes one step of iterative
+    refinement, which reuses z.  A vanishing 1 + v.z raises LinAlgError.
     """
     top, bottom = A.corners
-    d = A.diag[:, None] - 1j * t
-    g = -d[0]
-    d[0] -= g
-    d[-1] -= top * bottom / g
-    m = t.shape[0]
-    rhs = np.zeros((A.dimension, 2 * m), dtype=complex)
-    rhs[0, :m], rhs[-1, :m], rhs[:, m:] = g, bottom, b[:, None]
-    z, w = np.split(_tridiagonal_solve(A, np.hstack([d, d]), rhs), 2)
+    n, g = A.dimension, -(A.diag[0] - 1j * t)
+
+    def diagonal(j):
+        d = A.diag[:, None] - 1j * t[j]
+        d[[0, -1]] -= g[j], top * bottom / g[j]
+        return d
+
+    x = np.zeros((n + 2, 2, t.shape[0]), dtype=complex)
+    x[0, 0], x[n - 1, 0], x[:n, 1] = g, bottom, b[:, None]
+    z, y = _tridiagonal_solve(A, diagonal(slice(None)), x).transpose(1, 2, 0)
     den = 1.0 + z[:, 0] + top / g * z[:, -1]
     if not den.all():
         raise np.linalg.LinAlgError(
@@ -193,15 +192,17 @@ def _periodic_solve(A: BandedOperator, t, b: np.ndarray) -> np.ndarray:
             "vanishes")
 
     def correct(w, j):
-        return w - ((w[:, 0] + top / g[j] * w[:, -1]) / den[j])[:, None] * z[j]
+        w -= z[j] * ((w[:, 0] + top / g[j] * w[:, -1]) / den[j])[:, None]
 
-    y = correct(w, slice(None))
+    correct(y, slice(None))
     r = b - A.matvec(y) + 1j * t[:, None] * y
     refine = np.abs(r).sum(axis=1) > np.finfo(float).eps * (
         (A.norm1() + t) * np.abs(y).sum(axis=1) + np.abs(b).sum())
     if refine.any():
-        y[refine] += correct(
-            _tridiagonal_solve(A, d[:, refine], r[refine].T), refine)
+        step = _tridiagonal_solve(A, diagonal(refine),
+                                  np.pad(r[refine].T, ((0, 2), (0, 0)))).T
+        correct(step, refine)
+        y[refine] += step
     return y
 
 
@@ -231,7 +232,9 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
         y = np.array([np.linalg.solve(
             A._dense - 1j * tj * np.eye(A.dimension), b) for tj in t])
     elif A.corners is None:
-        y = _tridiagonal_solve(A, A.diag[:, None] - 1j * t, b[:, None])
+        x = np.zeros((A.dimension + 2, t.shape[0]), dtype=complex)
+        x[:A.dimension] = b[:, None]
+        y = _tridiagonal_solve(A, A.diag[:, None] - 1j * t, x).T
     else:
         y = _periodic_solve(A, t, b)
     near = np.abs(y).sum(axis=1) > np.abs(b).sum() / POLE_TOL
@@ -241,54 +244,57 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
     return (y.imag / t[:, None]).reshape(np.shape(k) + (A.dimension,))
 
 
-def h_action(A: BandedOperator, p: int, tau: float, f) -> np.ndarray:
-    """Horner evaluation of the polynomial part on a vector.
+def _bernoulli_weights(p: int, tau: float) -> list:
+    """B_j(tau) / j! for j < p: the weight of A^j f in the polynomial part."""
+    table = shared_table(p - 1)
+    return [eval_bernoulli(table, j, tau) / math.factorial(j)
+            for j in range(p)]
 
-    Uses only matrix-vector products: sum_{k<p} B_k(tau) A^k / k! applied
-    to f.
-    """
+
+def _horner(A: BandedOperator, terms) -> np.ndarray:
+    """sum_j A^j terms[j] by Horner's rule: len(terms) - 1 matvecs."""
+    v = terms[-1]
+    for term in terms[-2::-1]:
+        v = A.matvec(v) + term
+    return v
+
+
+def h_action(A: BandedOperator, p: int, tau: float, f) -> np.ndarray:
+    """Horner evaluation of the polynomial part on a vector: the matvecs
+    of sum_{k<p} B_k(tau) A^k / k! applied to f."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    table = shared_table(p - 1)
     f = np.asarray(f, dtype=float)
-    v = (eval_bernoulli(table, p - 1, tau) / math.factorial(p - 1)) * f
-    for k in range(p - 2, -1, -1):
-        v = A.matvec(v) + (eval_bernoulli(table, k, tau)
-                           / math.factorial(k)) * f
-    return v
+    return _horner(A, [c * f for c in _bernoulli_weights(p, tau)])
 
 
 class ActionPlan:
     """tau-independent mode data for evaluating q(tau, A) f.
 
-    One construction performs exactly N + 2*ell shifted solves and keeps
-    them; evaluate() may then be called for any number of tau values
-    without further solves, and view() derives plans of other orders and
-    depths on the same (A, f), solving only the modes this plan lacks.
-
-    scheme 'direct' mirrors the classical construction (solve, then apply
-    the full w-power); its noise grows like ||A||^p and it is kept as the
-    baseline whose blow-up the error tables document.  scheme 'stabilized'
-    rebuilds A^2 x_k as f - (2 pi k)^2 x_k so every mode vector stays
-    O(1); it is the default and the one the accelerated evaluation uses.
+    A plan keeps the solves x_k of (A^2 + t_k^2 I) x_k = f, t_k = 2 pi k, as
+    the rows of X and the O(1) rows Z = [f, A f, Y_1, D_1, Y_2, D_2, ...]
+    with Y_k = f - t_k^2 x_k = A^2 x_k and D_k = A Y_k / t_k.  Building
+    costs N + 2*ell shifted solves and a matvec per solved mode, plus one
+    for A f; evaluate() then takes any tau without solves, and view()
+    reads other (p, N, ell, scheme) on the same (A, f) from X and Z.
+    scheme 'direct' mirrors the classical construction, A^p and A^{p+1}
+    on the solves, whose ||A||^p noise growth the error tables document;
+    the default 'stabilized' weights the rows of Z (and A x_k at p = 1).
     """
 
     def __init__(self, A: BandedOperator, p: int, N: int, ell: int, f,
                  scheme: str = "stabilized"):
-        self.A = A
-        self.f = np.asarray(f, dtype=float)
-        self._solves = []
+        self.A, self.f = A, np.asarray(f, dtype=float)
+        self._X = np.empty((0, A.dimension))
         self._build(p, N, ell, scheme)
 
     def view(self, p: int, N: int, ell: int,
              scheme: str = "stabilized") -> "ActionPlan":
-        """A plan on the same (A, f) that reuses this plan's solves.
-
-        Only modes beyond this plan's are solved, and only those count in
-        the view's solve_count; this plan is left unchanged.
-        """
+        """A plan on the same (A, f), leaving this plan unchanged: within its
+        N + 2 ell modes a view does no work and its arrays are prefixes of
+        this plan's; beyond them it solves, and counts in solve_count, only
+        the missing modes."""
         plan = copy.copy(self)
-        plan._solves = list(self._solves)
         plan._build(p, N, ell, scheme)
         return plan
 
@@ -296,64 +302,71 @@ class ActionPlan:
         _check_order(p, N, ell)
         if scheme not in ("stabilized", "direct"):
             raise ValueError(f"unknown scheme {scheme!r}")
-        A, f = self.A, self.f
-        self.p, self.N, self.ell = p, N, ell
-        M = N + 2 * ell
-        have = len(self._solves)
-        # ceil(M / 2) shifts per call, 32 s work bytes each: at most G and D
+        A, f, s = self.A, self.f, self.A.dimension
+        self.p, self.N, self.ell, self._scheme = p, N, ell, scheme
+        # the correction's pairs as integer combinations of modes N..N+2 ell
+        self._pairs = np.reshape(build_triangle(
+            list(np.eye(2 * ell + 1)), ell).pairs(), (2 * ell, 2 * ell + 1))
+        M, have = N + 2 * ell, len(self._X)
+        self.solve_count = max(M - have, 0)
+        if M <= have:
+            self._X, self._Z = self._X[:M], self._Z[:2 + 2 * M]
+            return
+        # ceil(M / 2) k per call: their work arrays, 35 s bytes per k (64 if
+        # periodic), peak near X and Z (24 s per mode), filled after them
         block = -(-M // 2)
-        for lo in range(have + 1, M + 1, block):
-            self._solves.extend(
-                shifted_solve(A, np.arange(lo, min(lo + block, M + 1)), f))
-        self.solve_count = len(self._solves) - have
-        # rows 0..N-1 hold the mode vectors of modes 1..N, rows N.. the
-        # triangle pairs a_1, b_1, ..., a_ell, b_ell of modes N..N+2 ell
-        G, D = np.empty((M, A.dimension)), np.empty((M, A.dimension))
-        step = max(1, 2 ** 15 // A.dimension)
-        for lo in range(0, M, step):
-            x = np.array(self._solves[lo:min(lo + step, M)])
-            tk = TWO_PI * np.arange(lo + 1, lo + 1 + len(x))[:, None]
-            # (u, v) = (A^j x, A^{j+1} x), advanced to j = p; the
-            # stabilized start rebuilds A^2 x_k as f - tk^2 x_k, kept O(1),
-            # and forms A x only for p = 1: any later advance discards it
-            if scheme == "direct":
-                j, u, v = 0, x, A.matvec(x)
-            else:
-                j, u, v = 1, A.matvec(x) if p == 1 else None, f - tk ** 2 * x
-            for _ in range(j, p):
-                u, v = v, A.matvec(v)
-            gv, dv = u / tk ** (p - 2), v / tk ** (p - 1)
-            if p % 2:
-                gv, dv = dv, gv
-            G[lo:lo + len(x)], D[lo:lo + len(x)] = gv, dv
-        if ell:
-            for rows in (G, D):
-                rows[N:] = build_triangle(rows[N - 1:], ell).pairs()
-        self._G, self._D = G, D
+        X = np.empty((M, s))
+        X[:have] = self._X
+        for lo in range(have, M, block):
+            X[lo:lo + block] = shifted_solve(
+                A, np.arange(lo + 1, min(lo + block, M) + 1), f)
+        Z = np.empty((2 + 2 * M, s))
+        Z[:2 + 2 * have] = self._Z if have else (f, A.matvec(f))
+        YD, step = Z[2:].reshape(M, 2, s), max(1, 2 ** 15 // s)
+        for lo in range(have, M, step):
+            tk = TWO_PI * np.arange(lo + 1, min(lo + step, M) + 1)[:, None]
+            YD[lo:lo + step, 0] = f - tk ** 2 * X[lo:lo + step]
+            YD[lo:lo + step, 1] = A.matvec(YD[lo:lo + step, 0]) / tk
+        self._X, self._Z = X, Z
 
     def evaluate(self, tau: float) -> np.ndarray:
         """q(tau, A) f from the stored rows (no solves).
 
-        One weight row per family times its (N + 2 ell, s) array, after
-        the p - 1 matvecs of the polynomial part.
+        Mode cosines and sines, pair_weights through the triangle, t_k
+        powers and Bernoulli coefficients fold into one weight per row, so
+        stabilized p = 2 is one GEMV over Z.  One Horner sweep then applies
+        A^{p-2} to it, A to a GEMV over X (p = 1), or A^p and A^{p+1} to
+        two ('direct').
         """
         if not 0.0 <= tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
-        sc, ss = parity_signs(self.p)
-        gw, dw = pair_weights(self.N, self.ell, tau)
-        angles = [TWO_PI * k * tau for k in range(1, self.N + 1)]
-        cw = np.array([math.cos(a) for a in angles] + gw)
-        sw = np.array([math.sin(a) for a in angles] + dw)
-        return h_action(self.A, self.p, tau, self.f) + 2.0 * (
-            sc * (cw @ self._G) + ss * (sw @ self._D))
+        p, N, X = self.p, self.N, self._X
+        tk = TWO_PI * np.arange(1, len(X) + 1)
+        trig = np.zeros((2, len(X)))
+        trig[:, :N] = np.cos(tk[:N] * tau), np.sin(tk[:N] * tau)
+        trig[:, N - 1:] += np.dot(pair_weights(N, self.ell, tau),
+                                  self._pairs)
+        trig *= 2.0 * np.array(parity_signs(p))[:, None]
+        # weights of A^p x_k / t_k^(p-2) and of A^(p+1) x_k / t_k^(p-1)
+        lo, hi = trig[::-1] if p % 2 else trig
+        c, f, w = _bernoulli_weights(p, tau), self.f, np.zeros(len(self._Z))
+        if self._scheme == "direct":
+            terms = [cj * f for cj in c] + [(lo / tk ** (p - 2)) @ X,
+                                            (hi / tk ** (p - 1)) @ X]
+        elif p == 1:
+            w[0], w[2::2] = c[0], hi
+            terms = [w @ self._Z, (lo * tk) @ X]
+        else:
+            w[:2], w[2::2], w[3::2] = c[p - 2:], lo, hi
+            w[2:] /= np.repeat(tk ** (p - 2), 2)
+            terms = [cj * f for cj in c[:p - 2]] + [w @ self._Z]
+        return _horner(self.A, terms)
 
 
 def g_action(A: BandedOperator, params: ApproxParams, f) -> np.ndarray:
-    """Classical truncated mode sum applied to f.
-
-    Kept on the 'direct' scheme deliberately: its ||A||^p noise growth is
-    the instability the error tables document.
-    """
+    """Classical truncated mode sum applied to f, on the 'direct' scheme:
+    A^p and A^{p+1} act on weighted sums of the solves, so its noise grows
+    like ||A||^p, the instability the error tables document."""
     plan = ActionPlan(A, params.p, params.N, 0, f, scheme="direct")
     return plan.evaluate(params.tau)
 

@@ -1,6 +1,7 @@
 """Banded operators, shifted solves, and the matrix action of q."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,6 +409,44 @@ class TestShiftedSolve:
                 shifted_solve(A, np.arange(1, 6), f)
 
 
+class TestWorkMemory:
+    """tracemalloc peaks at s = 4096, the size of the trajectory workload."""
+
+    S = 4096
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kind, per_shift", [("tridiagonal", 40.0),
+                                                 ("periodic", 70.0)])
+    def test_solve_bytes_per_shift_and_row(self, kind, per_shift):
+        """The tridiagonal elimination measured 35 bytes per shift and
+        row and the periodic one 67, both without refinement: the
+        periodic one eliminates u and b in place against one copy of the
+        diagonals."""
+        A = (discretize_laplacian(uniform_grid(192.0, self.S))
+             if kind == "tridiagonal" else circulant_shift(self.S, 1e-8))
+        f = np.random.default_rng(9).standard_normal(self.S)
+        ks = np.arange(1, 30)
+        peak = self._peak(lambda: shifted_solve(A, ks, f))
+        assert peak <= per_shift * len(ks) * self.S
+
+    def test_plan_build_peak(self):
+        """The build fills X and Z (24 bytes per mode and row) only after
+        the eliminations' work arrays are freed, so it peaks within 15 %
+        of what it keeps (10 % measured)."""
+        A = discretize_laplacian(uniform_grid(192.0, self.S))
+        f = np.random.default_rng(9).standard_normal(self.S)
+        peak = self._peak(lambda: ActionPlan(A, 2, 50, 4, f))
+        assert peak <= 1.15 * 8.0 * (3 * 58 + 2) * self.S
+
+
 class TestPolynomialAction:
     def test_order_one_is_identity(self):
         rng = np.random.default_rng(21)
@@ -519,9 +558,11 @@ class TestActionPlan:
             with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
                 plan.evaluate(tau)
 
-    def test_stabilized_build_matvec_count(self, monkeypatch):
-        """p >= 2 reaches A^p x_k from f - t_k^2 x_k in p - 1 products,
-        counted as rows: a 2-D matvec is one product per row."""
+    def test_rows_are_formed_once_per_plan(self, monkeypatch):
+        """A build makes one matvec row per solved mode plus one for A f
+        (a 2-D matvec counts one per row); a view within its source's
+        modes makes none and shares its source's arrays; stabilized p = 2
+        evaluates with no matvec, p = 3 with one."""
         A = discretize_laplacian(uniform_grid(1.0, 14))
         f = np.ones(A.dimension)
         calls = []
@@ -532,10 +573,27 @@ class TestActionPlan:
             return original(self, v)
 
         monkeypatch.setattr(BandedOperator, "matvec", counting)
-        for p, N, ell in ((2, 8, 2), (3, 10, 1), (6, 5, 0)):
+        for p, N, ell, scheme in ((2, 8, 2, "stabilized"), (3, 10, 1,
+                                  "stabilized"), (6, 5, 0, "direct")):
             calls.clear()
-            ActionPlan(A, p, N, ell, f)
-            assert sum(calls) == (p - 1) * (N + 2 * ell)
+            ActionPlan(A, p, N, ell, f, scheme)
+            assert sum(calls) == N + 2 * ell + 1
+        base = ActionPlan(A, 2, 12, 2, f)
+        for p, N, ell, scheme in ((2, 12, 2, "stabilized"),
+                                  (1, 8, 3, "stabilized"),
+                                  (6, 16, 0, "direct")):
+            calls.clear()
+            view = base.view(p, N, ell, scheme)
+            assert calls == [] and view.solve_count == 0
+            assert np.shares_memory(view._X, base._X)
+            assert np.shares_memory(view._Z, base._Z)
+        calls.clear()
+        assert base.view(2, 20, 1).solve_count == 6 and sum(calls) == 6
+        for p, expect in ((2, 0), (3, 1)):
+            plan = base.view(p, 12, 2)
+            calls.clear()
+            plan.evaluate(0.3)
+            assert sum(calls) == expect
 
     def test_circulant_plan_avoids_dense_solve(self, monkeypatch):
         """The clustered circulant of arnoldi-compare --test 4 is solved in
