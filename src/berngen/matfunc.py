@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import math
 
 import numpy as np
@@ -83,9 +84,12 @@ class BandedOperator:
         return self._dense is None and self.corners is None
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """A v along the last axis: each row of a 2-D v is one vector."""
+        """A v along the last axis: each row of a 2-D v is one vector, with
+        the arithmetic of a lone vector (a dense A takes one GEMV per row:
+        a GEMM may round a row differently as the batch changes)."""
         if self._dense is not None:
-            return v @ self._dense.T
+            rows = [row @ self._dense.T for row in v.reshape(-1, v.shape[-1])]
+            return np.reshape(rows, v.shape)
         y = self.diag * v
         if self.dimension > 1:
             y[..., 1:] += self.sub * v[..., :-1]
@@ -123,16 +127,22 @@ class BandedOperator:
         return float(col.max())
 
 
-def _tridiagonal_solve(A: BandedOperator, d, x) -> np.ndarray:
+#: cyclic reduction takes its shifts in chunks of max(1, _REDUCTION_ROWS // s)
+_REDUCTION_ROWS = 2 ** 14
+
+
+def _pivoted_elimination(A: BandedOperator, d, x) -> np.ndarray:
     """Pivoted elimination, in place, of the right-hand sides x, shape
-    (n + 2, ..., m) with two zero rows last, against m systems with the
-    off-diagonals of A and the (n, m) complex main diagonals d; returns the
-    solutions x[:n].  System j swaps rows i and i+1 when |dl[i]| > |d[i, j]|,
-    as LAPACK gtsv does.  du stays one float per row until a swap makes it
-    depend on the system, and a column where no system swaps skips the
-    masks; each system sees the arithmetic it would see alone.  A pivot is
-    final once its step ends, so a zero pivot raises LinAlgError after it.
+    (m, ..., n + 2) with two zero columns last, against m systems with the
+    off-diagonals of A and the (m, n) complex main diagonals d; returns the
+    solutions x[..., :n].  System j swaps rows i and i+1 when
+    |dl[i]| > |d[j, i]|, as LAPACK gtsv does.  du stays one float per row
+    until a swap makes it depend on the system, and a row where no system
+    swaps skips the masks; each system sees the arithmetic it would see
+    alone.  A pivot is final once its step ends, so a zero pivot raises
+    LinAlgError after it.
     """
+    d, x = d.T, x.T                   # row i of every system: d[i], x[i]
     n = d.shape[0]
     dl, du, du2 = A.sub.tolist(), A.sup.tolist() + [0.0], [0.0] * n
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -158,12 +168,75 @@ def _tridiagonal_solve(A: BandedOperator, d, x) -> np.ndarray:
                                     f"{np.argwhere(d == 0)[0, 0]}")
     for i in range(n - 1, -1, -1):
         x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
-    return x[:n]
+    return x[:n].T
 
 
-def _periodic_solve(A: BandedOperator, t, b: np.ndarray) -> np.ndarray:
+def _reduce(lower, d, upper) -> list:
+    """Odd-even reduction of the tridiagonal systems
+    -lower[i-1] x[i-1] + d[i] x[i] - upper[i] x[i+1] = f[i], rows along
+    the last axis.  Each level adds row 2j times alpha[j] and row 2j+2 times
+    gamma[j] to row 2j+1, which leaves the odd rows as the next level; it
+    keeps (lower, upper, 1 / d at the even rows, alpha, gamma).  The last
+    level is one row, (None, None, 1 / d, None, None)."""
+    levels = []
+    while d.shape[-1] > 1:
+        h = d.shape[-1] // 2
+        inv = 1.0 / d[..., 0::2]
+        alpha = lower[..., 0::2] * inv[..., :h]
+        gamma = upper[..., 1::2] * inv[..., 1:]
+        levels.append((lower, upper, inv, alpha, gamma))
+        d = d[..., 1::2] - alpha * upper[..., 0::2]
+        d[..., :gamma.shape[-1]] -= gamma * lower[..., 1::2]
+        lower, upper = (alpha[..., 1:] * lower[..., 1:2 * h - 1:2],
+                        gamma[..., :h - 1] * upper[..., 2:2 * h - 1:2])
+    levels.append((None, None, 1.0 / d, None, None))
+    return levels
+
+
+def _substitute(levels, f) -> np.ndarray:
+    """Solve with the levels of _reduce for the right-hand sides f, rows
+    along the last axis; overwrites f and returns the solution."""
+    rhs = []
+    for _, _, _, alpha, gamma in levels[:-1]:
+        rhs.append(f)
+        f = f[..., 1::2] + alpha * f[..., 0:2 * alpha.shape[-1]:2]
+        f[..., :gamma.shape[-1]] += gamma * rhs[-1][..., 2::2]
+    x = f * levels[-1][2]
+    for (lower, upper, inv, _, gamma), f in zip(levels[-2::-1], rhs[::-1]):
+        f[..., 1::2] = x
+        f[..., 2::2] += lower[..., 1::2] * x[..., :gamma.shape[-1]]
+        f[..., 0:2 * x.shape[-1]:2] += upper[..., 0::2] * x
+        f[..., 0::2] *= inv
+        x = f
+    return x
+
+
+def _cyclic_reduction(A: BandedOperator, d, x,
+                      refine: bool = True) -> np.ndarray:
+    """Cyclic reduction (Buzbee, Golub & Nielson 1970) of the systems of
+    _pivoted_elimination, with the same arguments, plus (refine) one step
+    of iterative refinement through the stored multipliers.  It does not
+    pivot, so every row of every system must be strictly diagonally
+    dominant, a property each reduced system inherits (Heller 1976).  Every
+    operation is elementwise across systems, so each sees the arithmetic
+    it would see alone."""
+    n = d.shape[-1]
+    b = x[..., :n]
+    d = d.reshape(d.shape[:1] + (1,) * (b.ndim - 2) + (n,))
+    levels = _reduce(-A.sub, d, -A.sup)
+    y = _substitute(levels, b.copy())
+    if refine:
+        r = b - d * y
+        r[..., 1:] -= A.sub * y[..., :-1]
+        r[..., :-1] -= A.sup * y[..., 1:]
+        y += _substitute(levels, r)
+    return y
+
+
+def _periodic_solve(A: BandedOperator, t, b: np.ndarray,
+                    kernel) -> np.ndarray:
     """Solve (A - i t_j I) y_j = b for a periodic tridiagonal A, one row
-    per shift t_j.
+    per shift t_j, with the elimination kernel for its tridiagonal part.
 
     A - i t I is T + u v^T with u = (g, 0, ..., 0, A[s-1, 0]),
     v = (1, 0, ..., 0, A[0, s-1] / g) and g = -(A[0, 0] - i t), so T is
@@ -178,13 +251,14 @@ def _periodic_solve(A: BandedOperator, t, b: np.ndarray) -> np.ndarray:
     n, g = A.dimension, -(A.diag[0] - 1j * t)
 
     def diagonal(j):
-        d = A.diag[:, None] - 1j * t[j]
-        d[[0, -1]] -= g[j], top * bottom / g[j]
+        d = _shifted_diagonal(A, t[j])
+        d[:, 0] -= g[j]
+        d[:, -1] -= top * bottom / g[j]
         return d
 
-    x = np.zeros((n + 2, 2, t.shape[0]), dtype=complex)
-    x[0, 0], x[n - 1, 0], x[:n, 1] = g, bottom, b[:, None]
-    z, y = _tridiagonal_solve(A, diagonal(slice(None)), x).transpose(1, 2, 0)
+    x = np.zeros((t.shape[0], 2, n + 2), dtype=complex)
+    x[:, 0, 0], x[:, 0, n - 1], x[:, 1, :n] = g, bottom, b
+    z, y = kernel(A, diagonal(slice(None)), x).transpose(1, 0, 2)
     den = 1.0 + z[:, 0] + top / g * z[:, -1]
     if not den.all():
         raise np.linalg.LinAlgError(
@@ -199,11 +273,65 @@ def _periodic_solve(A: BandedOperator, t, b: np.ndarray) -> np.ndarray:
     refine = np.abs(r).sum(axis=1) > np.finfo(float).eps * (
         (A.norm1() + t) * np.abs(y).sum(axis=1) + np.abs(b).sum())
     if refine.any():
-        step = _tridiagonal_solve(A, diagonal(refine),
-                                  np.pad(r[refine].T, ((0, 2), (0, 0)))).T
+        step = kernel(A, diagonal(refine), np.pad(r[refine], ((0, 0), (0, 2))))
         correct(step, refine)
         y[refine] += step
     return y
+
+
+def _complex_solve(A: BandedOperator, t, b: np.ndarray,
+                   kernel) -> np.ndarray:
+    """(A - i t_j I)^{-1} b, one row per shift t_j: numpy's LU per shift
+    for a dense A, else the elimination kernel on the bands."""
+    if A._dense is not None:
+        return np.array([np.linalg.solve(
+            A._dense - 1j * tj * np.eye(A.dimension), b) for tj in t])
+    if A.corners is not None:
+        return _periodic_solve(A, t, b, kernel)
+    x = np.zeros((t.shape[0], A.dimension + 2), dtype=complex)
+    x[:, :A.dimension] = b
+    return kernel(A, _shifted_diagonal(A, t), x)
+
+
+def _shifted_diagonal(A: BandedOperator, t) -> np.ndarray:
+    """The diagonals of A - i t_j I, one row per shift t_j."""
+    d = np.empty((t.shape[0], A.dimension), dtype=complex)
+    d.real, d.imag = A.diag, -t[:, None]
+    return d
+
+
+def _dominant(A: BandedOperator, t) -> np.ndarray:
+    """True for each shift t at which every row of A - i t I is strictly
+    diagonally dominant, |A[i, i] - i t| > r_i with r_i the sum of the
+    off-diagonal moduli of row i, corners included; that is
+    t^2 > max_i (r_i^2 - A[i, i]^2).  For a periodic A it implies the same
+    of the tridiagonal part T that _periodic_solve eliminates."""
+    r = np.zeros(A.dimension)
+    r[1:] += np.abs(A.sub)
+    r[:-1] += np.abs(A.sup)
+    if A.corners is not None:
+        r[[0, -1]] += np.abs(A.corners)
+    return t * t > np.max(r * r - A.diag * A.diag)
+
+
+def _kernel_groups(A: BandedOperator, t) -> list:
+    """(indices into t, kernel) for each call shifted_solve makes: one call
+    for a dense A; else cyclic reduction on the dominant shifts, in chunks
+    of max(1, _REDUCTION_ROWS // s), and the pivoted elimination on the
+    others, in two halves."""
+    if A._dense is not None:
+        return [(np.arange(t.shape[0]), None)]
+    dominant = _dominant(A, t)
+    reduced, pivoted = np.flatnonzero(dominant), np.flatnonzero(~dominant)
+    step = max(1, _REDUCTION_ROWS // A.dimension)
+    half = max(1, -(-pivoted.shape[0] // 2))
+    # the periodic path refines its Sherman-Morrison solution itself
+    reduction = (_cyclic_reduction if A.corners is None
+                 else functools.partial(_cyclic_reduction, refine=False))
+    return ([(reduced[lo:lo + step], reduction)
+             for lo in range(0, reduced.shape[0], step)]
+            + [(pivoted[lo:lo + half], _pivoted_elimination)
+               for lo in range(0, pivoted.shape[0], half)])
 
 
 def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
@@ -211,10 +339,17 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
 
     An integer k gives x, shape (s,); a 1-D integer array of m k gives
     (m, s), each row bit for bit its single-k x.  With t = 2 pi k,
-    (A - i t I)^{-1} b = A x + i t x for real A and b.  Tridiagonal and
-    periodic operators take one elimination for all k, whose row loop
-    costs about as much for one k as for a hundred (10 ms against 12 ms
-    at s = 512 on a 2-core x86-64 box); dense ones take numpy's LU per k.
+    (A - i t I)^{-1} b = A x + i t x for real A and b.  A dense A takes
+    numpy's LU per k.  On tridiagonal and periodic A, a k at which every
+    row of A - i t I is strictly diagonally dominant (_dominant) takes
+    cyclic reduction, in chunks of max(1, 2^14 // s) k: about log2(s)
+    vectorized levels, where the pivoted elimination loops over the s rows
+    in Python.  Every other k takes the pivoted elimination, in two calls
+    of ceil(m / 2) k, which halves its work arrays.  The work arrays peak
+    near 37 bytes per k and row, 44 if periodic (tracemalloc, s = 4096,
+    29 k).  On a 2-core x86-64 box, 58 k at s = 4096 take 0.03 s against
+    0.10-0.14 s for two pivoted calls, 208 k at s = 512 0.011-0.014 s
+    against 0.015-0.019 s, and 58 k at s = 2^16 0.41 s against 2.3 s.
     ||(A - i t I)^{-1} b||_1 > ||b||_1 / POLE_TOL raises
     PoleProximityError: 2 pi k i lies within about POLE_TOL of spec(A).
     """
@@ -228,20 +363,16 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
     if b.shape != (A.dimension,):
         raise ValueError(
             f"right-hand side has shape {b.shape}, expected ({A.dimension},)")
-    if A._dense is not None:
-        y = np.array([np.linalg.solve(
-            A._dense - 1j * tj * np.eye(A.dimension), b) for tj in t])
-    elif A.corners is None:
-        x = np.zeros((A.dimension + 2, t.shape[0]), dtype=complex)
-        x[:A.dimension] = b[:, None]
-        y = _tridiagonal_solve(A, A.diag[:, None] - 1j * t, x).T
-    else:
-        y = _periodic_solve(A, t, b)
-    near = np.abs(y).sum(axis=1) > np.abs(b).sum() / POLE_TOL
-    if near.any():
-        raise PoleProximityError(f"2 pi i k is within about {POLE_TOL} of "
-                                 f"the spectrum at k = {ks[near][0]}")
-    return (y.imag / t[:, None]).reshape(np.shape(k) + (A.dimension,))
+    x = np.empty((t.shape[0], A.dimension))
+    for j, kernel in _kernel_groups(A, t):
+        y = _complex_solve(A, t[j], b, kernel)
+        near = np.abs(y).sum(axis=1) > np.abs(b).sum() / POLE_TOL
+        if near.any():
+            raise PoleProximityError(
+                f"2 pi i k is within about {POLE_TOL} of the spectrum at "
+                f"k = {ks[j][near][0]}")
+        x[j] = y.imag / t[j, None]
+    return x.reshape(np.shape(k) + (A.dimension,))
 
 
 def _bernoulli_weights(p: int, tau: float) -> list:
@@ -312,14 +443,10 @@ class ActionPlan:
         if M <= have:
             self._X, self._Z = self._X[:M], self._Z[:2 + 2 * M]
             return
-        # ceil(M / 2) k per call: their work arrays, 35 s bytes per k (64 if
-        # periodic), peak near X and Z (24 s per mode), filled after them
-        block = -(-M // 2)
-        X = np.empty((M, s))
-        X[:have] = self._X
-        for lo in range(have, M, block):
-            X[lo:lo + block] = shifted_solve(
-                A, np.arange(lo + 1, min(lo + block, M) + 1), f)
+        # Z (16 s bytes per mode) is allocated after the solves' work arrays
+        # are freed, so the build peaks near X and Z
+        X = np.concatenate(
+            (self._X, shifted_solve(A, np.arange(have + 1, M + 1), f)))
         Z = np.empty((2 + 2 * M, s))
         Z[:2 + 2 * have] = self._Z if have else (f, A.matvec(f))
         YD, step = Z[2:].reshape(M, 2, s), max(1, 2 ** 15 // s)

@@ -152,6 +152,28 @@ class TestAcceleratedApprox:
         assert abs(G_approx(params) - reference_q(0.3, w)) < 1e-9
 
 
+    @pytest.mark.parametrize("p, ell, last", [
+        (2, 0, 1.99), (2, 1, 3.96), (2, 2, 5.89), (3, 1, 4.94), (4, 0, 3.98),
+        (4, 1, 5.92)])
+    def test_convergence_order(self, p, ell, last):
+        """The relative error of G_approx at tau = 0.3, w = -4 falls like
+        N^-(p + 2 ell) over N = 25, 50, 100, 200.  Slopes count only where
+        both errors exceed 1e-13: the last is within 0.2 of p + 2 ell (the
+        measured last slope, 'last', from N = 100 to 200, or 50 to 100 at
+        p = 4, ell = 1), the earlier ones approach it from within 0.5."""
+        tau, w = 0.3, -4.0
+        exact = reference_q(tau, w)
+        errors = [abs(G_approx(ApproxParams(p=p, N=N, tau=tau, w=w, ell=ell))
+                      - exact) / abs(exact) for N in (25, 50, 100, 200)]
+        slopes = [math.log2(a / b) for a, b in zip(errors, errors[1:])
+                  if min(a, b) > 1e-13]
+        order = p + 2 * ell
+        assert len(slopes) >= 2
+        assert slopes[-1] >= order - 0.2
+        assert abs(slopes[-1] - last) < 0.05
+        assert all(s >= order - 0.5 for s in slopes)
+
+
 class TestLeadingErrorTerm:
     def test_tracks_residual(self):
         """The closed-form estimate matches q - g across nearby cutoffs."""

@@ -16,7 +16,7 @@ from berngen.bvp import (circulant_shift, discretize_laplacian,
 from berngen.fourier import (ApproxParams, PoleProximityError, parity_signs,
                              reference_q)
 from berngen.matfunc import (DENSE_CAP, SPECTRAL_CAP, ActionPlan,
-                             BandedOperator, G_action, _expm_dense,
+                             BandedOperator, G_action, _dominant, _expm_dense,
                              _phi1_dense, g_action, h_action,
                              load_matrix_market, load_tridiagonal,
                              reference_solution, shifted_solve,
@@ -59,8 +59,8 @@ class TestBandedOperator:
 
     @pytest.mark.parametrize("kind", ["tridiagonal", "periodic", "dense"])
     def test_row_stack_matvec_matches_row_wise(self, kind):
-        """A 2-D matvec applies A to each row: the bands give each row the
-        arithmetic of a lone vector, the dense GEMM agrees to rounding."""
+        """A 2-D matvec gives each row the arithmetic of a lone vector, in
+        every storage and for every batch size."""
         rng = np.random.default_rng(4)
         A = (_random_periodic(rng, 9) if kind == "periodic"
              else _random_tridiagonal(rng, 9))
@@ -68,11 +68,10 @@ class TestBandedOperator:
             A = BandedOperator.dense(A.to_dense())
         V = rng.standard_normal((5, 9))
         rows = np.array([A.matvec(v) for v in V])
-        if kind == "dense":
-            assert np.allclose(A.matvec(V), rows, rtol=1e-15, atol=1e-14)
-        else:
-            assert np.array_equal(A.matvec(V), rows)
+        for lo, hi in ((0, 5), (1, 4), (2, 3)):
+            assert np.array_equal(A.matvec(V[lo:hi]), rows[lo:hi])
         assert np.array_equal(A.matvec(V[2]), rows[2])
+        assert A.matvec(V[:0]).shape == (0, 9)
 
     def test_dense_constructor(self):
         M = np.array([[1.0, 2.0], [2.0, 5.0]])
@@ -312,18 +311,30 @@ class TestShiftedSolve:
             shifted_solve(A, 1, np.ones(4))
 
     @pytest.mark.parametrize("kind", ["tridiagonal", "swapping",
-                                      "periodic", "dense"])
+                                      "periodic", "dense", "mixed",
+                                      "periodic-mixed"])
     def test_batch_rows_equal_single_solves(self, kind):
         """Each row of a batched call is the single-k result bit for bit,
-        whatever else the batch holds and in whatever order."""
+        whatever else the batch holds and in whatever order.  In the mixed
+        kinds k = 1..8 take both the pivoted elimination and cyclic
+        reduction."""
         rng = np.random.default_rng(17)
         if kind == "periodic":
             A = _random_periodic(rng, 12, (30.0, 60.0))
+        elif kind == "periodic-mixed":
+            A = _random_periodic(rng, 12, (4.0, 8.0))
+        elif kind == "mixed":
+            A = BandedOperator.tridiagonal(rng.uniform(5.0, 10.0, 11),
+                                           rng.uniform(-1.0, 1.0, 12),
+                                           rng.uniform(5.0, 10.0, 11))
         else:
             A = _random_tridiagonal(rng, 12,
                                     scale=20.0 if kind == "swapping" else 1.0)
         if kind == "dense":
             A = BandedOperator.dense(A.to_dense())
+        if kind.endswith("mixed"):
+            dominant = _dominant(A, TWO_PI * np.arange(1, 9))
+            assert dominant.any() and not dominant.all()
         b = rng.standard_normal(12)
         single = {k: shifted_solve(A, k, b) for k in range(1, 9)}
         for ks in ([1, 2, 3, 4, 5, 6, 7, 8], [8, 3, 1], [5], [2, 2, 7],
@@ -407,6 +418,75 @@ class TestShiftedSolve:
                 ActionPlan(A, 2, 10, 2, f).evaluate(0.3)
             with pytest.raises(error):
                 shifted_solve(A, np.arange(1, 6), f)
+
+
+    @pytest.mark.parametrize("A, pivoted", [
+        (discretize_laplacian(uniform_grid(24.0, 64)), []),
+        (discretize_laplacian(geometric_grid(0.01, 1.005, 64)), []),
+        (circulant_shift(64, 1e-8), []),
+        (circulant_shift(12, 30.0), [1, 2, 3, 4]),
+        (BandedOperator.tridiagonal([3 * TWO_PI], [0.0, 0.0],
+                                    [-3 * TWO_PI]), [1, 2, 3])])
+    def test_path_per_shift(self, monkeypatch, A, pivoted):
+        """Cyclic reduction takes exactly the k at which every row of
+        A - 2 pi k i I is strictly diagonally dominant: every k on both
+        heat operators and the radius-1e-8 circulant, k > 4 on the
+        radius-30 one, and k > 3 where 2 pi k must
+        beat the off-diagonal 6 pi."""
+        paths = {}
+
+        def recording(name, kernel):
+            def run(A, d, x, **kwargs):
+                k = np.rint(-d[:, 1].imag / TWO_PI).astype(int).tolist()
+                paths.update(dict.fromkeys(k, name))
+                return kernel(A, d, x, **kwargs)
+            return run
+
+        for name in ("_pivoted_elimination", "_cyclic_reduction"):
+            monkeypatch.setattr(berngen.matfunc, name, recording(
+                name, getattr(berngen.matfunc, name)))
+        try:
+            shifted_solve(A, np.arange(1, 9), np.ones(A.dimension))
+        except np.linalg.LinAlgError:   # 6 pi i is an eigenvalue of the last
+            pass
+        assert [k for k, name in sorted(paths.items())
+                if name == "_pivoted_elimination"] == pivoted
+        assert sorted(paths) == list(range(1, 9))
+
+    @pytest.mark.parametrize("grid, measured", [
+        (uniform_grid(24.0, 512), 3.34e-15),
+        (geometric_grid(0.01, 1.005, 512), 7.26e-15)])
+    def test_forward_error_against_extended_precision(self, grid, measured):
+        """Y_k = f - t_k^2 x_k, the mode row a plan keeps, against a Thomas
+        solve in np.clongdouble, on the bvp-compare operators at
+        k = 1..208.  Refined cyclic reduction has the lower median error
+        (1.0e-15 against 1.5e-15 uniform, 7.3e-16 against 9.7e-16
+        geometric, relative in the max norm); its largest error is frozen
+        at three times the value measured when the test was written."""
+        A = discretize_laplacian(grid)
+        f, t = np.ones(A.dimension), TWO_PI * np.arange(1, 209)
+        d = A.diag.astype(np.longdouble)[:, None] - 1j * t.astype(
+            np.longdouble)
+        y = np.empty(d.shape, dtype=np.clongdouble)
+        y[:] = f[:, None]
+        for i in range(1, A.dimension):
+            mult = A.sub[i - 1] / d[i - 1]
+            d[i] -= mult * A.sup[i - 1]
+            y[i] -= mult * y[i - 1]
+        y[-1] /= d[-1]
+        for i in range(A.dimension - 2, -1, -1):
+            y[i] = (y[i] - A.sup[i] * y[i + 1]) / d[i]
+        expect = f - t.astype(np.longdouble)[:, None] * y.T.imag
+        errors = {}
+        for kernel in (berngen.matfunc._cyclic_reduction,
+                       berngen.matfunc._pivoted_elimination):
+            x = berngen.matfunc._complex_solve(A, t, f, kernel).imag
+            got = f - t[:, None] * x
+            errors[kernel] = (np.abs(got - expect).max(axis=1)
+                              / np.abs(expect).max(axis=1)).astype(float)
+        reduced, pivoted = errors.values()
+        assert np.median(reduced) <= np.median(pivoted)
+        assert reduced.max() <= 3.0 * measured
 
 
 class TestWorkMemory:
@@ -627,6 +707,15 @@ class TestActionPlan:
                     for tau in (0.1, 0.3, 0.85):
                         assert np.array_equal(view.evaluate(tau),
                                               alone.evaluate(tau))
+        if dense:
+            # a view's new D rows once came from one GEMM over the batch,
+            # which at s = 512 rounded them unlike a standalone plan's
+            A = BandedOperator.dense(rng.standard_normal((512, 512)) / 23.0)
+            f = rng.standard_normal(512)
+            base = ActionPlan(A, 2, 1, 0, f)
+            for N in (2, 9):
+                assert np.array_equal(base.view(2, N, 0).evaluate(0.3),
+                                      ActionPlan(A, 2, N, 0, f).evaluate(0.3))
 
     def test_view_solves_only_missing_modes(self, monkeypatch):
         A = discretize_laplacian(uniform_grid(1.0, 14))
@@ -761,31 +850,42 @@ class TestAboveDenseCap:
     TAUS = (1.0 / 12.0, 1.0 / 6.0, 0.25, 0.5, 0.75, 11.0 / 12.0)
 
     @pytest.mark.parametrize("rhs, measured", [
-        ("ones", (1.563e-7, 6.999e-10, 3.312e-11, 1.222e-13, 4.579e-11,
-                  4.928e-7)),
-        ("normal", (1.468e-6, 9.498e-9, 4.970e-10, 8.167e-13, 1.220e-9,
-                    1.431e-5)),
+        ("ones", {
+            2 ** 12: (1.563e-7, 6.999e-10, 3.312e-11, 1.222e-13, 4.579e-11,
+                      4.928e-7),
+            2 ** 14: (1.563e-7, 6.999e-10, 3.311e-11, 1.239e-13, 4.577e-11,
+                      4.928e-7),
+            2 ** 16: (1.563e-7, 6.999e-10, 3.360e-11, 5.241e-13, 4.577e-11,
+                      4.928e-7)}),
+        ("normal", {
+            2 ** 12: (1.468e-6, 9.498e-9, 4.970e-10, 8.167e-13, 1.220e-9,
+                      1.431e-5),
+            2 ** 14: (1.244e-6, 7.219e-9, 4.194e-10, 8.332e-13, 1.023e-9,
+                      1.237e-5),
+            2 ** 16: (1.177e-6, 7.585e-9, 4.212e-10, 9.856e-13, 8.516e-10,
+                      1.023e-5)}),
     ])
     def test_heat_operator_against_sine_transform(self, rhs, measured):
         """The uniform heat operator is diagonalized by the DST-I, which
-        gives the exact action at s = 4096, where the dense oracles
+        gives the exact action at s = 2^12 to 2^16, where the dense oracles
         refuse.  Each bound is three times the error measured when the
-        test was written."""
-        s, h = 4096, 24.0 / 513.0
-        assert s > DENSE_CAP
-        A = discretize_laplacian(uniform_grid(h * (s + 1), s))
-        f = (np.ones(s) if rhs == "ones"
-             else np.random.default_rng(7).standard_normal(s))
-        lam = -(4.0 / h ** 2) * np.sin(
-            np.arange(1, s + 1) * np.pi / (2 * (s + 1))) ** 2
-        scale = math.sqrt(2.0 / (s + 1))
-        coeffs = scale * _dst1(f)
-        plan = ActionPlan(A, 2, 50, 4, f)
-        for tau, error in zip(self.TAUS, measured):
-            expect = scale * _dst1(lam * np.exp(tau * lam) / np.expm1(lam)
-                                   * coeffs)
-            err = np.max(np.abs(plan.evaluate(tau) - expect))
-            assert err <= 3.0 * error * np.max(np.abs(expect))
+        test was written; a build at s = 2^16 takes about 0.5 s."""
+        h = 24.0 / 513.0
+        for s, errors in measured.items():
+            assert s > DENSE_CAP
+            A = discretize_laplacian(uniform_grid(h * (s + 1), s))
+            f = (np.ones(s) if rhs == "ones"
+                 else np.random.default_rng(7).standard_normal(s))
+            lam = -(4.0 / h ** 2) * np.sin(
+                np.arange(1, s + 1) * np.pi / (2 * (s + 1))) ** 2
+            scale = math.sqrt(2.0 / (s + 1))
+            coeffs = scale * _dst1(f)
+            plan = ActionPlan(A, 2, 50, 4, f)
+            for tau, error in zip(self.TAUS, errors):
+                expect = scale * _dst1(lam * np.exp(tau * lam)
+                                       / np.expm1(lam) * coeffs)
+                err = np.max(np.abs(plan.evaluate(tau) - expect))
+                assert err <= 3.0 * error * np.max(np.abs(expect))
 
     def test_geometric_plan_against_spectral_reference(self):
         """The stretched grid has no closed form; above DENSE_CAP only
