@@ -445,8 +445,9 @@ class ActionPlan:
             return
         # Z (16 s bytes per mode) is allocated after the solves' work arrays
         # are freed, so the build peaks near X and Z
-        X = np.concatenate(
-            (self._X, shifted_solve(A, np.arange(have + 1, M + 1), f)))
+        X = shifted_solve(A, np.arange(have + 1, M + 1), f)
+        if have:
+            X = np.concatenate((self._X, X))
         Z = np.empty((2 + 2 * M, s))
         Z[:2 + 2 * have] = self._Z if have else (f, A.matvec(f))
         YD, step = Z[2:].reshape(M, 2, s), max(1, 2 ** 15 // s)
