@@ -64,7 +64,9 @@ def arnoldi_q_approx(dec: KrylovDecomposition, tau: float) -> np.ndarray:
     """Project q(tau, A) f onto the Krylov basis.
 
     Evaluates V_j phi_1(H_j)^{-1} e^{tau H_j} (beta e_1) on the small j x j
-    Hessenberg matrix, with the dense kernel of reference_solution.
+    Hessenberg matrix, with the dense kernel of reference_solution; both
+    Pade exponentials work on j x j blocks, phi_1 without forming the
+    2j x 2j augmented matrix.
     """
     j = dec.j
     e1 = np.zeros(j)

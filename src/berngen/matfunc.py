@@ -513,40 +513,57 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            960960.0, 16380.0, 182.0, 1.0)
 
 
-def _expm_dense(M: np.ndarray) -> np.ndarray:
-    """Degree-13 diagonal Pade approximant with scaling and squaring."""
+def _expm_dense(M: np.ndarray, phi1: bool = False) -> np.ndarray:
+    """e^M, or with phi1 phi_1(M) = sum_k M^k / (k+1)!, by the degree-13
+    diagonal Pade approximant with scaling and squaring.
+
+    phi_1(M) is the upper-right block of exp([[M, I], [0, 0]]), which
+    avoids forming e^M - I as a difference of nearly equal matrices
+    (Higham, Functions of Matrices, sec. 10.7).  That 2n x 2n matrix B is
+    never formed.  Its 1-norm max(||M||_1, 1) sets the same squarings s as
+    ||M||_1, since PADE_THETA > 1.  With X = M / 2^s and c = 2^-s every
+    power of the scaled B is [[X^k, c X^(k-1)], [0, 0]], so the Pade
+    numerator acts on the n x 2n top rows [X^k | c X^(k-1)].  The
+    denominator is block triangular with one n x n block to factor, and a
+    squaring maps the top row [E | G] to [E E | E G + G].
+    """
     n = M.shape[0]
     norm = float(np.abs(M).sum(axis=0).max()) if n else 0.0
     squarings = 0
     if norm > PADE_THETA:
         squarings = max(0, math.ceil(math.log2(norm / PADE_THETA)))
-    Ms = M / 2.0 ** squarings
+    X = M / 2.0 ** squarings
     b = _PADE13
     eye = np.eye(n)
-    M2 = Ms @ Ms
-    M4 = M2 @ M2
-    M6 = M2 @ M4
-    U = Ms @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
-              + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
-    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
-         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye)
-    F = np.linalg.solve(V - U, V + U)
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X2 @ X4
+    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
+    Y0, Y2, Y4, Y6 = eye, X2, X4, X6
+    if phi1:
+        c = 2.0 ** -squarings
+        Y0 = np.eye(n, 2 * n)
+        Y2 = np.hstack([X2, c * X])
+        Y4 = np.hstack([X4, c * (X @ X2)])
+        Y6 = np.hstack([X6, c * (X @ X4)])
+    U = X @ (X6 @ (b[13] * Y6 + b[11] * Y4 + b[9] * Y2)
+             + b[7] * Y6 + b[5] * Y4 + b[3] * Y2 + b[1] * Y0)
+    if phi1:
+        # the top row [X | c I] of the scaled B meets the bracket's b1 I
+        U[:, n:] += c * b[1] * eye
+    # V's upper-right block cancels from (V - U)^-1 (V + U), leaving 2 U's
+    F = np.linalg.solve(V - U[:, :n],
+                        np.hstack([V + U[:, :n], 2.0 * U[:, n:]]))
+    E, G = F[:, :n], F[:, n:]
     for _ in range(squarings):
-        F = F @ F
-    return F
+        E, G = E @ E, E @ G + G
+    return G if phi1 else E
 
 
 def _phi1_dense(M: np.ndarray) -> np.ndarray:
-    """phi_1(M) = sum_k M^k / (k+1)!, read off the augmented exponential.
-
-    exp([[M, I], [0, 0]]) carries phi_1(M) in its upper-right block, which
-    avoids forming e^M - I as a difference of nearly equal matrices.
-    """
-    n = M.shape[0]
-    B = np.zeros((2 * n, 2 * n))
-    B[:n, :n] = M
-    B[:n, n:] = np.eye(n)
-    return _expm_dense(B)[:n, n:]
+    """phi_1(M) by the block form of the augmented exponential."""
+    return _expm_dense(M, phi1=True)
 
 
 def _phi1_solve(M: np.ndarray, taus, v: np.ndarray) -> list:

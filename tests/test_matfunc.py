@@ -10,6 +10,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import berngen.matfunc
+from berngen.arnoldi import arnoldi_extend
 from berngen.bernoulli import DEGREE_CAP
 from berngen.bvp import (circulant_shift, discretize_laplacian,
                          geometric_grid, uniform_grid)
@@ -490,7 +491,8 @@ class TestShiftedSolve:
 
 
 class TestWorkMemory:
-    """tracemalloc peaks at s = 4096, the size of the trajectory workload."""
+    """tracemalloc peaks: the banded paths at s = 4096, the size of the
+    trajectory workload, and the dense phi_1 kernel at n = 256."""
 
     S = 4096
 
@@ -525,6 +527,15 @@ class TestWorkMemory:
         f = np.random.default_rng(9).standard_normal(self.S)
         peak = self._peak(lambda: ActionPlan(A, 2, 50, 4, f))
         assert peak <= 1.15 * 8.0 * (3 * 58 + 2) * self.S
+
+    def test_phi1_block_kernel_peak(self):
+        """The kernel works on n x 2n top rows and peaks at 22 n^2 doubles
+        (measured); exponentiating the 2n x 2n augmented matrix whole
+        peaks at 44 n^2."""
+        n = 256
+        M = 10.0 * np.random.default_rng(9).standard_normal((n, n))
+        peak = self._peak(lambda: _phi1_dense(M))
+        assert peak <= 26.0 * 8.0 * n * n
 
 
 class TestPolynomialAction:
@@ -1018,6 +1029,52 @@ class TestPhiOne:
         a = 0.37
         got = _phi1_dense(np.array([[a]]))[0, 0]
         assert abs(got - (math.exp(a) - 1.0) / a) < 1e-15
+
+    # Each bound below is three times the larger relative difference from
+    # scipy's expm measured with one and with two BLAS threads when the
+    # test was written.
+
+    @staticmethod
+    def _check_augmented(M, measured):
+        """_phi1_dense against the upper-right block of scipy's expm of
+        the explicit 2n x 2n matrix [[M, I], [0, 0]]."""
+        n = M.shape[0]
+        B = np.zeros((2 * n, 2 * n))
+        B[:n, :n] = M
+        B[:n, n:] = np.eye(n)
+        ref = scipy.linalg.expm(B)[:n, n:]
+        got = _phi1_dense(M)
+        assert np.max(np.abs(got - ref)) <= 3.0 * measured * np.max(
+            np.abs(ref))
+
+    @pytest.mark.parametrize("a, measured", [
+        (0.37, 3.67e-16), (-3.0, 2.80e-15), (40.0, 3.55e-14),
+        (-1e4, 4.07e-16)])
+    def test_one_by_one_against_augmented_expm(self, a, measured):
+        self._check_augmented(np.array([[a]]), measured)
+
+    def test_norm_below_one_against_augmented_expm(self):
+        """||M||_1 = 0.5, so the augmented 1-norm is the identity block's
+        1 and no squaring is done."""
+        M = np.random.default_rng(52).standard_normal((8, 8))
+        M *= 0.5 / np.abs(M).sum(axis=0).max()
+        self._check_augmented(M, 4.37e-16)
+
+    @pytest.mark.parametrize("j, measured", [(10, 3.22e-13),
+                                             (100, 8.59e-13)])
+    def test_krylov_hessenberg_against_augmented_expm(self, j, measured):
+        """The Hessenberg blocks of arnoldi-compare --test 3."""
+        A = discretize_laplacian(geometric_grid(0.01, 1.005, 512))
+        dec = arnoldi_extend(A, np.ones(A.dimension), j)
+        self._check_augmented(dec.H[:j, :j], measured)
+
+    @pytest.mark.parametrize("kind, measured", [("uniform", 1.54e-14),
+                                                ("geometric", 7.93e-14)])
+    def test_heat_operator_against_augmented_expm(self, kind, measured):
+        grid = (uniform_grid(24.0, 256) if kind == "uniform"
+                else geometric_grid(0.01, 1.005, 256))
+        self._check_augmented(discretize_laplacian(grid).to_dense(),
+                              measured)
 
 
 class TestReferenceSolution:
