@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import functools
 import math
 
 import numpy as np
@@ -60,6 +59,8 @@ class BandedOperator:
         if sub.shape != (s - 1,) or sup.shape != (s - 1,):
             raise ValueError("off-diagonals must have length s - 1")
         corners = tuple(float(c) for c in corners)
+        if not all(np.isfinite(v).all() for v in (sub, diag, sup, corners)):
+            raise ValueError("operator entries must be finite")
         if any(corners) and s < 3:
             raise ValueError("corner entries need dimension >= 3")
         return cls(dimension=s, sub=sub, diag=diag, sup=sup,
@@ -76,6 +77,8 @@ class BandedOperator:
         matrix = np.array(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("dense operator must be a square matrix")
+        if not np.isfinite(matrix).all():
+            raise ValueError("operator entries must be finite")
         return cls(dimension=matrix.shape[0], dense=matrix)
 
     @property
@@ -131,19 +134,20 @@ class BandedOperator:
 _REDUCTION_ROWS = 2 ** 14
 
 
-def _pivoted_elimination(A: BandedOperator, d, x) -> np.ndarray:
-    """Pivoted elimination, in place, of the right-hand sides x, shape
-    (m, ..., n + 2) with two zero columns last, against m systems with the
-    off-diagonals of A and the (m, n) complex main diagonals d; returns the
-    solutions x[..., :n].  System j swaps rows i and i+1 when
-    |dl[i]| > |d[j, i]|, as LAPACK gtsv does.  du stays one float per row
-    until a swap makes it depend on the system, and a row where no system
-    swaps skips the masks; each system sees the arithmetic it would see
-    alone.  A pivot is final once its step ends, so a zero pivot raises
-    LinAlgError after it.
+def _pivoted_elimination(A: BandedOperator, d, b) -> np.ndarray:
+    """Pivoted elimination of the right-hand sides b, shape (m, ..., n),
+    against m systems with the off-diagonals of A and the (m, n) complex
+    main diagonals d, which it overwrites; returns the solutions.  System
+    j swaps rows i and i+1 when |dl[i]| > |d[j, i]|, as LAPACK gtsv does.
+    du stays one float per row until a swap makes it depend on the system,
+    and a row where no system swaps skips the masks; each system sees the
+    arithmetic it would see alone.  A pivot is final once its step ends,
+    so a zero pivot raises LinAlgError after it.
     """
+    n = d.shape[-1]
+    x = np.zeros(b.shape[:-1] + (n + 2,), dtype=complex)   # x[n:] stay 0
+    x[..., :n] = b
     d, x = d.T, x.T                   # row i of every system: d[i], x[i]
-    n = d.shape[0]
     dl, du, du2 = A.sub.tolist(), A.sup.tolist() + [0.0], [0.0] * n
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(n - 1):
@@ -211,20 +215,19 @@ def _substitute(levels, f) -> np.ndarray:
     return x
 
 
-def _cyclic_reduction(A: BandedOperator, d, x,
+def _cyclic_reduction(A: BandedOperator, d, b,
                       refine: bool = True) -> np.ndarray:
     """Cyclic reduction (Buzbee, Golub & Nielson 1970) of the systems of
-    _pivoted_elimination, with the same arguments, plus (refine) one step
-    of iterative refinement through the stored multipliers.  It does not
-    pivot, so every row of every system must be strictly diagonally
-    dominant, a property each reduced system inherits (Heller 1976).  Every
-    operation is elementwise across systems, so each sees the arithmetic
-    it would see alone."""
+    _pivoted_elimination, with the same arguments (d is left as it is),
+    plus (refine) one step of iterative refinement through the stored
+    multipliers.  It does not pivot, so every row of every system must be
+    strictly diagonally dominant, a property each reduced system inherits
+    (Heller 1976).  Every operation is elementwise across systems, so each
+    sees the arithmetic it would see alone."""
     n = d.shape[-1]
-    b = x[..., :n]
     d = d.reshape(d.shape[:1] + (1,) * (b.ndim - 2) + (n,))
     levels = _reduce(-A.sub, d, -A.sup)
-    y = _substitute(levels, b.copy())
+    y = _substitute(levels, b.astype(complex, order="C"))
     if refine:
         r = b - d * y
         r[..., 1:] -= A.sub * y[..., :-1]
@@ -233,64 +236,32 @@ def _cyclic_reduction(A: BandedOperator, d, x,
     return y
 
 
-def _periodic_solve(A: BandedOperator, t, b: np.ndarray,
-                    kernel) -> np.ndarray:
+def _periodic_solve(A: BandedOperator, t, b: np.ndarray) -> np.ndarray:
     """Solve (A - i t_j I) y_j = b for a periodic tridiagonal A, one row
-    per shift t_j, with the elimination kernel for its tridiagonal part.
+    per shift t_j at which A - i t_j I is diagonally dominant (_dominant).
 
     A - i t I is T + u v^T with u = (g, 0, ..., 0, A[s-1, 0]),
     v = (1, 0, ..., 0, A[0, s-1] / g) and g = -(A[0, 0] - i t), so T is
     tridiagonal and differs only in T[0, 0] and T[s-1, s-1] (Temperton
-    1975).  With z = T^-1 u and w = T^-1 b, from one elimination over u
-    and b in place, Sherman-Morrison gives y = w - (v.w) / (1 + v.z) z.  A
-    y whose normwise backward error exceeds machine epsilon (T can be far
-    worse conditioned than A - i t I) takes one step of iterative
-    refinement, which reuses z.  A vanishing 1 + v.z raises LinAlgError.
+    1975).  T inherits the dominance, so cyclic reduction without
+    refinement gives z = T^-1 u and w = T^-1 b at once, and
+    Sherman-Morrison y = w - (v.w) / (1 + v.z) z.  A vanishing 1 + v.z
+    raises LinAlgError.
     """
     top, bottom = A.corners
     n, g = A.dimension, -(A.diag[0] - 1j * t)
-
-    def diagonal(j):
-        d = _shifted_diagonal(A, t[j])
-        d[:, 0] -= g[j]
-        d[:, -1] -= top * bottom / g[j]
-        return d
-
-    x = np.zeros((t.shape[0], 2, n + 2), dtype=complex)
-    x[:, 0, 0], x[:, 0, n - 1], x[:, 1, :n] = g, bottom, b
-    z, y = kernel(A, diagonal(slice(None)), x).transpose(1, 0, 2)
+    d = _shifted_diagonal(A, t)
+    d[:, 0] -= g
+    d[:, -1] -= top * bottom / g
+    x = np.zeros((t.shape[0], 2, n), dtype=complex)
+    x[:, 0, 0], x[:, 0, n - 1], x[:, 1] = g, bottom, b
+    z, y = _cyclic_reduction(A, d, x, refine=False).transpose(1, 0, 2)
     den = 1.0 + z[:, 0] + top / g * z[:, -1]
     if not den.all():
         raise np.linalg.LinAlgError(
             "shifted system is singular: the Sherman-Morrison denominator "
             "vanishes")
-
-    def correct(w, j):
-        w -= z[j] * ((w[:, 0] + top / g[j] * w[:, -1]) / den[j])[:, None]
-
-    correct(y, slice(None))
-    r = b - A.matvec(y) + 1j * t[:, None] * y
-    refine = np.abs(r).sum(axis=1) > np.finfo(float).eps * (
-        (A.norm1() + t) * np.abs(y).sum(axis=1) + np.abs(b).sum())
-    if refine.any():
-        step = kernel(A, diagonal(refine), np.pad(r[refine], ((0, 0), (0, 2))))
-        correct(step, refine)
-        y[refine] += step
-    return y
-
-
-def _complex_solve(A: BandedOperator, t, b: np.ndarray,
-                   kernel) -> np.ndarray:
-    """(A - i t_j I)^{-1} b, one row per shift t_j: numpy's LU per shift
-    for a dense A, else the elimination kernel on the bands."""
-    if A._dense is not None:
-        return np.array([np.linalg.solve(
-            A._dense - 1j * tj * np.eye(A.dimension), b) for tj in t])
-    if A.corners is not None:
-        return _periodic_solve(A, t, b, kernel)
-    x = np.zeros((t.shape[0], A.dimension + 2), dtype=complex)
-    x[:, :A.dimension] = b
-    return kernel(A, _shifted_diagonal(A, t), x)
+    return y - z * ((y[:, 0] + top / g * y[:, -1]) / den)[:, None]
 
 
 def _shifted_diagonal(A: BandedOperator, t) -> np.ndarray:
@@ -314,24 +285,35 @@ def _dominant(A: BandedOperator, t) -> np.ndarray:
     return t * t > np.max(r * r - A.diag * A.diag)
 
 
-def _kernel_groups(A: BandedOperator, t) -> list:
-    """(indices into t, kernel) for each call shifted_solve makes: one call
-    for a dense A; else cyclic reduction on the dominant shifts, in chunks
-    of max(1, _REDUCTION_ROWS // s), and the pivoted elimination on the
-    others, in two halves."""
-    if A._dense is not None:
-        return [(np.arange(t.shape[0]), None)]
-    dominant = _dominant(A, t)
-    reduced, pivoted = np.flatnonzero(dominant), np.flatnonzero(~dominant)
-    step = max(1, _REDUCTION_ROWS // A.dimension)
-    half = max(1, -(-pivoted.shape[0] // 2))
-    # the periodic path refines its Sherman-Morrison solution itself
-    reduction = (_cyclic_reduction if A.corners is None
-                 else functools.partial(_cyclic_reduction, refine=False))
-    return ([(reduced[lo:lo + step], reduction)
-             for lo in range(0, reduced.shape[0], step)]
-            + [(pivoted[lo:lo + half], _pivoted_elimination)
-               for lo in range(0, pivoted.shape[0], half)])
+def _complex_solves(A: BandedOperator, t, b: np.ndarray):
+    """Yield (indices into t, (A - i t_j I)^{-1} b with one row per index)
+    for each kernel call, every shift t_j routed as shifted_solve says."""
+    s = A.dimension
+    dominant = (np.zeros(t.shape, dtype=bool) if A._dense is not None
+                else _dominant(A, t))
+    reduced, others = np.flatnonzero(dominant), np.flatnonzero(~dominant)
+    if A.corners is not None and others.size and s > DENSE_CAP:
+        raise np.linalg.LinAlgError(
+            f"periodic shifted system at k = {round(t[others[0]] / TWO_PI)} "
+            f"is not diagonally dominant, and s = {s} exceeds DENSE_CAP")
+
+    def banded(kernel, j):
+        return j, kernel(A, _shifted_diagonal(A, t[j]),
+                         np.broadcast_to(b, (j.shape[0], s)))
+
+    step = max(1, _REDUCTION_ROWS // s)
+    for lo in range(0, reduced.shape[0], step):
+        j = reduced[lo:lo + step]
+        yield ((j, _periodic_solve(A, t[j], b)) if A.corners is not None
+               else banded(_cyclic_reduction, j))
+    if A.is_tridiagonal:
+        half = max(1, -(-others.shape[0] // 2))
+        for lo in range(0, others.shape[0], half):
+            yield banded(_pivoted_elimination, others[lo:lo + half])
+    elif others.size:
+        M = A.to_dense()
+        yield others, np.array([np.linalg.solve(M - 1j * tj * np.eye(s), b)
+                                for tj in t[others]])
 
 
 def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
@@ -340,18 +322,18 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
     An integer k gives x, shape (s,); a 1-D integer array of m k gives
     (m, s), each row bit for bit its single-k x.  With t = 2 pi k,
     (A - i t I)^{-1} b = A x + i t x for real A and b.  A dense A takes
-    numpy's LU per k.  On tridiagonal and periodic A, a k at which every
-    row of A - i t I is strictly diagonally dominant (_dominant) takes
-    cyclic reduction, in chunks of max(1, 2^14 // s) k: about log2(s)
-    vectorized levels, where the pivoted elimination loops over the s rows
-    in Python.  Every other k takes the pivoted elimination, in two calls
-    of ceil(m / 2) k, which halves its work arrays.  The work arrays peak
-    near 37 bytes per k and row, 44 if periodic (tracemalloc, s = 4096,
-    29 k).  On a 2-core x86-64 box, 58 k at s = 4096 take 0.03 s against
-    0.10-0.14 s for two pivoted calls, 208 k at s = 512 0.011-0.014 s
-    against 0.015-0.019 s, and 58 k at s = 2^16 0.41 s against 2.3 s.
-    ||(A - i t I)^{-1} b||_1 > ||b||_1 / POLE_TOL raises
+    numpy's pivoted LU per k.  On tridiagonal and periodic A, a k at which
+    every row of A - i t I is strictly diagonally dominant (_dominant)
+    takes cyclic reduction, about log2(s) vectorized levels, in chunks of
+    max(1, 2^14 // s) k: with one refinement step if A is tridiagonal,
+    inside Sherman-Morrison if periodic.  Every other k takes the pivoted
+    elimination, a Python loop over the rows, in two calls of
+    ceil(m / 2) k if A is tridiagonal, and numpy's pivoted LU of the dense
+    A - i t I if periodic: the Sherman-Morrison cut is stable only on
+    dominant k, so above DENSE_CAP such a k raises LinAlgError before any
+    solve.  ||(A - i t I)^{-1} b||_1 > ||b||_1 / POLE_TOL raises
     PoleProximityError: 2 pi k i lies within about POLE_TOL of spec(A).
+    A non-finite b raises ValueError.
     """
     ks = np.atleast_1d(k)
     if ks.ndim != 1 or ks.dtype.kind not in "iu":
@@ -363,9 +345,10 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
     if b.shape != (A.dimension,):
         raise ValueError(
             f"right-hand side has shape {b.shape}, expected ({A.dimension},)")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must be finite")
     x = np.empty((t.shape[0], A.dimension))
-    for j, kernel in _kernel_groups(A, t):
-        y = _complex_solve(A, t[j], b, kernel)
+    for j, y in _complex_solves(A, t, b):
         near = np.abs(y).sum(axis=1) > np.abs(b).sum() / POLE_TOL
         if near.any():
             raise PoleProximityError(
@@ -561,11 +544,6 @@ def _expm_dense(M: np.ndarray, phi1: bool = False) -> np.ndarray:
     return G if phi1 else E
 
 
-def _phi1_dense(M: np.ndarray) -> np.ndarray:
-    """phi_1(M) by the block form of the augmented exponential."""
-    return _expm_dense(M, phi1=True)
-
-
 def _phi1_solve(M: np.ndarray, taus, v: np.ndarray) -> list:
     """phi_1(M)^{-1} e^{tau M} v for each tau, with phi_1(M) formed once.
 
@@ -573,7 +551,7 @@ def _phi1_solve(M: np.ndarray, taus, v: np.ndarray) -> list:
     (and defined) when the spectrum clusters at the removable singularity,
     where e^M - I cancels catastrophically.
     """
-    phi = _phi1_dense(M)
+    phi = _expm_dense(M, phi1=True)
     z = [np.linalg.solve(phi, _expm_dense(t * M) @ v) for t in taus]
     if not all(np.isfinite(x).all() for x in z):
         # e^M overflows once M has an eigenvalue of real part near 1000

@@ -1,5 +1,6 @@
 """End-to-end runs of the experiment commands and their CSV contract."""
 
+import ast
 import csv
 import io
 import os
@@ -391,3 +392,23 @@ class TestPackageExports:
         assert len(names) == len(set(names))
         for name in names:
             assert hasattr(berngen, name), name
+
+    def test_runtime_imports_are_numpy_and_stdlib(self):
+        """The README promises numpy as the only runtime dependency; scipy
+        and sympy serve the tests as oracles only."""
+        package = os.path.dirname(berngen.__file__)
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    roots = [a.name.split(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    roots = [node.module.split(".")[0]]
+                else:
+                    continue
+                for root in roots:
+                    assert (root in sys.stdlib_module_names
+                            or root in ("numpy", "berngen")), (name, root)

@@ -18,7 +18,7 @@ from berngen.fourier import (ApproxParams, PoleProximityError, parity_signs,
                              reference_q)
 from berngen.matfunc import (DENSE_CAP, SPECTRAL_CAP, ActionPlan,
                              BandedOperator, G_action, _dominant, _expm_dense,
-                             _phi1_dense, g_action, h_action,
+                             _shifted_diagonal, g_action, h_action,
                              load_matrix_market, load_tridiagonal,
                              reference_solution, shifted_solve,
                              spectral_reference)
@@ -131,6 +131,23 @@ class TestBandedOperator:
                                        sub, corners=(0.0, 7.0))
         assert B.norm1() == 7.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_refused(self, bad):
+        """A NaN or infinite entry would only surface as a NaN solution or
+        a RuntimeWarning inside the shifted solve."""
+        bands = [np.ones(3), np.zeros(4), np.ones(3)]
+        for band in range(3):
+            with_bad = [b.copy() for b in bands]
+            with_bad[band][1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                BandedOperator.tridiagonal(*with_bad)
+        with pytest.raises(ValueError, match="finite"):
+            BandedOperator.tridiagonal(*bands, corners=(1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            BandedOperator.diagonal([1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            BandedOperator.dense([[1.0, bad], [0.0, 1.0]])
+
     def test_corner_validation(self):
         with pytest.raises(ValueError, match="dimension >= 3"):
             BandedOperator.tridiagonal([1.0], [1.0, 2.0], [1.0],
@@ -227,6 +244,21 @@ class TestShiftedSolve:
         assert np.array_equal(shifted_solve(A, np.int64(3), np.ones(8)),
                               shifted_solve(A, 3, np.ones(8)))
 
+    @pytest.mark.parametrize("kind", ["tridiagonal", "periodic", "dense"])
+    def test_non_finite_right_hand_side_refused(self, kind):
+        rng = np.random.default_rng(15)
+        A = (_random_periodic(rng, 6) if kind == "periodic"
+             else _random_tridiagonal(rng, 6))
+        if kind == "dense":
+            A = BandedOperator.dense(A.to_dense())
+        for bad in (np.nan, np.inf):
+            b = np.ones(6)
+            b[2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                shifted_solve(A, np.arange(1, 4), b)
+            with pytest.raises(ValueError, match="finite"):
+                ActionPlan(A, 2, 4, 1, b)
+
     @pytest.mark.parametrize("dense", [False, True])
     def test_right_hand_side_length_validated(self, dense):
         rng = np.random.default_rng(15)
@@ -267,7 +299,8 @@ class TestShiftedSolve:
     @pytest.mark.parametrize("s", [3, 4, 7, 12, 40])
     def test_periodic_matches_dense_path(self, s):
         """Off-diagonals and corners of modulus 30..60 against a diagonal
-        of at most 2 force row swaps in the eliminations."""
+        of at most 2: no k here is diagonally dominant, so each takes the
+        dense LU, as the dense operator does."""
         rng = np.random.default_rng(16 + s)
         for k in (1, 2, 4):
             for _ in range(6):
@@ -291,8 +324,9 @@ class TestShiftedSolve:
         """The residual bound of test_apply_inverts_solve on periodic
         operators, corners drawn like the off-diagonals.  In the explicit
         example A - 2 pi i I has condition number 1.5 but its tridiagonal
-        split T about 1.2e3: the plain Sherman-Morrison result misses the
-        bound (8.9e-14 of the scale), the refined one meets it (2e-18)."""
+        split T about 1.2e3: the Sherman-Morrison cut missed the bound
+        (8.9e-14 of the scale); the shift is not diagonally dominant, so it
+        takes the dense LU instead."""
         A = _random_periodic(np.random.default_rng(seed), s, off_range,
                              diag_scale)
         b = np.random.default_rng(seed + 1).uniform(-2, 2, s)
@@ -384,8 +418,8 @@ class TestShiftedSolve:
 
     def test_periodic_batch_meets_residual_bound(self):
         """k = 1..4 on the explicit example of
-        test_periodic_apply_inverts_solve, where k = 1 needs the
-        refinement step, held to the same residual bound."""
+        test_periodic_apply_inverts_solve, where the Sherman-Morrison cut
+        fails at k = 1, held to the same residual bound."""
         A = _random_periodic(np.random.default_rng(545), 4, (30.0, 60.0))
         b = np.random.default_rng(546).uniform(-2, 2, 4)
         ks = np.arange(1, 5)
@@ -432,27 +466,68 @@ class TestShiftedSolve:
         """Cyclic reduction takes exactly the k at which every row of
         A - 2 pi k i I is strictly diagonally dominant: every k on both
         heat operators and the radius-1e-8 circulant, k > 4 on the
-        radius-30 one, and k > 3 where 2 pi k must
-        beat the off-diagonal 6 pi."""
+        radius-30 one, and k > 3 where 2 pi k must beat the off-diagonal
+        6 pi.  The other k take a pivoted solve: the banded elimination on
+        a tridiagonal operator, numpy's dense LU on a periodic one."""
         paths = {}
 
         def recording(name, kernel):
-            def run(A, d, x, **kwargs):
+            def run(A, d, b, **kwargs):
                 k = np.rint(-d[:, 1].imag / TWO_PI).astype(int).tolist()
                 paths.update(dict.fromkeys(k, name))
-                return kernel(A, d, x, **kwargs)
+                return kernel(A, d, b, **kwargs)
             return run
+
+        def dense_lu(M, b, solve=np.linalg.solve):
+            paths[round(-M[1, 1].imag / TWO_PI)] = "dense LU"
+            return solve(M, b)
 
         for name in ("_pivoted_elimination", "_cyclic_reduction"):
             monkeypatch.setattr(berngen.matfunc, name, recording(
                 name, getattr(berngen.matfunc, name)))
+        monkeypatch.setattr(np.linalg, "solve", dense_lu)
         try:
             shifted_solve(A, np.arange(1, 9), np.ones(A.dimension))
         except np.linalg.LinAlgError:   # 6 pi i is an eigenvalue of the last
             pass
+        expect = ("dense LU" if A.corners is not None
+                  else "_pivoted_elimination")
         assert [k for k, name in sorted(paths.items())
-                if name == "_pivoted_elimination"] == pivoted
+                if name != "_cyclic_reduction"] == pivoted
+        assert {paths[k] for k in pivoted} <= {expect}
         assert sorted(paths) == list(range(1, 9))
+
+    @pytest.mark.parametrize("scale", [30.0, 1e8])
+    def test_non_dominant_circulant_solves(self, scale):
+        """Every eigenvalue lies on the circle of radius 30 (or 1e8), far
+        from 2 pi k i, yet the Sherman-Morrison cut's tridiagonal part
+        grows like (scale / 2 pi k)^s: at s = 64 the cut raised
+        PoleProximityError (radius 30) or overflowed (1e8).  k = 1..4
+        (radius 30) and k = 1..8 (1e8) are not diagonally dominant and
+        take the dense LU.  The suite fails on any RuntimeWarning."""
+        A = circulant_shift(64, scale)
+        M, b = A.to_dense(), np.random.default_rng(19).standard_normal(64)
+        ks = np.arange(1, 9)
+        for k, row in zip(ks, shifted_solve(A, ks, b)):
+            t = TWO_PI * k
+            expect = np.linalg.solve(M - 1j * t * np.eye(64), b).imag / t
+            assert np.linalg.norm(row - expect) <= 1e-14 * np.linalg.norm(
+                expect)
+
+    def test_non_dominant_periodic_above_dense_cap_refused(self):
+        """Above DENSE_CAP a non-dominant periodic shift raises LinAlgError
+        before any solve: no s x s matrix, no RuntimeWarning (which fails
+        the suite)."""
+        s = 2 * DENSE_CAP
+        A, b = circulant_shift(s, 30.0), np.ones(s)
+        tracemalloc.start()
+        try:
+            with pytest.raises(np.linalg.LinAlgError, match="DENSE_CAP"):
+                shifted_solve(A, 1, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * 8.0 * s * s
 
     @pytest.mark.parametrize("grid, measured", [
         (uniform_grid(24.0, 512), 3.34e-15),
@@ -481,7 +556,8 @@ class TestShiftedSolve:
         errors = {}
         for kernel in (berngen.matfunc._cyclic_reduction,
                        berngen.matfunc._pivoted_elimination):
-            x = berngen.matfunc._complex_solve(A, t, f, kernel).imag
+            x = kernel(A, _shifted_diagonal(A, t),
+                       np.broadcast_to(f, (len(t), len(f)))).imag
             got = f - t[:, None] * x
             errors[kernel] = (np.abs(got - expect).max(axis=1)
                               / np.abs(expect).max(axis=1)).astype(float)
@@ -508,10 +584,9 @@ class TestWorkMemory:
     @pytest.mark.parametrize("kind, per_shift", [("tridiagonal", 40.0),
                                                  ("periodic", 70.0)])
     def test_solve_bytes_per_shift_and_row(self, kind, per_shift):
-        """The tridiagonal elimination measured 35 bytes per shift and
-        row and the periodic one 67, both without refinement: the
-        periodic one eliminates u and b in place against one copy of the
-        diagonals."""
+        """The tridiagonal path measured 34 bytes per shift and row and
+        the periodic one 42: the periodic one reduces u and b at once
+        against one copy of the diagonals."""
         A = (discretize_laplacian(uniform_grid(192.0, self.S))
              if kind == "tridiagonal" else circulant_shift(self.S, 1e-8))
         f = np.random.default_rng(9).standard_normal(self.S)
@@ -534,7 +609,7 @@ class TestWorkMemory:
         peaks at 44 n^2."""
         n = 256
         M = 10.0 * np.random.default_rng(9).standard_normal((n, n))
-        peak = self._peak(lambda: _phi1_dense(M))
+        peak = self._peak(lambda: _expm_dense(M, phi1=True))
         assert peak <= 26.0 * 8.0 * n * n
 
 
@@ -1014,20 +1089,20 @@ class TestPhiOne:
         for k in range(1, 20):
             expect += term / math.factorial(k)
             term = term @ M
-        got = _phi1_dense(M)
+        got = _expm_dense(M, phi1=True)
         assert np.linalg.norm(got - expect) <= 1e-14
 
     def test_defining_identity(self):
         """M phi_1(M) = e^M - I at moderate scale."""
         rng = np.random.default_rng(51)
         M = rng.standard_normal((10, 10))
-        lhs = M @ _phi1_dense(M)
+        lhs = M @ _expm_dense(M, phi1=True)
         rhs = _expm_dense(M) - np.eye(10)
         assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
     def test_scalar_value(self):
         a = 0.37
-        got = _phi1_dense(np.array([[a]]))[0, 0]
+        got = _expm_dense(np.array([[a]]), phi1=True)[0, 0]
         assert abs(got - (math.exp(a) - 1.0) / a) < 1e-15
 
     # Each bound below is three times the larger relative difference from
@@ -1036,14 +1111,14 @@ class TestPhiOne:
 
     @staticmethod
     def _check_augmented(M, measured):
-        """_phi1_dense against the upper-right block of scipy's expm of
-        the explicit 2n x 2n matrix [[M, I], [0, 0]]."""
+        """_expm_dense(M, phi1=True) against the upper-right block of
+        scipy's expm of the explicit 2n x 2n matrix [[M, I], [0, 0]]."""
         n = M.shape[0]
         B = np.zeros((2 * n, 2 * n))
         B[:n, :n] = M
         B[:n, n:] = np.eye(n)
         ref = scipy.linalg.expm(B)[:n, n:]
-        got = _phi1_dense(M)
+        got = _expm_dense(M, phi1=True)
         assert np.max(np.abs(got - ref)) <= 3.0 * measured * np.max(
             np.abs(ref))
 
@@ -1411,6 +1486,17 @@ class TestMatrixMarketLoader:
                                              [-1.0, 0.0, 0.0],
                                              [0.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("entries", ["2 2 1.0\n1 2 nan",
+                                         "2 2 1.0\n4 1 -inf",
+                                         "1 3 1.0\n1 1 inf"])
+    def test_non_finite_entry_refused(self, tmp_path, entries):
+        """A tridiagonal, a periodic and a dense pattern alike."""
+        f = tmp_path / "bad.mtx"
+        f.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     f"4 4 2\n{entries}\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_matrix_market(str(f))
+
     def test_off_band_entry_stays_dense(self, tmp_path):
         f = tmp_path / "off.mtx"
         f.write_text(
@@ -1436,6 +1522,12 @@ class TestTridiagonalLoader:
         f.write_text("\n".join(rows) + "\n")
         B = load_tridiagonal(str(f))
         assert np.array_equal(B.to_dense(), A.to_dense())
+
+    def test_non_finite_entry_refused(self, tmp_path):
+        f = tmp_path / "nan.txt"
+        f.write_text("0 -2 1\n1 nan 1\n1 -2 0\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_tridiagonal(str(f))
 
     def test_column_count_checked(self, tmp_path):
         f = tmp_path / "bad.txt"
