@@ -236,9 +236,10 @@ def _cyclic_reduction(A: BandedOperator, d, b,
     return y
 
 
-def _periodic_solve(A: BandedOperator, t, b: np.ndarray) -> np.ndarray:
-    """Solve (A - i t_j I) y_j = b for a periodic tridiagonal A, one row
-    per shift t_j at which A - i t_j I is diagonally dominant (_dominant).
+def _periodic_solve(A: BandedOperator, d, b) -> np.ndarray:
+    """The systems of _pivoted_elimination, with the same arguments (b of
+    shape (m, n)), for a periodic tridiagonal A; every row of every system
+    must be strictly diagonally dominant (_dominant).
 
     A - i t I is T + u v^T with u = (g, 0, ..., 0, A[s-1, 0]),
     v = (1, 0, ..., 0, A[0, s-1] / g) and g = -(A[0, 0] - i t), so T is
@@ -249,11 +250,10 @@ def _periodic_solve(A: BandedOperator, t, b: np.ndarray) -> np.ndarray:
     raises LinAlgError.
     """
     top, bottom = A.corners
-    n, g = A.dimension, -(A.diag[0] - 1j * t)
-    d = _shifted_diagonal(A, t)
+    n, g = A.dimension, -d[:, 0]
     d[:, 0] -= g
     d[:, -1] -= top * bottom / g
-    x = np.zeros((t.shape[0], 2, n), dtype=complex)
+    x = np.zeros((d.shape[0], 2, n), dtype=complex)
     x[:, 0, 0], x[:, 0, n - 1], x[:, 1] = g, bottom, b
     z, y = _cyclic_reduction(A, d, x, refine=False).transpose(1, 0, 2)
     den = 1.0 + z[:, 0] + top / g * z[:, -1]
@@ -302,10 +302,9 @@ def _complex_solves(A: BandedOperator, t, b: np.ndarray):
                          np.broadcast_to(b, (j.shape[0], s)))
 
     step = max(1, _REDUCTION_ROWS // s)
+    reduction = _cyclic_reduction if A.corners is None else _periodic_solve
     for lo in range(0, reduced.shape[0], step):
-        j = reduced[lo:lo + step]
-        yield ((j, _periodic_solve(A, t[j], b)) if A.corners is not None
-               else banded(_cyclic_reduction, j))
+        yield banded(reduction, reduced[lo:lo + step])
     if A.is_tridiagonal:
         half = max(1, -(-others.shape[0] // 2))
         for lo in range(0, others.shape[0], half):
