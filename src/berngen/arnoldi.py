@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matfunc import BandedOperator, _phi1_solve
+from .matfunc import BandedOperator, _phi1_solve, _vector
 
 #: happy-breakdown threshold, relative to ||A||_1
 BREAKDOWN_RTOL = 1e-14
@@ -36,7 +36,7 @@ def arnoldi_extend(A: BandedOperator, f, j: int) -> KrylovDecomposition:
         raise ValueError("j must be >= 1")
     if j > A.dimension:
         raise ValueError("j cannot exceed the operator dimension")
-    f = np.asarray(f, dtype=float)
+    f = _vector(A, f)
     beta = float(np.linalg.norm(f))
     if beta == 0.0:
         raise ValueError("starting vector must be nonzero")

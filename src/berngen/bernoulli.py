@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,19 +52,10 @@ def build_bernoulli_table(max_degree: int) -> BernoulliTable:
     )
 
 
-_shared: BernoulliTable = build_bernoulli_table(40)
-
-
-def shared_table(min_degree: int = 0) -> BernoulliTable:
-    """Process-wide table, regrown on demand.
-
-    Tables are immutable; a concurrent regrow merely rebinds the module
-    reference, so readers always see a consistent table.
-    """
-    global _shared
-    if _shared.max_degree < min_degree:
-        _shared = build_bernoulli_table(min_degree)
-    return _shared
+@functools.cache
+def shared_table() -> BernoulliTable:
+    """The process-wide table of degree DEGREE_CAP, built on first use."""
+    return build_bernoulli_table(DEGREE_CAP)
 
 
 def eval_bernoulli(table: BernoulliTable, k: int, tau: float) -> float:

@@ -134,6 +134,17 @@ class BandedOperator:
 _REDUCTION_ROWS = 2 ** 14
 
 
+def _vector(A: BandedOperator, f) -> np.ndarray:
+    """f as a float array of shape (s,); any other shape or a non-finite
+    entry raises ValueError."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (A.dimension,):
+        raise ValueError(f"f has shape {f.shape}, expected ({A.dimension},)")
+    if not np.isfinite(f).all():
+        raise ValueError("f must be finite")
+    return f
+
+
 def _pivoted_elimination(A: BandedOperator, d, b) -> np.ndarray:
     """Pivoted elimination of the right-hand sides b, shape (m, ..., n),
     against m systems with the off-diagonals of A and the (m, n) complex
@@ -332,7 +343,7 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
     dominant k, so above DENSE_CAP such a k raises LinAlgError before any
     solve.  ||(A - i t I)^{-1} b||_1 > ||b||_1 / POLE_TOL raises
     PoleProximityError: 2 pi k i lies within about POLE_TOL of spec(A).
-    A non-finite b raises ValueError.
+    A non-finite or wrong-length b raises ValueError before any solve.
     """
     ks = np.atleast_1d(k)
     if ks.ndim != 1 or ks.dtype.kind not in "iu":
@@ -340,12 +351,7 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
     if np.any(ks < 1):
         raise ValueError("k must be >= 1")
     t = TWO_PI * ks
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.dimension,):
-        raise ValueError(
-            f"right-hand side has shape {b.shape}, expected ({A.dimension},)")
-    if not np.isfinite(b).all():
-        raise ValueError("right-hand side must be finite")
+    b = _vector(A, b)
     x = np.empty((t.shape[0], A.dimension))
     for j, y in _complex_solves(A, t, b):
         near = np.abs(y).sum(axis=1) > np.abs(b).sum() / POLE_TOL
@@ -359,7 +365,7 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
 
 def _bernoulli_weights(p: int, tau: float) -> list:
     """B_j(tau) / j! for j < p: the weight of A^j f in the polynomial part."""
-    table = shared_table(p - 1)
+    table = shared_table()
     return [eval_bernoulli(table, j, tau) / math.factorial(j)
             for j in range(p)]
 
@@ -377,7 +383,7 @@ def h_action(A: BandedOperator, p: int, tau: float, f) -> np.ndarray:
     of sum_{k<p} B_k(tau) A^k / k! applied to f."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    f = np.asarray(f, dtype=float)
+    f = _vector(A, f)
     return _horner(A, [c * f for c in _bernoulli_weights(p, tau)])
 
 
@@ -397,7 +403,7 @@ class ActionPlan:
 
     def __init__(self, A: BandedOperator, p: int, N: int, ell: int, f,
                  scheme: str = "stabilized"):
-        self.A, self.f = A, np.asarray(f, dtype=float)
+        self.A, self.f = A, _vector(A, f)
         self._X = np.empty((0, A.dimension))
         self._build(p, N, ell, scheme)
 
@@ -566,14 +572,13 @@ def reference_solution(A: BandedOperator, tau, f) -> np.ndarray:
     independent of spectral_reference; no CLI command calls it, the tests
     check both oracles against each other.  tau may be an array: phi_1(A)
     is formed once and the result has shape tau.shape + (s,).  A
-    non-finite result raises FloatingPointError.
+    non-finite or wrong-length f raises ValueError before any Pade step; a
+    non-finite result, from overflow of e^A, raises FloatingPointError.
     """
     if A.dimension > DENSE_CAP:
         raise ValueError(
             f"dense reference capped at dimension {DENSE_CAP}")
-    f = np.asarray(f, dtype=float)
-    if f.shape != (A.dimension,):
-        raise ValueError(f"f has shape {f.shape}, expected ({A.dimension},)")
+    f = _vector(A, f)
     taus = np.asarray(tau, dtype=float)
     z = _phi1_solve(A.to_dense(), taus.flat, f)
     return np.reshape(z, taus.shape + f.shape)
@@ -625,12 +630,9 @@ def spectral_reference(A: BandedOperator, tau, f) -> np.ndarray:
     log D is a centred cumulative sum, so D stays finite on strongly
     stretched grids.  tau may be an array: the result has shape
     tau.shape + (s,), and every tau costs one row of a single inverse FFT
-    or GEMM.  Any other A raises ValueError.
+    or GEMM.  Any other A, or an f that _vector refuses, raises ValueError.
     """
-    s = A.dimension
-    f = np.asarray(f, dtype=float)
-    if f.shape != (s,):
-        raise ValueError(f"f has shape {f.shape}, expected ({s},)")
+    s, f = A.dimension, _vector(A, f)
     taus = np.asarray(tau, dtype=float)
     column = _circulant_column(A)
     if column is not None:

@@ -1,12 +1,16 @@
 """Exact-rational Bernoulli tables and the truncated generating series."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+import berngen
 from berngen.bernoulli import (DEGREE_CAP, build_bernoulli_table,
                                eval_bernoulli, lanczos_polynomial,
                                shared_table)
@@ -66,17 +70,31 @@ class TestExactCoefficients:
            st.floats(min_value=0.0, max_value=1.0))
     def test_reflection_symmetry(self, k, tau):
         """B_k(1 - tau) = (-1)^k B_k(tau)."""
-        table = shared_table(12)
+        table = shared_table()
         left = eval_bernoulli(table, k, 1.0 - tau)
         right = (-1.0) ** k * eval_bernoulli(table, k, tau)
         assert abs(left - right) <= 1e-10 * (1.0 + abs(right))
 
 
 class TestSharedTable:
-    def test_regrows_on_demand(self):
-        assert shared_table().max_degree >= 40
-        assert shared_table(50).max_degree >= 50
-        assert shared_table().max_degree >= 50
+    def test_one_table_of_cap_degree(self):
+        table = shared_table()
+        assert table.max_degree == DEGREE_CAP
+        assert all(shared_table() is table for _ in range(3))
+        assert table == build_bernoulli_table(DEGREE_CAP)
+
+    def test_import_builds_no_table(self):
+        # the child imports the same package as this process
+        src = os.path.dirname(os.path.dirname(berngen.__file__))
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import berngen; print(berngen.bernoulli"
+             ".shared_table.cache_info().currsize)"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
     def test_eval_range_checked(self):
         table = build_bernoulli_table(5)
@@ -88,24 +106,24 @@ class TestSharedTable:
 
 class TestLanczosPolynomial:
     def test_order_one_is_constant(self):
-        table = shared_table(0)
+        table = shared_table()
         for w in (0.0, 1.0, -7.5, 2 + 3j):
             assert lanczos_polynomial(table, 1, 0.3, w) == 1.0
 
     def test_midpoint_order_two(self):
         """B_1(1/2) = 0, so the order-2 polynomial is 1 for every w."""
-        table = shared_table(1)
+        table = shared_table()
         assert lanczos_polynomial(table, 2, 0.5, -123.0) == 1.0
 
     def test_order_four_at_zero(self):
         """1 - 1/2 + 1/12 + 0 = 7/12."""
-        table = shared_table(3)
+        table = shared_table()
         got = lanczos_polynomial(table, 4, 0.0, 1.0)
         assert abs(got - 7.0 / 12.0) < 1e-15
 
     def test_series_converges_to_q(self):
         """The full series reproduces q(tau, w) inside its disc."""
-        table = shared_table(40)
+        table = shared_table()
         for tau in (0.0, 0.3, 1.0):
             got = lanczos_polynomial(table, 41, tau, 1.0)
             assert abs(got - reference_q(tau, 1.0)) < 1e-12

@@ -622,7 +622,7 @@ class TestPolynomialAction:
 
     def test_scalar_matches_polynomial(self):
         from berngen.bernoulli import lanczos_polynomial, shared_table
-        table = shared_table(7)
+        table = shared_table()
         A = BandedOperator.diagonal([1.3])
         for p in (1, 2, 5, 8):
             got = h_action(A, p, 0.4, np.array([1.0]))[0]
@@ -634,7 +634,7 @@ class TestPolynomialAction:
         A = _random_tridiagonal(rng, 6)
         f = rng.standard_normal(6)
         M = A.to_dense()
-        table = shared_table(5)
+        table = shared_table()
         expect = np.zeros(6)
         for k in range(6):
             expect += (eval_bernoulli(table, k, 0.3) / math.factorial(k)) * (
@@ -1402,6 +1402,42 @@ class TestSpectralReference:
                                        np.ones(s - 1))
         with pytest.raises(ValueError, match="capped"):
             spectral_reference(A, 0.5, np.ones(s))
+
+
+_RHS_ENTRIES = {
+    "shifted_solve": lambda A, f: shifted_solve(A, np.arange(1, 4), f),
+    "ActionPlan": lambda A, f: ActionPlan(A, 2, 4, 1, f),
+    "h_action": lambda A, f: h_action(A, 3, 0.3, f),
+    "spectral_reference-eigh": lambda A, f: spectral_reference(A, 0.3, f),
+    "spectral_reference-fft": lambda A, f: spectral_reference(A, 0.3, f),
+    "reference_solution": lambda A, f: reference_solution(A, 0.3, f),
+    "arnoldi_extend": lambda A, f: arnoldi_extend(A, f, 3),
+}
+
+
+class TestRightHandSideGate:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "length"])
+    @pytest.mark.parametrize("entry", sorted(_RHS_ENTRIES))
+    def test_bad_f_refused_before_any_work(self, monkeypatch, entry, bad):
+        """Every entry point taking f refuses a NaN, a +inf or a wrong
+        length with ValueError before any solve, eigendecomposition, FFT
+        or Pade step: each of those fails the test if it runs."""
+        A = (circulant_shift(8, 1.0) if entry.endswith("fft")
+             else discretize_laplacian(uniform_grid(1.0, 8)))
+        f = np.ones(7 if bad == "length" else 8)
+        if bad != "length":
+            f[3] = float(bad)
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before f was checked")
+        for name in ("_complex_solves", "_expm_dense"):
+            monkeypatch.setattr(berngen.matfunc, name, never)
+        monkeypatch.setattr(np.linalg, "eigh", never)
+        monkeypatch.setattr(np.fft, "fft", never)
+        with pytest.raises(ValueError,
+                           match=r"expected \(8,\)" if bad == "length"
+                           else "finite"):
+            _RHS_ENTRIES[entry](A, f)
 
 
 class TestMatrixMarketLoader:
