@@ -23,6 +23,9 @@ DENSE_CAP = 1024
 #: s = 2048 on one core, so ~15 s at 4096) and the eigenvectors s^2 doubles
 SPECTRAL_CAP = 4096
 
+#: spectral_reference's largest max(D) / min(D); its error grows like eps x it
+SCALING_CAP = 1e6
+
 
 class BandedOperator:
     """Real square operator stored as tridiagonal bands or a dense matrix.
@@ -149,25 +152,19 @@ def _pivoted_elimination(A: BandedOperator, d, b) -> np.ndarray:
     """Pivoted elimination of the right-hand sides b, shape (m, ..., n),
     against m systems with the off-diagonals of A and the (m, n) complex
     main diagonals d, which it overwrites; returns the solutions.  System
-    j swaps rows i and i+1 when |dl[i]| > |d[j, i]|, as LAPACK gtsv does.
-    du stays one float per row until a swap makes it depend on the system,
-    and a row where no system swaps skips the masks; each system sees the
-    arithmetic it would see alone.  A pivot is final once its step ends,
-    so a zero pivot raises LinAlgError after it.
+    j swaps rows i and i+1 when |dl[i]| > |d[j, i]|, as LAPACK gtsv does,
+    through a mask, so each system sees the arithmetic it would see alone.
+    Errors are ignored: a zero pivot or an overflow leaves a non-finite
+    solution for shifted_solve to refuse.
     """
     n = d.shape[-1]
     x = np.zeros(b.shape[:-1] + (n + 2,), dtype=complex)   # x[n:] stay 0
     x[..., :n] = b
     d, x = d.T, x.T                   # row i of every system: d[i], x[i]
     dl, du, du2 = A.sub.tolist(), A.sup.tolist() + [0.0], [0.0] * n
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         for i in range(n - 1):
             swap = np.abs(d[i]) < abs(dl[i])
-            if not swap.any():
-                mult = dl[i] / d[i]
-                d[i + 1] -= mult * du[i]
-                x[i + 1] -= mult * x[i]
-                continue
             mult = np.where(swap, d[i] / dl[i], dl[i] / d[i])
             pivot = np.where(swap, du[i] - mult * d[i + 1],
                              d[i + 1] - mult * du[i])
@@ -178,11 +175,8 @@ def _pivoted_elimination(A: BandedOperator, d, b) -> np.ndarray:
             x[i], x[i + 1] = (np.where(swap, x[i + 1], x[i]),
                               np.where(swap, x[i] - mult * x[i + 1],
                                        x[i + 1] - mult * x[i]))
-    if not d.all():
-        raise np.linalg.LinAlgError("shifted system is singular at column "
-                                    f"{np.argwhere(d == 0)[0, 0]}")
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+        for i in range(n - 1, -1, -1):
+            x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
     return x[:n].T
 
 
@@ -258,7 +252,7 @@ def _periodic_solve(A: BandedOperator, d, b) -> np.ndarray:
     1975).  T inherits the dominance, so cyclic reduction without
     refinement gives z = T^-1 u and w = T^-1 b at once, and
     Sherman-Morrison y = w - (v.w) / (1 + v.z) z.  A vanishing 1 + v.z
-    raises LinAlgError.
+    leaves a non-finite solution for shifted_solve to refuse.
     """
     top, bottom = A.corners
     n, g = A.dimension, -d[:, 0]
@@ -268,11 +262,8 @@ def _periodic_solve(A: BandedOperator, d, b) -> np.ndarray:
     x[:, 0, 0], x[:, 0, n - 1], x[:, 1] = g, bottom, b
     z, y = _cyclic_reduction(A, d, x, refine=False).transpose(1, 0, 2)
     den = 1.0 + z[:, 0] + top / g * z[:, -1]
-    if not den.all():
-        raise np.linalg.LinAlgError(
-            "shifted system is singular: the Sherman-Morrison denominator "
-            "vanishes")
-    return y - z * ((y[:, 0] + top / g * y[:, -1]) / den)[:, None]
+    with np.errstate(all="ignore"):
+        return y - z * ((y[:, 0] + top / g * y[:, -1]) / den)[:, None]
 
 
 def _shifted_diagonal(A: BandedOperator, t) -> np.ndarray:
@@ -316,10 +307,8 @@ def _complex_solves(A: BandedOperator, t, b: np.ndarray):
     reduction = _cyclic_reduction if A.corners is None else _periodic_solve
     for lo in range(0, reduced.shape[0], step):
         yield banded(reduction, reduced[lo:lo + step])
-    if A.is_tridiagonal:
-        half = max(1, -(-others.shape[0] // 2))
-        for lo in range(0, others.shape[0], half):
-            yield banded(_pivoted_elimination, others[lo:lo + half])
+    if A.is_tridiagonal and others.size:
+        yield banded(_pivoted_elimination, others)
     elif others.size:
         M = A.to_dense()
         yield others, np.array([np.linalg.solve(M - 1j * tj * np.eye(s), b)
@@ -337,13 +326,15 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
     takes cyclic reduction, about log2(s) vectorized levels, in chunks of
     max(1, 2^14 // s) k: with one refinement step if A is tridiagonal,
     inside Sherman-Morrison if periodic.  Every other k takes the pivoted
-    elimination, a Python loop over the rows, in two calls of
-    ceil(m / 2) k if A is tridiagonal, and numpy's pivoted LU of the dense
-    A - i t I if periodic: the Sherman-Morrison cut is stable only on
-    dominant k, so above DENSE_CAP such a k raises LinAlgError before any
-    solve.  ||(A - i t I)^{-1} b||_1 > ||b||_1 / POLE_TOL raises
-    PoleProximityError: 2 pi k i lies within about POLE_TOL of spec(A).
-    A non-finite or wrong-length b raises ValueError before any solve.
+    elimination, a Python loop over the rows, in one call if A is
+    tridiagonal, and numpy's pivoted LU of the dense A - i t I if periodic:
+    the Sherman-Morrison cut is stable only on dominant k, so above
+    DENSE_CAP such a k raises LinAlgError before any solve.  Only here,
+    apart from numpy's LU, is a system refused: a non-finite solution
+    raises LinAlgError, then ||(A - i t I)^{-1} b||_1 > ||b||_1 / POLE_TOL
+    raises PoleProximityError: 2 pi k i lies within about POLE_TOL of
+    spec(A), or of its pseudospectrum if A is non-normal.  A non-finite
+    or wrong-length b raises ValueError before any solve.
     """
     ks = np.atleast_1d(k)
     if ks.ndim != 1 or ks.dtype.kind not in "iu":
@@ -354,11 +345,15 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
     b = _vector(A, b)
     x = np.empty((t.shape[0], A.dimension))
     for j, y in _complex_solves(A, t, b):
-        near = np.abs(y).sum(axis=1) > np.abs(b).sum() / POLE_TOL
+        norm = np.abs(y).sum(axis=1)
+        bad, near = ~np.isfinite(norm), norm > np.abs(b).sum() / POLE_TOL
+        if bad.any():
+            raise np.linalg.LinAlgError(
+                f"shifted solution at k = {ks[j][bad][0]} is not finite")
         if near.any():
             raise PoleProximityError(
-                f"2 pi i k is within about {POLE_TOL} of the spectrum at "
-                f"k = {ks[j][near][0]}")
+                f"2 pi i k is within about {POLE_TOL} of the spectrum (for a "
+                f"non-normal A, the pseudospectrum) at k = {ks[j][near][0]}")
         x[j] = y.imag / t[j, None]
     return x.reshape(np.shape(k) + (A.dimension,))
 
@@ -628,9 +623,9 @@ def spectral_reference(A: BandedOperator, tau, f) -> np.ndarray:
     similar to the symmetric S = D^-1 A D, so with S = Q Lambda Q^T
     q(tau, A) f = D Q q(tau, Lambda) Q^T D^-1 f, up to SPECTRAL_CAP.
     log D is a centred cumulative sum, so D stays finite on strongly
-    stretched grids.  tau may be an array: the result has shape
-    tau.shape + (s,), and every tau costs one row of a single inverse FFT
-    or GEMM.  Any other A, or an f that _vector refuses, raises ValueError.
+    stretched grids, but max(D) / min(D) > SCALING_CAP raises ValueError.
+    An array tau gives shape tau.shape + (s,), one row of an inverse FFT or
+    GEMM per tau.  Another A, or an f _vector refuses, raises ValueError.
     """
     s, f = A.dimension, _vector(A, f)
     taus = np.asarray(tau, dtype=float)
@@ -650,6 +645,9 @@ def spectral_reference(A: BandedOperator, tau, f) -> np.ndarray:
     # D^-1 A D is symmetric when d[i+1] / d[i] = sqrt(sub[i] / sup[i])
     logd = np.concatenate(([0.0], np.cumsum(
         0.5 * (np.log(np.abs(A.sub)) - np.log(np.abs(A.sup))))))
+    if logd.max() - logd.min() > math.log(SCALING_CAP):
+        raise ValueError(f"spectral reference needs max(D) / min(D) <= "
+                         f"{SCALING_CAP:g}, with D^-1 A D symmetric")
     d = np.exp(logd - 0.5 * (logd.max() + logd.min()))
     off = np.sign(A.sup) * np.sqrt(A.sub * A.sup)
     S = BandedOperator.tridiagonal(off, A.diag, off).to_dense()

@@ -16,10 +16,10 @@ from berngen.bvp import (circulant_shift, discretize_laplacian,
                          geometric_grid, uniform_grid)
 from berngen.fourier import (ApproxParams, PoleProximityError, parity_signs,
                              reference_q)
-from berngen.matfunc import (DENSE_CAP, SPECTRAL_CAP, ActionPlan,
-                             BandedOperator, G_action, _dominant, _expm_dense,
-                             _shifted_diagonal, g_action, h_action,
-                             load_matrix_market, load_tridiagonal,
+from berngen.matfunc import (DENSE_CAP, SCALING_CAP, SPECTRAL_CAP,
+                             ActionPlan, BandedOperator, G_action, _dominant,
+                             _expm_dense, _shifted_diagonal, g_action,
+                             h_action, load_matrix_market, load_tridiagonal,
                              reference_solution, shifted_solve,
                              spectral_reference)
 
@@ -454,6 +454,31 @@ class TestShiftedSolve:
             with pytest.raises(error):
                 shifted_solve(A, np.arange(1, 6), f)
 
+    @staticmethod
+    def _non_normal(s):
+        """tridiag(1.9, 2, 300): real spectrum in [-45.7, 49.7], but so far
+        from normal that its pseudospectrum reaches 2 pi k i."""
+        return BandedOperator.tridiagonal(1.9 * np.ones(s - 1),
+                                          2.0 * np.ones(s),
+                                          300.0 * np.ones(s - 1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s, k", [(512, 1), (2048, 1), (2048, 11)])
+    def test_non_finite_solution_raises(self, s, k):
+        """The pivoted elimination overflows to NaN rows here, which no
+        pivot check and no ||y||_1 bound saw: the solve returned them
+        with only a RuntimeWarning."""
+        with pytest.raises(np.linalg.LinAlgError, match=f"k = {k} "):
+            shifted_solve(self._non_normal(s), k, np.ones(s))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_solution_fails_the_plan(self):
+        """The same operator at s = 2048 gave a plan whose evaluate held
+        1,752 NaN entries."""
+        s = 2048
+        with pytest.raises(np.linalg.LinAlgError, match="k = 1 "):
+            plan = ActionPlan(self._non_normal(s), 2, 10, 0, np.ones(s))
+            plan.evaluate(0.3)
 
     @pytest.mark.parametrize("A, pivoted", [
         (discretize_laplacian(uniform_grid(24.0, 64)), []),
@@ -468,13 +493,15 @@ class TestShiftedSolve:
         heat operators and the radius-1e-8 circulant, k > 4 on the
         radius-30 one, and k > 3 where 2 pi k must beat the off-diagonal
         6 pi.  The other k take a pivoted solve: the banded elimination on
-        a tridiagonal operator, numpy's dense LU on a periodic one."""
-        paths = {}
+        a tridiagonal operator, in one call for all of them, and numpy's
+        dense LU on a periodic one."""
+        paths, calls = {}, []
 
         def recording(name, kernel):
             def run(A, d, b, **kwargs):
                 k = np.rint(-d[:, 1].imag / TWO_PI).astype(int).tolist()
                 paths.update(dict.fromkeys(k, name))
+                calls.append(name)
                 return kernel(A, d, b, **kwargs)
             return run
 
@@ -496,6 +523,8 @@ class TestShiftedSolve:
                 if name != "_cyclic_reduction"] == pivoted
         assert {paths[k] for k in pivoted} <= {expect}
         assert sorted(paths) == list(range(1, 9))
+        assert calls.count("_pivoted_elimination") == (
+            1 if pivoted and A.corners is None else 0)
 
     @pytest.mark.parametrize("scale", [30.0, 1e8])
     def test_non_dominant_circulant_solves(self, scale):
@@ -564,6 +593,54 @@ class TestShiftedSolve:
         reduced, pivoted = errors.values()
         assert np.median(reduced) <= np.median(pivoted)
         assert reduced.max() <= 3.0 * measured
+
+
+class TestNonDominantAtScale:
+    """The advection operator tridiag(51, -2, -49): k = 1..15 are not
+    diagonally dominant, so they take the pivoted elimination, and
+    sub * sup < 0, so spectral_reference refuses it.  Each bound is three
+    times the error measured when the test was written."""
+
+    @staticmethod
+    def _advection(s):
+        return BandedOperator.tridiagonal(51.0 * np.ones(s - 1),
+                                          -2.0 * np.ones(s),
+                                          -49.0 * np.ones(s - 1))
+
+    def test_route(self):
+        A = self._advection(64)
+        dominant = _dominant(A, TWO_PI * np.arange(1, 59))
+        assert not dominant[:15].any() and dominant[15:].all()
+        with pytest.raises(ValueError, match="sub"):
+            spectral_reference(A, 0.5, np.ones(64))
+
+    def test_plan_against_pade_reference(self):
+        s = 512
+        A = self._advection(s)
+        f = np.random.default_rng(7).standard_normal(s)
+        taus = (1.0 / 12.0, 1.0 / 6.0, 0.5, 11.0 / 12.0)
+        plan = ActionPlan(A, 2, 50, 4, f)
+        for tau, ref, error in zip(taus, reference_solution(A, taus, f),
+                                   (7.97e-9, 2.90e-11, 8.67e-14, 2.07e-8)):
+            z = plan.evaluate(tau)
+            assert np.max(np.abs(z - ref)) <= 3.0 * error * np.max(
+                np.abs(ref))
+
+    def test_solves_against_scipy_banded(self):
+        """k = 1..58 at s = 4096, the trajectory workload's shifts;
+        largest error 7.78e-14 relative in the max norm."""
+        s = 4096
+        A = self._advection(s)
+        f = np.random.default_rng(8).standard_normal(s)
+        ks = np.arange(1, 59)
+        ab = np.zeros((3, s), dtype=complex)
+        ab[0, 1:], ab[2, :-1] = A.sup, A.sub
+        for k, x in zip(ks, shifted_solve(A, ks, f)):
+            t = TWO_PI * k
+            ab[1] = A.diag - 1j * t
+            expect = scipy.linalg.solve_banded((1, 1), ab, f + 0j).imag / t
+            assert np.max(np.abs(x - expect)) <= 3.0 * 7.78e-14 * np.max(
+                np.abs(expect))
 
 
 class TestWorkMemory:
@@ -1389,6 +1466,23 @@ class TestSpectralReference:
         with pytest.raises(ValueError, match="sub"):
             spectral_reference(A, 0.5, np.ones(3))
         assert np.all(np.isfinite(reference_solution(A, 0.5, np.ones(3))))
+
+    def test_ill_conditioned_scaling_refused(self):
+        """tridiag(1.9, -2000, 300) needs a scaling D with
+        max(D) / min(D) = (300 / 1.9)^((s - 1) / 2): 3.1e5 at s = 6,
+        3.9e6 at s = 7.  Above SCALING_CAP the symmetrized eigh was off by
+        a factor of 1e23 at s = 64 and returned NaN at s = 1024."""
+        def operator(s):
+            return BandedOperator.tridiagonal(1.9 * np.ones(s - 1),
+                                              -2000.0 * np.ones(s),
+                                              300.0 * np.ones(s - 1))
+
+        assert SCALING_CAP == 1e6
+        assert np.all(np.isfinite(spectral_reference(operator(6), 0.3,
+                                                     np.ones(6))))
+        for s in (7, 64, 1024):
+            with pytest.raises(ValueError, match=r"max\(D\) / min\(D\)"):
+                spectral_reference(operator(s), 0.3, np.ones(s))
 
     def test_rhs_length_checked(self):
         A = self._heat("uniform", 8)
