@@ -8,8 +8,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .fourier import (TWO_PI, ApproxParams, _check_order, _modes,
-                      check_pole, g_approx, parity_signs)
+from .fourier import (TWO_PI, ApproxParams, _check_order, _check_tau,
+                      _modes, check_pole, g_approx, parity_signs)
 
 #: |1 - cos(2 pi tau)| below this leaves the correction denominators
 #: dominated by roundoff
@@ -86,6 +86,7 @@ def correction(p: int, N: int, ell: int, tau: float,
                w: complex) -> tuple[complex, complex]:
     """Depth-ell boundary correction (Gamma, Delta) of the order-p sum."""
     _check_order(p, N, ell)
+    _check_tau(tau)
     w = check_pole(w)
     bases = zip(*[_modes(p, N + i, w) for i in range(2 * ell + 1)])
     gamma, delta = (build_triangle(base, ell).pairs() for base in bases)

@@ -53,6 +53,12 @@ def _check_order(p: int, N: int, ell: int) -> None:
         raise ValueError("ell must be >= 0")
 
 
+def _check_tau(tau: float) -> None:
+    """Refuse a tau outside [0, 1], NaN included."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError("tau must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class ApproxParams:
     """The parameter tuple (p, N, ell, tau, w) shared by every approximation.
@@ -72,8 +78,7 @@ class ApproxParams:
 
     def __post_init__(self):
         _check_order(self.p, self.N, self.ell)
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError("tau must lie in [0, 1]")
+        _check_tau(self.tau)
         check_pole(self.w)
 
 
@@ -170,8 +175,6 @@ def residual_l2(p: int, w: complex, N: int, K: int) -> float:
         raise ValueError("N must be >= 0")
     if K < N:
         raise ValueError("K must be >= N")
-    if K == N:
-        return 0.0
     w = check_pole(w)
     g, d = _modes(p, np.arange(N + 1, K + 1, dtype=np.float64), w)
     mags = np.abs(g) ** 2 + np.abs(d) ** 2

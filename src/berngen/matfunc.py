@@ -10,7 +10,7 @@ import numpy as np
 from .acceleration import build_triangle, pair_weights
 from .bernoulli import eval_bernoulli, shared_table
 from .fourier import (POLE_TOL, TWO_PI, ApproxParams, PoleProximityError,
-                      _check_order, parity_signs)
+                      _check_order, _check_tau, parity_signs)
 
 #: 1-norm bound under which the degree-13 diagonal Pade approximant of the
 #: exponential is accurate to machine precision
@@ -133,8 +133,8 @@ class BandedOperator:
         return float(col.max())
 
 
-#: cyclic reduction takes its shifts in chunks of max(1, _REDUCTION_ROWS // s)
-_REDUCTION_ROWS = 2 ** 14
+#: solves and Z fills work in blocks of max(1, _WORK_ROWS // s) rows
+_WORK_ROWS = 2 ** 14
 
 
 def _vector(A: BandedOperator, f) -> np.ndarray:
@@ -246,12 +246,12 @@ def _periodic_solve(A: BandedOperator, d, b) -> np.ndarray:
     shape (m, n)), for a periodic tridiagonal A; every row of every system
     must be strictly diagonally dominant (_dominant).
 
-    A - i t I is T + u v^T with u = (g, 0, ..., 0, A[s-1, 0]),
-    v = (1, 0, ..., 0, A[0, s-1] / g) and g = -(A[0, 0] - i t), so T is
+    A - z I is T + u v^T with u = (g, 0, ..., 0, A[s-1, 0]),
+    v = (1, 0, ..., 0, A[0, s-1] / g) and g = -(A[0, 0] - z), so T is
     tridiagonal and differs only in T[0, 0] and T[s-1, s-1] (Temperton
     1975).  T inherits the dominance, so cyclic reduction without
-    refinement gives z = T^-1 u and w = T^-1 b at once, and
-    Sherman-Morrison y = w - (v.w) / (1 + v.z) z.  A vanishing 1 + v.z
+    refinement gives c = T^-1 u and w = T^-1 b at once, and
+    Sherman-Morrison y = w - (v.w) / (1 + v.c) c.  A vanishing 1 + v.c
     leaves a non-finite solution for shifted_solve to refuse.
     """
     top, bottom = A.corners
@@ -260,50 +260,53 @@ def _periodic_solve(A: BandedOperator, d, b) -> np.ndarray:
     d[:, -1] -= top * bottom / g
     x = np.zeros((d.shape[0], 2, n), dtype=complex)
     x[:, 0, 0], x[:, 0, n - 1], x[:, 1] = g, bottom, b
-    z, y = _cyclic_reduction(A, d, x, refine=False).transpose(1, 0, 2)
-    den = 1.0 + z[:, 0] + top / g * z[:, -1]
+    c, y = _cyclic_reduction(A, d, x, refine=False).transpose(1, 0, 2)
+    den = 1.0 + c[:, 0] + top / g * c[:, -1]
     with np.errstate(all="ignore"):
-        return y - z * ((y[:, 0] + top / g * y[:, -1]) / den)[:, None]
+        return y - c * ((y[:, 0] + top / g * y[:, -1]) / den)[:, None]
 
 
-def _shifted_diagonal(A: BandedOperator, t) -> np.ndarray:
-    """The diagonals of A - i t_j I, one row per shift t_j."""
-    d = np.empty((t.shape[0], A.dimension), dtype=complex)
-    d.real, d.imag = A.diag, -t[:, None]
-    return d
-
-
-def _dominant(A: BandedOperator, t) -> np.ndarray:
-    """True for each shift t at which every row of A - i t I is strictly
-    diagonally dominant, |A[i, i] - i t| > r_i with r_i the sum of the
-    off-diagonal moduli of row i, corners included; that is
-    t^2 > max_i (r_i^2 - A[i, i]^2).  For a periodic A it implies the same
-    of the tridiagonal part T that _periodic_solve eliminates."""
+def _dominant(A: BandedOperator, z) -> np.ndarray:
+    """True for each complex shift z_j at which every row of A - z_j I is
+    strictly diagonally dominant, |A[i, i] - z_j| > r_i with r_i the sum of
+    the off-diagonal moduli of row i, corners included; that is
+    Im(z_j)^2 > max_i (r_i^2 - (A[i, i] - Re z_j)^2), one O(s) pass per
+    distinct real part.  For a periodic A it implies the same of the
+    tridiagonal part T that _periodic_solve eliminates."""
     r = np.zeros(A.dimension)
     r[1:] += np.abs(A.sub)
     r[:-1] += np.abs(A.sup)
     if A.corners is not None:
         r[[0, -1]] += np.abs(A.corners)
-    return t * t > np.max(r * r - A.diag * A.diag)
+    real, inverse = np.unique(z.real, return_inverse=True)
+    gap = np.array([np.max(r * r - np.square(A.diag - x)) for x in real])
+    return z.imag * z.imag > gap[inverse]
 
 
-def _complex_solves(A: BandedOperator, t, b: np.ndarray):
-    """Yield (indices into t, (A - i t_j I)^{-1} b with one row per index)
-    for each kernel call, every shift t_j routed as shifted_solve says."""
+def _complex_solves(A: BandedOperator, z, b: np.ndarray):
+    """Yield (indices into z, (A - z_j I)^{-1} b with one row per index)
+    for each kernel call, over a 1-D array z of complex shifts.  A dense A
+    takes numpy's pivoted LU per shift.  On a banded A a dominant z_j
+    (_dominant) takes cyclic reduction in chunks of max(1, _WORK_ROWS // s)
+    shifts, refined once if A is tridiagonal, inside Sherman-Morrison if
+    periodic.  Every other z_j takes the pivoted elimination, in one call,
+    if A is tridiagonal, and numpy's LU of the dense A - z_j I if periodic:
+    the cut is stable only on dominant shifts, so above DENSE_CAP such a
+    z_j raises LinAlgError before any solve."""
     s = A.dimension
-    dominant = (np.zeros(t.shape, dtype=bool) if A._dense is not None
-                else _dominant(A, t))
+    dominant = (np.zeros(z.shape, dtype=bool) if A._dense is not None
+                else _dominant(A, z))
     reduced, others = np.flatnonzero(dominant), np.flatnonzero(~dominant)
     if A.corners is not None and others.size and s > DENSE_CAP:
         raise np.linalg.LinAlgError(
-            f"periodic shifted system at k = {round(t[others[0]] / TWO_PI)} "
-            f"is not diagonally dominant, and s = {s} exceeds DENSE_CAP")
+            f"periodic shifted system at z = {z[others[0]]} is not "
+            f"diagonally dominant, and s = {s} exceeds DENSE_CAP")
 
     def banded(kernel, j):
-        return j, kernel(A, _shifted_diagonal(A, t[j]),
+        return j, kernel(A, A.diag - z[j, None],
                          np.broadcast_to(b, (j.shape[0], s)))
 
-    step = max(1, _REDUCTION_ROWS // s)
+    step = max(1, _WORK_ROWS // s)
     reduction = _cyclic_reduction if A.corners is None else _periodic_solve
     for lo in range(0, reduced.shape[0], step):
         yield banded(reduction, reduced[lo:lo + step])
@@ -311,8 +314,8 @@ def _complex_solves(A: BandedOperator, t, b: np.ndarray):
         yield banded(_pivoted_elimination, others)
     elif others.size:
         M = A.to_dense()
-        yield others, np.array([np.linalg.solve(M - 1j * tj * np.eye(s), b)
-                                for tj in t[others]])
+        yield others, np.array([np.linalg.solve(M - zj * np.eye(s), b)
+                                for zj in z[others]])
 
 
 def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
@@ -320,17 +323,11 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
 
     An integer k gives x, shape (s,); a 1-D integer array of m k gives
     (m, s), each row bit for bit its single-k x.  With t = 2 pi k,
-    (A - i t I)^{-1} b = A x + i t x for real A and b.  A dense A takes
-    numpy's pivoted LU per k.  On tridiagonal and periodic A, a k at which
-    every row of A - i t I is strictly diagonally dominant (_dominant)
-    takes cyclic reduction, about log2(s) vectorized levels, in chunks of
-    max(1, 2^14 // s) k: with one refinement step if A is tridiagonal,
-    inside Sherman-Morrison if periodic.  Every other k takes the pivoted
-    elimination, a Python loop over the rows, in one call if A is
-    tridiagonal, and numpy's pivoted LU of the dense A - i t I if periodic:
-    the Sherman-Morrison cut is stable only on dominant k, so above
-    DENSE_CAP such a k raises LinAlgError before any solve.  Only here,
-    apart from numpy's LU, is a system refused: a non-finite solution
+    (A - i t I)^{-1} b = A x + i t x for real A and b, so x is the
+    imaginary part of _complex_solves at the shifts z = i t, over t.
+    Both heat operators and the CLI circulant take cyclic reduction at
+    every k.  Only here, apart from numpy's LU and the DENSE_CAP refusal
+    of _complex_solves, is a system refused: a non-finite solution
     raises LinAlgError, then ||(A - i t I)^{-1} b||_1 > ||b||_1 / POLE_TOL
     raises PoleProximityError: 2 pi k i lies within about POLE_TOL of
     spec(A), or of its pseudospectrum if A is non-normal.  A non-finite
@@ -344,7 +341,7 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
     t = TWO_PI * ks
     b = _vector(A, b)
     x = np.empty((t.shape[0], A.dimension))
-    for j, y in _complex_solves(A, t, b):
+    for j, y in _complex_solves(A, 1j * t, b):
         norm = np.abs(y).sum(axis=1)
         bad, near = ~np.isfinite(norm), norm > np.abs(b).sum() / POLE_TOL
         if bad.any():
@@ -378,6 +375,7 @@ def h_action(A: BandedOperator, p: int, tau: float, f) -> np.ndarray:
     of sum_{k<p} B_k(tau) A^k / k! applied to f."""
     if p < 1:
         raise ValueError("p must be >= 1")
+    _check_tau(tau)
     f = _vector(A, f)
     return _horner(A, [c * f for c in _bernoulli_weights(p, tau)])
 
@@ -433,7 +431,7 @@ class ActionPlan:
             X = np.concatenate((self._X, X))
         Z = np.empty((2 + 2 * M, s))
         Z[:2 + 2 * have] = self._Z if have else (f, A.matvec(f))
-        YD, step = Z[2:].reshape(M, 2, s), max(1, 2 ** 15 // s)
+        YD, step = Z[2:].reshape(M, 2, s), max(1, _WORK_ROWS // s)
         for lo in range(have, M, step):
             tk = TWO_PI * np.arange(lo + 1, min(lo + step, M) + 1)[:, None]
             YD[lo:lo + step, 0] = f - tk ** 2 * X[lo:lo + step]
@@ -449,8 +447,7 @@ class ActionPlan:
         A^{p-2} to it, A to a GEMV over X (p = 1), or A^p and A^{p+1} to
         two ('direct').
         """
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError("tau must lie in [0, 1]")
+        _check_tau(tau)
         p, N, X = self.p, self.N, self._X
         tk = TWO_PI * np.arange(1, len(X) + 1)
         trig = np.zeros((2, len(X)))

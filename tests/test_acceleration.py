@@ -12,6 +12,7 @@ from berngen.acceleration import (G_approx, TauEndpointError, build_triangle,
 from berngen.fourier import (ApproxParams, PoleProximityError, _modes,
                              g_approx, lanczos_coefficients, parity_signs,
                              reference_q)
+from berngen.matfunc import ActionPlan, BandedOperator, h_action
 
 TWO_PI = 2.0 * math.pi
 
@@ -208,6 +209,26 @@ class TestLeadingErrorTerm:
         sc, _ = parity_signs(p)
         assert leading_error_term(p, N, tau, w) == (
             2.0 * sc * correction(p, N, 1, tau, w)[0])
+
+
+_A = BandedOperator.diagonal([-1.0, -2.0])
+_TAU_ENTRIES = {
+    "ApproxParams": lambda tau: ApproxParams(p=2, N=10, tau=tau, w=-1.0),
+    "correction": lambda tau: correction(2, 10, 2, tau, -1.0),
+    "leading_error_term": lambda tau: leading_error_term(2, 10, tau, -1.0),
+    "ActionPlan.evaluate":
+        lambda tau: ActionPlan(_A, 2, 10, 2, np.ones(2)).evaluate(tau),
+    "h_action": lambda tau: h_action(_A, 3, tau, np.ones(2)),
+}
+
+
+@pytest.mark.parametrize("tau", [math.nan, -0.1, 1.5, math.inf])
+@pytest.mark.parametrize("entry", sorted(_TAU_ENTRIES))
+def test_tau_outside_unit_interval_refused(entry, tau):
+    """Every entry point taking tau refuses one outside [0, 1], NaN
+    included, through one gate."""
+    with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
+        _TAU_ENTRIES[entry](tau)
 
 
 class TestTailIdentity:

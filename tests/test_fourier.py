@@ -343,6 +343,13 @@ class TestResidualNorm:
         with pytest.raises(ValueError):
             residual_l2(0, 1.0, 16, 32)
 
+    def test_w_validated_on_empty_tail(self):
+        """K = N refuses a non-finite or near-pole w as K > N does."""
+        with pytest.raises(ValueError, match="finite"):
+            residual_l2(2, math.nan, 5, 5)
+        with pytest.raises(PoleProximityError):
+            residual_l2(2, TWO_PI * 1j, 5, 5)
+
     def test_negative_cutoff_rejected(self):
         """N < 0 would put the pole-free mode k = 0 into the tail."""
         with pytest.raises(ValueError, match="N must be >= 0"):

@@ -17,9 +17,10 @@ from berngen.bvp import (circulant_shift, discretize_laplacian,
 from berngen.fourier import (ApproxParams, PoleProximityError, parity_signs,
                              reference_q)
 from berngen.matfunc import (DENSE_CAP, SCALING_CAP, SPECTRAL_CAP,
-                             ActionPlan, BandedOperator, G_action, _dominant,
-                             _expm_dense, _shifted_diagonal, g_action,
-                             h_action, load_matrix_market, load_tridiagonal,
+                             ActionPlan, BandedOperator, G_action,
+                             _complex_solves, _dominant, _expm_dense,
+                             g_action, h_action,
+                             load_matrix_market, load_tridiagonal,
                              reference_solution, shifted_solve,
                              spectral_reference)
 
@@ -368,7 +369,7 @@ class TestShiftedSolve:
         if kind == "dense":
             A = BandedOperator.dense(A.to_dense())
         if kind.endswith("mixed"):
-            dominant = _dominant(A, TWO_PI * np.arange(1, 9))
+            dominant = _dominant(A, 1j * TWO_PI * np.arange(1, 9))
             assert dominant.any() and not dominant.all()
         b = rng.standard_normal(12)
         single = {k: shifted_solve(A, k, b) for k in range(1, 9)}
@@ -585,7 +586,7 @@ class TestShiftedSolve:
         errors = {}
         for kernel in (berngen.matfunc._cyclic_reduction,
                        berngen.matfunc._pivoted_elimination):
-            x = kernel(A, _shifted_diagonal(A, t),
+            x = kernel(A, A.diag - 1j * t[:, None],
                        np.broadcast_to(f, (len(t), len(f)))).imag
             got = f - t[:, None] * x
             errors[kernel] = (np.abs(got - expect).max(axis=1)
@@ -609,7 +610,7 @@ class TestNonDominantAtScale:
 
     def test_route(self):
         A = self._advection(64)
-        dominant = _dominant(A, TWO_PI * np.arange(1, 59))
+        dominant = _dominant(A, 1j * TWO_PI * np.arange(1, 59))
         assert not dominant[:15].any() and dominant[15:].all()
         with pytest.raises(ValueError, match="sub"):
             spectral_reference(A, 0.5, np.ones(64))
@@ -641,6 +642,56 @@ class TestNonDominantAtScale:
             expect = scipy.linalg.solve_banded((1, 1), ab, f + 0j).imag / t
             assert np.max(np.abs(x - expect)) <= 3.0 * 7.78e-14 * np.max(
                 np.abs(expect))
+
+
+class TestGeneralShifts:
+    """_complex_solves at real and complex shifts z, not only 2 pi k i,
+    against numpy's dense solve of (A - z I) y = b at s = 64.  Each bound
+    is three times the largest error over the shifts, relative in the max
+    norm, measured when the test was written; the dense operator and the
+    circulant's non-dominant shifts take numpy's LU itself."""
+
+    Z = np.array([0.5, 20.0, 3 + 7j, -1 + 40j, TWO_PI * 1j])
+
+    @pytest.mark.parametrize("A, measured", [
+        (discretize_laplacian(uniform_grid(24.0, 64)), 3.22e-16),
+        (discretize_laplacian(geometric_grid(0.01, 1 + 8 / 64, 64)),
+         3.29e-16),
+        (circulant_shift(64, 1e-8), 3.72e-16),
+        (circulant_shift(64, 30.0), 5.57e-16),
+        (BandedOperator.tridiagonal(51.0 * np.ones(63), -2.0 * np.ones(64),
+                                    -49.0 * np.ones(63)), 6.02e-16),
+        (BandedOperator.dense(
+            np.random.default_rng(23).standard_normal((16, 16))), 0.0)],
+        ids=["uniform", "geometric", "circulant-1e-8", "circulant-30",
+             "advection", "dense"])
+    def test_against_dense_solve(self, A, measured):
+        s, M = A.dimension, A.to_dense()
+        b = np.random.default_rng(29).standard_normal(s)
+        got = np.full((len(self.Z), s), np.nan, dtype=complex)
+        for j, y in _complex_solves(A, self.Z, b):
+            got[j] = y
+        for z, row in zip(self.Z, got):
+            expect = np.linalg.solve(M - z * np.eye(s), b)
+            assert np.max(np.abs(row - expect)) <= 3.0 * measured * np.max(
+                np.abs(expect))
+        if A._dense is None:
+            r = np.abs(M).sum(axis=1) - np.abs(A.diag)
+            assert np.array_equal(_dominant(A, self.Z), np.all(
+                np.abs(A.diag - self.Z[:, None]) > r, axis=1))
+
+    @pytest.mark.parametrize("grid", [uniform_grid(24.0, 64),
+                                      geometric_grid(0.01, 1 + 8 / 64, 64)],
+                             ids=["uniform", "geometric"])
+    def test_real_shifts_take_reduction_on_heat_operators(self, grid):
+        """Every row of a heat operator is weakly dominant, |d_i| = r_i
+        with d_i < 0, so z = 0 is not dominant and every real z > 0 is:
+        the shifts (I - gamma A)^{-1} of shift-and-invert take cyclic
+        reduction."""
+        A = discretize_laplacian(grid)
+        z = np.geomspace(1e-3, 1e3, 13) + 0j
+        assert _dominant(A, z).all()
+        assert not _dominant(A, np.zeros(1, dtype=complex)).any()
 
 
 class TestWorkMemory:
