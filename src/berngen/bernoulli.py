@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,8 @@ class BernoulliTable:
 
 
 def build_bernoulli_table(max_degree: int) -> BernoulliTable:
-    """Generate B_k by integrating k*B_{k-1} and fixing the zero-mean constant.
+    """Row k holds C(k, i) B_{k-i} at x^i, with B_0 = 1, B_1 = -1/2 and
+    B_m = -1/(m+1) sum_{j<m} C(m+1, j) B_j (zero at odd m >= 3, skipped).
 
     The recurrence runs in exact rational arithmetic; its alternating sums
     cancel catastrophically in floating point.
@@ -36,18 +38,15 @@ def build_bernoulli_table(max_degree: int) -> BernoulliTable:
         raise ValueError(
             f"max_degree {max_degree} exceeds the cap {DEGREE_CAP}; "
             "higher degrees are numerically meaningless at double precision")
-    rows: list[tuple[Fraction, ...]] = [(Fraction(1),)]
-    for k in range(1, max_degree + 1):
-        prev = rows[-1]
-        d = [Fraction(0)] * (k + 1)
-        for j, c in enumerate(prev):
-            d[j + 1] = Fraction(k) * c / (j + 1)
-        # the constant term is pinned by the zero mean on [0, 1]
-        d[0] = -sum(dj / (j + 1) for j, dj in enumerate(d))
-        rows.append(tuple(d))
+    numbers = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * max_degree
+    for m in range(2, max_degree + 1, 2):
+        numbers[m] = -sum(math.comb(m + 1, j) * numbers[j]
+                          for j in [1, *range(0, m, 2)]) / (m + 1)
+    rows = tuple(tuple(math.comb(k, i) * numbers[k - i] for i in range(k + 1))
+                 for k in range(max_degree + 1))
     return BernoulliTable(
         max_degree=max_degree,
-        coeffs=tuple(rows),
+        coeffs=rows,
         coeffs_float=tuple(tuple(float(c) for c in row) for row in rows),
     )
 

@@ -355,11 +355,12 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
     return x.reshape(np.shape(k) + (A.dimension,))
 
 
-def _bernoulli_weights(p: int, tau: float) -> list:
-    """B_j(tau) / j! for j < p: the weight of A^j f in the polynomial part."""
+def _bernoulli_weights(factorials, tau: float) -> list:
+    """B_j(tau) / j! for j < len(factorials), factorials[j] = j!: the
+    weight of A^j f in the polynomial part."""
     table = shared_table()
-    return [eval_bernoulli(table, j, tau) / math.factorial(j)
-            for j in range(p)]
+    return [eval_bernoulli(table, j, tau) / fj
+            for j, fj in enumerate(factorials)]
 
 
 def _horner(A: BandedOperator, terms) -> np.ndarray:
@@ -377,7 +378,8 @@ def h_action(A: BandedOperator, p: int, tau: float, f) -> np.ndarray:
         raise ValueError("p must be >= 1")
     _check_tau(tau)
     f = _vector(A, f)
-    return _horner(A, [c * f for c in _bernoulli_weights(p, tau)])
+    factorials = [math.factorial(j) for j in range(p)]
+    return _horner(A, [c * f for c in _bernoulli_weights(factorials, tau)])
 
 
 class ActionPlan:
@@ -411,6 +413,7 @@ class ActionPlan:
         return plan
 
     def _build(self, p: int, N: int, ell: int, scheme: str) -> None:
+        """Set p, N, ell, scheme, evaluate's tau-independent factors, X, Z."""
         _check_order(p, N, ell)
         if scheme not in ("stabilized", "direct"):
             raise ValueError(f"unknown scheme {scheme!r}")
@@ -420,6 +423,11 @@ class ActionPlan:
         self._pairs = np.reshape(build_triangle(
             list(np.eye(2 * ell + 1)), ell).pairs(), (2 * ell, 2 * ell + 1))
         M, have = N + 2 * ell, len(self._X)
+        self._tk = tk = TWO_PI * np.arange(1, M + 1)
+        self._signs = 2.0 * np.array(parity_signs(p))[:, None]
+        self._factorials = [math.factorial(j) for j in range(p)]
+        self._divisors = ((tk ** (p - 2), tk ** (p - 1)) if scheme == "direct"
+                          else np.repeat(tk ** (p - 2), 2) if p >= 3 else None)
         self.solve_count = max(M - have, 0)
         if M <= have:
             self._X, self._Z = self._X[:M], self._Z[:2 + 2 * M]
@@ -433,40 +441,43 @@ class ActionPlan:
         Z[:2 + 2 * have] = self._Z if have else (f, A.matvec(f))
         YD, step = Z[2:].reshape(M, 2, s), max(1, _WORK_ROWS // s)
         for lo in range(have, M, step):
-            tk = TWO_PI * np.arange(lo + 1, min(lo + step, M) + 1)[:, None]
-            YD[lo:lo + step, 0] = f - tk ** 2 * X[lo:lo + step]
-            YD[lo:lo + step, 1] = A.matvec(YD[lo:lo + step, 0]) / tk
+            t = tk[lo:lo + step, None]
+            YD[lo:lo + step, 0] = f - t ** 2 * X[lo:lo + step]
+            YD[lo:lo + step, 1] = A.matvec(YD[lo:lo + step, 0]) / t
         self._X, self._Z = X, Z
 
     def evaluate(self, tau: float) -> np.ndarray:
         """q(tau, A) f from the stored rows (no solves).
 
-        Mode cosines and sines, pair_weights through the triangle, t_k
-        powers and Bernoulli coefficients fold into one weight per row, so
-        stabilized p = 2 is one GEMV over Z.  One Horner sweep then applies
-        A^{p-2} to it, A to a GEMV over X (p = 1), or A^p and A^{p+1} to
-        two ('direct').
+        Mode cosines and sines, pair_weights through the triangle, the
+        plan's t_k powers and Bernoulli coefficients fold into one weight
+        per row, so stabilized p = 2 is one GEMV over Z.  One Horner sweep
+        then applies A^{p-2} to it, A to a GEMV over X (p = 1), or A^p and
+        A^{p+1} to two ('direct').  The rest is O(N + ell) scalar work,
+        which writes only arrays the call allocates.
         """
         _check_tau(tau)
-        p, N, X = self.p, self.N, self._X
-        tk = TWO_PI * np.arange(1, len(X) + 1)
-        trig = np.zeros((2, len(X)))
-        trig[:, :N] = np.cos(tk[:N] * tau), np.sin(tk[:N] * tau)
-        trig[:, N - 1:] += np.dot(pair_weights(N, self.ell, tau),
-                                  self._pairs)
-        trig *= 2.0 * np.array(parity_signs(p))[:, None]
+        p, N, tk, X = self.p, self.N, self._tk, self._X
+        trig, angle = np.zeros((2, len(tk))), tk[:N] * tau
+        trig[:, :N] = np.cos(angle), np.sin(angle)
+        if self.ell:
+            trig[:, N - 1:] += np.dot(pair_weights(N, self.ell, tau),
+                                      self._pairs)
+        trig *= self._signs
         # weights of A^p x_k / t_k^(p-2) and of A^(p+1) x_k / t_k^(p-1)
         lo, hi = trig[::-1] if p % 2 else trig
-        c, f, w = _bernoulli_weights(p, tau), self.f, np.zeros(len(self._Z))
+        c, f = _bernoulli_weights(self._factorials, tau), self.f
+        w = np.zeros(len(self._Z))
         if self._scheme == "direct":
-            terms = [cj * f for cj in c] + [(lo / tk ** (p - 2)) @ X,
-                                            (hi / tk ** (p - 1)) @ X]
+            terms = [cj * f for cj in c] + [(lo / self._divisors[0]) @ X,
+                                            (hi / self._divisors[1]) @ X]
         elif p == 1:
             w[0], w[2::2] = c[0], hi
             terms = [w @ self._Z, (lo * tk) @ X]
         else:
             w[:2], w[2::2], w[3::2] = c[p - 2:], lo, hi
-            w[2:] /= np.repeat(tk ** (p - 2), 2)
+            if p > 2:
+                w[2:] /= self._divisors
             terms = [cj * f for cj in c[:p - 2]] + [w @ self._Z]
         return _horner(self.A, terms)
 

@@ -60,6 +60,22 @@ class TestExactCoefficients:
         assert eval_bernoulli(table, 3, 0.0) == 0.0
         assert abs(eval_bernoulli(table, 4, 0.0) + 1.0 / 30.0) < 1e-16
 
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, DEGREE_CAP])
+    def test_matches_integration_recurrence(self, degree):
+        """Rows equal, as exact rationals, B_k built by integrating
+        k B_{k-1} and pinning the zero mean on [0, 1]."""
+        rows = [(Fraction(1),)]
+        for k in range(1, degree + 1):
+            d = [Fraction(0)] + [Fraction(k) * c / (j + 1)
+                                 for j, c in enumerate(rows[-1])]
+            d[0] = -sum(dj / (j + 1) for j, dj in enumerate(d))
+            rows.append(tuple(d))
+        table = build_bernoulli_table(degree)
+        assert table.coeffs == tuple(rows)
+        assert all(type(c) is Fraction for row in table.coeffs for c in row)
+        assert table.coeffs_float == tuple(
+            tuple(float(c) for c in row) for row in rows)
+
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             build_bernoulli_table(-1)

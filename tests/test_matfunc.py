@@ -1,7 +1,9 @@
 """Banded operators, shifted solves, and the matrix action of q."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import berngen.matfunc
+from berngen.acceleration import build_triangle, pair_weights
 from berngen.arnoldi import arnoldi_extend
-from berngen.bernoulli import DEGREE_CAP
+from berngen.bernoulli import DEGREE_CAP, eval_bernoulli, shared_table
 from berngen.bvp import (circulant_shift, discretize_laplacian,
                          geometric_grid, uniform_grid)
 from berngen.fourier import (ApproxParams, PoleProximityError, parity_signs,
@@ -1048,6 +1051,95 @@ class TestActionPlan:
                 expect = np.array([math.fsum(c) for c in zip(*terms)])
                 err = np.max(np.abs(plan.evaluate(tau) - expect))
                 assert err <= 1e-10 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("kind", ["tridiagonal", "periodic", "dense"])
+    def test_evaluate_matches_frozen_arithmetic(self, kind):
+        """Standalone plans and views, within and beyond their source's
+        modes, evaluate bit for bit as _frozen_evaluate does."""
+        rng = np.random.default_rng(38)
+        s = 12
+        A = {"tridiagonal": lambda: _random_tridiagonal(rng, s, scale=0.5),
+             "periodic": lambda: _random_periodic(rng, s, (0.1, 0.5), 0.5),
+             "dense": lambda: BandedOperator.dense(
+                 0.3 * rng.standard_normal((s, s)))}[kind]()
+        f = rng.standard_normal(s)
+        base = ActionPlan(A, 2, 6, 2, f)
+        taus = (1.0 / 12.0, 0.3, 0.5, 11.0 / 12.0, 0.999)
+        for p in range(1, 11):
+            for scheme in ("stabilized", "direct"):
+                for ell in range(5):
+                    for plan in (ActionPlan(A, p, 6, ell, f, scheme),
+                                 base.view(p, 6, ell, scheme)):
+                        for tau in taus:
+                            assert np.array_equal(
+                                plan.evaluate(tau),
+                                _frozen_evaluate(plan, scheme, tau))
+
+    def test_threads_share_plans(self):
+        """A plan and two of its views evaluated from two threads at once
+        give the serial results, and evaluate leaves each plan's attributes
+        as they were: it holds no per-call state."""
+        rng = np.random.default_rng(39)
+        A = discretize_laplacian(uniform_grid(6.0, 64))
+        base = ActionPlan(A, 2, 20, 3, rng.standard_normal(A.dimension))
+        plans = (base, base.view(3, 16, 2), base.view(5, 20, 0, "direct"))
+        taus = rng.uniform(1.0 / 12.0, 11.0 / 12.0, 200)
+        before = [dict(vars(plan)) for plan in plans]
+        copies = [{k: np.copy(v) for k, v in vars(plan).items()
+                   if isinstance(v, np.ndarray)} for plan in plans]
+        serial = [[plan.evaluate(tau) for tau in taus] for plan in plans]
+
+        def run():
+            return [[plan.evaluate(tau) for tau in taus] for plan in plans]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(run) for _ in range(2)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            for rows, expect in zip(got, serial):
+                assert all(np.array_equal(a, b) for a, b in zip(rows, expect))
+        for plan, attrs, arrays in zip(plans, before, copies):
+            assert vars(plan).keys() == attrs.keys()
+            assert all(vars(plan)[k] is v for k, v in attrs.items())
+            assert all(np.array_equal(vars(plan)[k], v)
+                       for k, v in arrays.items())
+
+
+def _frozen_evaluate(plan, scheme, tau):
+    """ActionPlan.evaluate's arithmetic, frozen with every factor rebuilt
+    per call, over the plan's stored rows X and Z: evaluate must match it
+    bit for bit, wherever it builds its factors."""
+    p, N, ell, X, Z = plan.p, plan.N, plan.ell, plan._X, plan._Z
+    pairs = np.reshape(build_triangle(list(np.eye(2 * ell + 1)), ell).pairs(),
+                       (2 * ell, 2 * ell + 1))
+    tk = TWO_PI * np.arange(1, len(X) + 1)
+    trig = np.zeros((2, len(X)))
+    trig[:, :N] = np.cos(tk[:N] * tau), np.sin(tk[:N] * tau)
+    trig[:, N - 1:] += np.dot(pair_weights(N, ell, tau), pairs)
+    trig *= 2.0 * np.array(parity_signs(p))[:, None]
+    lo, hi = trig[::-1] if p % 2 else trig
+    c = [eval_bernoulli(shared_table(), j, tau) / math.factorial(j)
+         for j in range(p)]
+    f, w = plan.f, np.zeros(len(Z))
+    if scheme == "direct":
+        terms = [cj * f for cj in c] + [(lo / tk ** (p - 2)) @ X,
+                                        (hi / tk ** (p - 1)) @ X]
+    elif p == 1:
+        w[0], w[2::2] = c[0], hi
+        terms = [w @ Z, (lo * tk) @ X]
+    else:
+        w[:2], w[2::2], w[3::2] = c[p - 2:], lo, hi
+        w[2:] /= np.repeat(tk ** (p - 2), 2)
+        terms = [cj * f for cj in c[:p - 2]] + [w @ Z]
+    v = terms[-1]
+    for term in terms[-2::-1]:
+        v = plan.A.matvec(v) + term
+    return v
 
 
 def _dst1(x):
