@@ -4,12 +4,16 @@ corrections, the accelerated approximation, and the tau = 0 shift identity."""
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .fourier import (TWO_PI, ApproxParams, _check_order, _check_tau,
-                      _modes, check_pole, g_approx, parity_signs)
+                      _mode_sum, _modes, _trig_row, check_pole,
+                      parity_signs)
 
 #: |1 - cos(2 pi tau)| below this leaves the correction denominators
 #: dominated by roundoff
@@ -70,16 +74,39 @@ def pair_weights(N: int, ell: int, tau: float) -> tuple[list, list]:
         raise TauEndpointError(
             f"tau={tau} is too close to an endpoint for the rational "
             "correction; evaluate tau = 0 through q0_shift instead")
+    c = [math.cos(TWO_PI * k * tau) for k in range(N, N + ell + 1)]
+    s = [math.sin(TWO_PI * k * tau) for k in range(N, N + ell + 1)]
     gw, dw = [], []
     for j in range(1, ell + 1):
-        c1 = math.cos(TWO_PI * (N + j) * tau)
-        c0 = math.cos(TWO_PI * (N + j - 1) * tau)
-        s1 = math.sin(TWO_PI * (N + j) * tau)
-        s0 = math.sin(TWO_PI * (N + j - 1) * tau)
         scale = den ** -j
-        gw += [(2.0 * c1 - c0) * scale, -c1 * scale]
-        dw += [(2.0 * s1 - s0) * scale, -s1 * scale]
+        gw += [(2.0 * c[j] - c[j - 1]) * scale, -c[j] * scale]
+        dw += [(2.0 * s[j] - s[j - 1]) * scale, -s[j] * scale]
     return gw, dw
+
+
+@functools.cache
+def _pair_matrix(ell: int) -> np.ndarray:
+    """The (2 ell, 2 ell + 1) integer matrix of CoefficientTriangle.pairs()
+    as combinations of its base entries: build_triangle on the identity."""
+    pairs = np.reshape(build_triangle(list(np.eye(2 * ell + 1)), ell).pairs(),
+                       (2 * ell, 2 * ell + 1))
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _correction_weights(N: int, ell: int, tau: float) -> np.ndarray:
+    """Weights of modes N..N+2 ell in (Gamma, Delta), shape (2, 2 ell + 1):
+    pair_weights through the pair matrix."""
+    return np.dot(pair_weights(N, ell, tau), _pair_matrix(ell))
+
+
+def _weight_row(N: int, ell: int, tau: float) -> np.ndarray:
+    """The (2, N + 2 ell) weight row of modes 1..N+2 ell at tau: the mode
+    cosines and sines plus, for ell > 0, the correction's mode weights."""
+    row = _trig_row(N, N + 2 * ell, tau)
+    if ell:
+        row[:, N - 1:] += _correction_weights(N, ell, tau)
+    return row
 
 
 def correction(p: int, N: int, ell: int, tau: float,
@@ -87,35 +114,23 @@ def correction(p: int, N: int, ell: int, tau: float,
     """Depth-ell boundary correction (Gamma, Delta) of the order-p sum."""
     _check_order(p, N, ell)
     _check_tau(tau)
-    w = check_pole(w)
-    bases = zip(*[_modes(p, N + i, w) for i in range(2 * ell + 1)])
-    gamma, delta = (build_triangle(base, ell).pairs() for base in bases)
-    gw, dw = pair_weights(N, ell, tau)
-    return (sum((a * x for a, x in zip(gw, gamma)), 0j),
-            sum((a * x for a, x in zip(dw, delta)), 0j))
+    g, d = _modes(p, np.arange(N, N + 2 * ell + 1), check_pole(w))
+    gw, dw = _correction_weights(N, ell, tau)
+    return complex(gw @ g), complex(dw @ d)
 
 
 def G_approx(params: ApproxParams) -> complex:
-    """The mode sum of g_approx plus the depth-ell rational correction.
-
-    ell = 0 returns g_approx unchanged.  The correction enters with the
-    parity-aware family signs, so for even p the total is
-    g + 2 sign (Gamma + Delta).
-    """
-    base = g_approx(params)
-    if params.ell == 0:
-        return base
-    gamma, delta = correction(params.p, params.N, params.ell, params.tau,
-                              params.w)
-    sc, ss = parity_signs(params.p)
-    return base + 2.0 * (sc * gamma + ss * delta)
+    """The mode sum of g_approx over the weight row of modes 1..N+2 ell,
+    which carries the depth-ell rational correction with the parity-aware
+    family signs: for even p the total is g + 2 sign (Gamma + Delta).
+    ell = 0 returns g_approx unchanged."""
+    return _mode_sum(params, _weight_row(params.N, params.ell, params.tau))
 
 
 def leading_error_term(p: int, N: int, tau: float, w: complex) -> complex:
     """Principal term of the order-p truncation residual at interior tau:
     the cosine half of the depth-1 correction."""
-    sc, _ = parity_signs(p)
-    return 2.0 * sc * correction(p, N, 1, tau, w)[0]
+    return 2.0 * parity_signs(p)[0] * correction(p, N, 1, tau, w)[0]
 
 
 def load_exp_approximant(path) -> Callable[[complex], complex]:

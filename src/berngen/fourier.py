@@ -145,22 +145,35 @@ def fourier_partial(tau: float, w: complex, N: int) -> complex:
     return g_approx(ApproxParams(p=1, N=N, tau=tau, w=w))
 
 
-def g_approx(params: ApproxParams) -> complex:
-    """Polynomial part plus the N-mode trigonometric remainder sum."""
-    p, N, tau = params.p, params.N, params.tau
-    w = check_pole(params.w)
-    acc = lanczos_polynomial(shared_table(), p, tau, w)
+def _trig_row(N: int, M: int, tau: float) -> np.ndarray:
+    """The unsigned mode weights of modes 1..M at tau, shape (2, M): cos and
+    sin of 2 pi k tau for k <= N, zero beyond N."""
+    row = np.zeros((2, M))
+    angle = TWO_PI * np.arange(1, N + 1) * tau
+    row[:, :N] = np.cos(angle), np.sin(angle)
+    return row
+
+
+def _mode_sum(params: ApproxParams, row: np.ndarray) -> complex:
+    """Polynomial part plus 2 (sc gamma_k a_k + ss delta_k b_k) over the
+    modes k of the (2, M) weight row (a, b), parity signs (sc, ss)."""
+    p, w = params.p, check_pole(params.w)
+    acc = lanczos_polynomial(shared_table(), p, params.tau, w)
     comp = 0.0 + 0.0j
     sc, ss = parity_signs(p)
     # compensated (Kahan) sum in ascending k, so tables reproduce exactly
-    for k in range(1, N + 1):
+    for k, (a, b) in enumerate(zip(*row.tolist()), 1):
         g, d = _modes(p, k, w)
-        term = 2.0 * (sc * g * math.cos(TWO_PI * k * tau)
-                      + ss * d * math.sin(TWO_PI * k * tau))
+        term = 2.0 * (sc * g * a + ss * d * b)
         y = term - comp
         total = acc + y
         acc, comp = total, (total - acc) - y
     return acc
+
+
+def g_approx(params: ApproxParams) -> complex:
+    """Polynomial part plus the N-mode trigonometric remainder sum."""
+    return _mode_sum(params, _trig_row(params.N, params.N, params.tau))
 
 
 def residual_l2(p: int, w: complex, N: int, K: int) -> float:

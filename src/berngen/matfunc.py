@@ -7,7 +7,9 @@ import math
 
 import numpy as np
 
-from .acceleration import build_triangle, pair_weights
+from .acceleration import _weight_row
+# perfbench/tracing.py wraps berngen.matfunc.build_triangle by this name
+from .acceleration import build_triangle  # noqa: F401
 from .bernoulli import eval_bernoulli, shared_table
 from .fourier import (POLE_TOL, TWO_PI, ApproxParams, PoleProximityError,
                       _check_order, _check_tau, parity_signs)
@@ -220,24 +222,20 @@ def _substitute(levels, f) -> np.ndarray:
     return x
 
 
-def _cyclic_reduction(A: BandedOperator, d, b,
-                      refine: bool = True) -> np.ndarray:
+def _cyclic_reduction(A: BandedOperator, d, b) -> np.ndarray:
     """Cyclic reduction (Buzbee, Golub & Nielson 1970) of the systems of
-    _pivoted_elimination, with the same arguments (d is left as it is),
-    plus (refine) one step of iterative refinement through the stored
-    multipliers.  It does not pivot, so every row of every system must be
-    strictly diagonally dominant, a property each reduced system inherits
-    (Heller 1976).  Every operation is elementwise across systems, so each
-    sees the arithmetic it would see alone."""
-    n = d.shape[-1]
-    d = d.reshape(d.shape[:1] + (1,) * (b.ndim - 2) + (n,))
+    _pivoted_elimination, with the same arguments (b of shape (m, n), d is
+    left as it is), plus one step of iterative refinement through the
+    stored multipliers.  It does not pivot, so every row of every system
+    must be strictly diagonally dominant, a property each reduced system
+    inherits (Heller 1976).  Every operation is elementwise across
+    systems, so each sees the arithmetic it would see alone."""
     levels = _reduce(-A.sub, d, -A.sup)
     y = _substitute(levels, b.astype(complex, order="C"))
-    if refine:
-        r = b - d * y
-        r[..., 1:] -= A.sub * y[..., :-1]
-        r[..., :-1] -= A.sup * y[..., 1:]
-        y += _substitute(levels, r)
+    r = b - d * y
+    r[..., 1:] -= A.sub * y[..., :-1]
+    r[..., :-1] -= A.sup * y[..., 1:]
+    y += _substitute(levels, r)
     return y
 
 
@@ -260,7 +258,8 @@ def _periodic_solve(A: BandedOperator, d, b) -> np.ndarray:
     d[:, -1] -= top * bottom / g
     x = np.zeros((d.shape[0], 2, n), dtype=complex)
     x[:, 0, 0], x[:, 0, n - 1], x[:, 1] = g, bottom, b
-    c, y = _cyclic_reduction(A, d, x, refine=False).transpose(1, 0, 2)
+    levels = _reduce(-A.sub, d[:, None], -A.sup)
+    c, y = _substitute(levels, x).transpose(1, 0, 2)
     den = 1.0 + c[:, 0] + top / g * c[:, -1]
     with np.errstate(all="ignore"):
         return y - c * ((y[:, 0] + top / g * y[:, -1]) / den)[:, None]
@@ -419,9 +418,6 @@ class ActionPlan:
             raise ValueError(f"unknown scheme {scheme!r}")
         A, f, s = self.A, self.f, self.A.dimension
         self.p, self.N, self.ell, self._scheme = p, N, ell, scheme
-        # the correction's pairs as integer combinations of modes N..N+2 ell
-        self._pairs = np.reshape(build_triangle(
-            list(np.eye(2 * ell + 1)), ell).pairs(), (2 * ell, 2 * ell + 1))
         M, have = N + 2 * ell, len(self._X)
         self._tk = tk = TWO_PI * np.arange(1, M + 1)
         self._signs = 2.0 * np.array(parity_signs(p))[:, None]
@@ -449,21 +445,16 @@ class ActionPlan:
     def evaluate(self, tau: float) -> np.ndarray:
         """q(tau, A) f from the stored rows (no solves).
 
-        Mode cosines and sines, pair_weights through the triangle, the
-        plan's t_k powers and Bernoulli coefficients fold into one weight
+        The weight row of acceleration's _weight_row, the plan's parity
+        signs, t_k powers and Bernoulli coefficients fold into one weight
         per row, so stabilized p = 2 is one GEMV over Z.  One Horner sweep
         then applies A^{p-2} to it, A to a GEMV over X (p = 1), or A^p and
         A^{p+1} to two ('direct').  The rest is O(N + ell) scalar work,
         which writes only arrays the call allocates.
         """
         _check_tau(tau)
-        p, N, tk, X = self.p, self.N, self._tk, self._X
-        trig, angle = np.zeros((2, len(tk))), tk[:N] * tau
-        trig[:, :N] = np.cos(angle), np.sin(angle)
-        if self.ell:
-            trig[:, N - 1:] += np.dot(pair_weights(N, self.ell, tau),
-                                      self._pairs)
-        trig *= self._signs
+        p, tk, X = self.p, self._tk, self._X
+        trig = _weight_row(self.N, self.ell, tau) * self._signs
         # weights of A^p x_k / t_k^(p-2) and of A^(p+1) x_k / t_k^(p-1)
         lo, hi = trig[::-1] if p % 2 else trig
         c, f = _bernoulli_weights(self._factorials, tau), self.f

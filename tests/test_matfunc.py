@@ -12,7 +12,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import berngen.matfunc
-from berngen.acceleration import build_triangle, pair_weights
+from berngen.acceleration import G_approx, build_triangle, pair_weights
 from berngen.arnoldi import arnoldi_extend
 from berngen.bernoulli import DEGREE_CAP, eval_bernoulli, shared_table
 from berngen.bvp import (circulant_shift, discretize_laplacian,
@@ -502,18 +502,19 @@ class TestShiftedSolve:
         paths, calls = {}, []
 
         def recording(name, kernel):
-            def run(A, d, b, **kwargs):
+            def run(A, d, b):
                 k = np.rint(-d[:, 1].imag / TWO_PI).astype(int).tolist()
                 paths.update(dict.fromkeys(k, name))
                 calls.append(name)
-                return kernel(A, d, b, **kwargs)
+                return kernel(A, d, b)
             return run
 
         def dense_lu(M, b, solve=np.linalg.solve):
             paths[round(-M[1, 1].imag / TWO_PI)] = "dense LU"
             return solve(M, b)
 
-        for name in ("_pivoted_elimination", "_cyclic_reduction"):
+        reduction = ("_cyclic_reduction", "_periodic_solve")
+        for name in ("_pivoted_elimination",) + reduction:
             monkeypatch.setattr(berngen.matfunc, name, recording(
                 name, getattr(berngen.matfunc, name)))
         monkeypatch.setattr(np.linalg, "solve", dense_lu)
@@ -524,7 +525,7 @@ class TestShiftedSolve:
         expect = ("dense LU" if A.corners is not None
                   else "_pivoted_elimination")
         assert [k for k, name in sorted(paths.items())
-                if name != "_cyclic_reduction"] == pivoted
+                if name not in reduction] == pivoted
         assert {paths[k] for k in pivoted} <= {expect}
         assert sorted(paths) == list(range(1, 9))
         assert calls.count("_pivoted_elimination") == (
@@ -1233,6 +1234,20 @@ class TestMatrixApproximations:
         got = reference_solution(BandedOperator.diagonal(d), 0.3, f)
         expect = np.array([reference_q(0.3, a) for a in d]) * f
         assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_one_by_one_plan_matches_G_approx(self, p):
+        """The scalar G_approx and a plan on the 1 x 1 operator [a] read the
+        same weight row: odd p swaps the cosine and sine families, so a sign
+        or family slip on either side shows here."""
+        for ell in range(5):
+            for tau in (1.0 / 12.0, 0.3, 0.5, 11.0 / 12.0):
+                for a in (-10.0, -3.0, -0.4, 1.2):
+                    G = G_approx(ApproxParams(p, 40, tau, w=a, ell=ell))
+                    plan = ActionPlan(BandedOperator.diagonal([a]), p, 40,
+                                      ell, [1.0])
+                    assert abs(plan.evaluate(tau)[0] - G) <= (
+                        2e-12 * max(1.0, abs(G)))
 
     def test_direct_scheme_noise_dominates_on_stiff_operator(self):
         """The classical construction amplifies roundoff by ||A||^p; the
