@@ -67,18 +67,24 @@ def eval_bernoulli(table: BernoulliTable, k: int, tau: float) -> float:
     return acc
 
 
+def _polynomial_weights(table: BernoulliTable, p: int, tau: float) -> list:
+    """B_j(tau) / j! for j < p: the weight of w^j, or of A^j f, in the
+    polynomial part."""
+    return [eval_bernoulli(table, j, tau) / math.factorial(j)
+            for j in range(p)]
+
+
 def lanczos_polynomial(table: BernoulliTable, p: int, tau: float,
                        w: complex) -> complex:
-    """Truncated generating series sum_{k=0}^{p-1} B_k(tau) w^k / k!."""
+    """Truncated generating series sum_{k=0}^{p-1} B_k(tau) w^k / k!, by
+    Horner's rule over _polynomial_weights: the scalar case of the matrix
+    polynomial part, bit for bit on a real w."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if p - 1 > table.max_degree:
         raise ValueError(
             f"table covers degree {table.max_degree}, need {p - 1}")
-    w = complex(w)
-    acc = 0.0 + 0.0j
-    term = 1.0 + 0.0j  # w^k / k!
-    for k in range(p):
-        acc += eval_bernoulli(table, k, tau) * term
-        term *= w / (k + 1)
+    w, acc = complex(w), 0j
+    for c in reversed(_polynomial_weights(table, p, tau)):
+        acc = acc * w + c
     return acc

@@ -152,8 +152,8 @@ def cmd_scalar_error(config: dict) -> ExperimentReport:
             w = float(w)
             t0 = perf_counter()
             exact = reference_q(tau, w)
-            params = ApproxParams(p=p, N=N, tau=0.5 if tau == 0.0 else tau,
-                                  w=w, ell=ell, alpha=alpha)
+            params = ApproxParams(p=p, N=N, tau=tau, w=w, ell=ell,
+                                  alpha=alpha)
             if tau == 0.0:
                 approx = q0_shift(w, alpha=alpha, params=params)
             else:

@@ -13,16 +13,6 @@ from .bernoulli import DEGREE_CAP, lanczos_polynomial, shared_table
 
 TWO_PI = 2.0 * math.pi
 
-#: the closed form loses about |w|^{-1} digits near the removable
-#: singularity; below this radius the generating series is used instead
-SERIES_RADIUS = 1e-1
-
-#: terms of the generating series summed below SERIES_RADIUS.  For k >= 2,
-#: |B_k(tau)| <= 2 k! zeta(k) / (2 pi)^k on [0, 1] (Lehmer 1940), so term k
-#: is at most 2 zeta(k) (SERIES_RADIUS / 2 pi)^k, below 1e-28 from k = 16
-#: on: every dropped term is under half an ulp of |q| > 0.9 on the disc
-SERIES_TERMS = 16
-
 #: distance to a nonzero pole 2*pi*i*k below which evaluation is refused
 POLE_TOL = 1e-12
 
@@ -83,17 +73,20 @@ class ApproxParams:
 
 
 def reference_q(tau: float, w: complex) -> complex:
-    """Closed-form q for |w| >= SERIES_RADIUS, generating series below it.
+    """Closed-form q = w e^{w tau} / expm1(w), with the value 1 at w = 0.
 
-    The removable singularity at w = 0 takes the value 1; for large
-    positive real part the closed form is rewritten to avoid overflow.
+    expm1 keeps e^w - 1 to full relative accuracy as w -> 0, so no series
+    is needed near the removable singularity; for positive real part the
+    closed form is rewritten as w e^{w (tau - 1)} / -expm1(-w) to avoid
+    overflow.  It calls nothing in bernoulli, so it stays an oracle
+    independent of the approximations it checks.
     """
     w = check_pole(w)
-    if abs(w) < SERIES_RADIUS:
-        return lanczos_polynomial(shared_table(), SERIES_TERMS, tau, w)
+    if w == 0:
+        return 1.0 + 0.0j
     if w.real > 0.0:
-        return w * cmath.exp(w * (tau - 1.0)) / (1.0 - cmath.exp(-w))
-    return w * cmath.exp(w * tau) / (cmath.exp(w) - 1.0)
+        return w * cmath.exp(w * (tau - 1.0)) / -complex(np.expm1(-w))
+    return w * cmath.exp(w * tau) / complex(np.expm1(w))
 
 
 def parity_signs(p: int) -> tuple[float, float]:

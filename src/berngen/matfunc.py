@@ -10,7 +10,7 @@ import numpy as np
 from .acceleration import _weight_row
 # perfbench/tracing.py wraps berngen.matfunc.build_triangle by this name
 from .acceleration import build_triangle  # noqa: F401
-from .bernoulli import eval_bernoulli, shared_table
+from .bernoulli import _polynomial_weights, shared_table
 from .fourier import (POLE_TOL, TWO_PI, ApproxParams, PoleProximityError,
                       _check_order, _check_tau, parity_signs)
 
@@ -354,14 +354,6 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
     return x.reshape(np.shape(k) + (A.dimension,))
 
 
-def _bernoulli_weights(factorials, tau: float) -> list:
-    """B_j(tau) / j! for j < len(factorials), factorials[j] = j!: the
-    weight of A^j f in the polynomial part."""
-    table = shared_table()
-    return [eval_bernoulli(table, j, tau) / fj
-            for j, fj in enumerate(factorials)]
-
-
 def _horner(A: BandedOperator, terms) -> np.ndarray:
     """sum_j A^j terms[j] by Horner's rule: len(terms) - 1 matvecs."""
     v = terms[-1]
@@ -377,8 +369,8 @@ def h_action(A: BandedOperator, p: int, tau: float, f) -> np.ndarray:
         raise ValueError("p must be >= 1")
     _check_tau(tau)
     f = _vector(A, f)
-    factorials = [math.factorial(j) for j in range(p)]
-    return _horner(A, [c * f for c in _bernoulli_weights(factorials, tau)])
+    weights = _polynomial_weights(shared_table(), p, tau)
+    return _horner(A, [c * f for c in weights])
 
 
 class ActionPlan:
@@ -421,7 +413,6 @@ class ActionPlan:
         M, have = N + 2 * ell, len(self._X)
         self._tk = tk = TWO_PI * np.arange(1, M + 1)
         self._signs = 2.0 * np.array(parity_signs(p))[:, None]
-        self._factorials = [math.factorial(j) for j in range(p)]
         self._divisors = ((tk ** (p - 2), tk ** (p - 1)) if scheme == "direct"
                           else np.repeat(tk ** (p - 2), 2) if p >= 3 else None)
         self.solve_count = max(M - have, 0)
@@ -457,7 +448,7 @@ class ActionPlan:
         trig = _weight_row(self.N, self.ell, tau) * self._signs
         # weights of A^p x_k / t_k^(p-2) and of A^(p+1) x_k / t_k^(p-1)
         lo, hi = trig[::-1] if p % 2 else trig
-        c, f = _bernoulli_weights(self._factorials, tau), self.f
+        c, f = _polynomial_weights(shared_table(), p, tau), self.f
         w = np.zeros(len(self._Z))
         if self._scheme == "direct":
             terms = [cj * f for cj in c] + [(lo / self._divisors[0]) @ X,

@@ -7,7 +7,7 @@ from berngen.arnoldi import (KrylovDecomposition, arnoldi_extend,
                              arnoldi_q_approx, orthogonality_loss)
 from berngen.bvp import circulant_shift, discretize_laplacian, uniform_grid
 from berngen.fourier import reference_q
-from berngen.matfunc import BandedOperator, reference_solution
+from berngen.matfunc import BandedOperator, spectral_reference
 
 
 def _prefix(dec, j):
@@ -140,12 +140,12 @@ class TestProjectedEvaluator:
 
     def test_clustered_circulant_breakdown(self):
         """f = ones is an eigenvector of the circulant, so Arnoldi stops at
-        j = 1 with H_1 = 1e-8 and must match the dense reference."""
+        j = 1 with H_1 = 1e-8 and must match the FFT reference."""
         A = circulant_shift(64, 1e-8)
         f = np.ones(64)
         dec = arnoldi_extend(A, f, 5)
         assert dec.breakdown and dec.j == 1
-        z = reference_solution(A, 1.0 / 6.0, f)
+        z = spectral_reference(A, 1.0 / 6.0, f)
         assert np.max(np.abs(arnoldi_q_approx(dec, 1.0 / 6.0) - z)) <= 1e-14
 
     def test_overflow_raises(self):
@@ -162,14 +162,14 @@ class TestProjectedEvaluator:
         f = np.ones(32)
         dec = arnoldi_extend(A, f, 32)
         got = arnoldi_q_approx(dec, 0.3)
-        ref = reference_solution(A, 0.3, f)
+        ref = spectral_reference(A, 0.3, f)
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_converges_with_subspace_size(self):
         grid = uniform_grid(1.0, 48)
         A = discretize_laplacian(grid)
         f = np.ones(48)
-        ref = reference_solution(A, 0.25, f)
+        ref = spectral_reference(A, 0.25, f)
         dec = arnoldi_extend(A, f, 24)
         errs = []
         for j in (4, 12, 24):

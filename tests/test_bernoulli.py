@@ -6,9 +6,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, strategies as st
+from scipy.special import zeta
 
 import berngen
 from berngen.bernoulli import (DEGREE_CAP, build_bernoulli_table,
@@ -90,6 +92,17 @@ class TestExactCoefficients:
         left = eval_bernoulli(table, k, 1.0 - tau)
         right = (-1.0) ** k * eval_bernoulli(table, k, tau)
         assert abs(left - right) <= 1e-10 * (1.0 + abs(right))
+
+    def test_lehmer_bound(self):
+        """|B_k(tau)| <= 2 k! zeta(k) / (2 pi)^k on [0, 1] for k >= 2, with
+        equality at tau = 0 for even k (checked on the table, up to
+        rounding; Lehmer 1940)."""
+        taus = np.linspace(0.0, 1.0, 101)
+        table = shared_table()
+        for k in range(2, DEGREE_CAP + 1):
+            bound = 2.0 * math.factorial(k) * zeta(k) / (2.0 * math.pi) ** k
+            assert all(abs(eval_bernoulli(table, k, t)) <= bound * (1 + 1e-14)
+                       for t in taus)
 
 
 class TestSharedTable:

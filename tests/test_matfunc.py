@@ -753,12 +753,15 @@ class TestPolynomialAction:
         assert np.array_equal(h_action(A, 1, 0.7, f), f)
 
     def test_scalar_matches_polynomial(self):
-        from berngen.bernoulli import lanczos_polynomial, shared_table
+        """On a 1 x 1 operator the matrix polynomial part is the scalar
+        one, bit for bit: both run Horner over the same weights."""
+        from berngen.bernoulli import lanczos_polynomial
         table = shared_table()
-        A = BandedOperator.diagonal([1.3])
-        for p in (1, 2, 5, 8):
-            got = h_action(A, p, 0.4, np.array([1.0]))[0]
-            assert abs(got - lanczos_polynomial(table, p, 0.4, 1.3)) < 1e-15
+        for a in (-10.0, -1.3, 0.0, 1.3, 4.0):
+            A = BandedOperator.diagonal([a])
+            for p in (1, 2, 5, 8, DEGREE_CAP + 1):
+                got = h_action(A, p, 0.4, np.array([1.0]))[0]
+                assert got == lanczos_polynomial(table, p, 0.4, a), (p, a)
 
     def test_matches_dense_powers(self):
         from berngen.bernoulli import eval_bernoulli, shared_table
