@@ -11,6 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bernoulli import _polyval
 from .fourier import (TWO_PI, ApproxParams, _check_order, _check_tau,
                       _mode_sum, _modes, _trig_row, check_pole,
                       parity_signs)
@@ -157,14 +158,8 @@ def load_exp_approximant(path) -> Callable[[complex], complex]:
     den = tokens[r + 2:]
 
     def evaluate(x: complex) -> complex:
-        t = -x
-        nv = 0.0 + 0.0j
-        dv = 0.0 + 0.0j
-        for c in reversed(num):
-            nv = nv * t + c
-        for c in reversed(den):
-            dv = dv * t + c
-        return nv / dv
+        t = -complex(x)
+        return _polyval(num, t) / _polyval(den, t)
 
     return evaluate
 

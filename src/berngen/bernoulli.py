@@ -51,6 +51,15 @@ def build_bernoulli_table(max_degree: int) -> BernoulliTable:
     )
 
 
+def _polyval(coeffs, x):
+    """sum_i coeffs[i] x^i by Horner's rule from the top coefficient;
+    coeffs ascending and nonempty."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
 @functools.cache
 def shared_table() -> BernoulliTable:
     """The process-wide table of degree DEGREE_CAP, built on first use."""
@@ -61,10 +70,7 @@ def eval_bernoulli(table: BernoulliTable, k: int, tau: float) -> float:
     """Horner evaluation of B_k(tau)."""
     if not 0 <= k <= table.max_degree:
         raise ValueError(f"degree {k} outside table range 0..{table.max_degree}")
-    acc = 0.0
-    for c in reversed(table.coeffs_float[k]):
-        acc = acc * tau + c
-    return acc
+    return _polyval(table.coeffs_float[k], tau)
 
 
 def _polynomial_weights(table: BernoulliTable, p: int, tau: float) -> list:
@@ -81,10 +87,4 @@ def lanczos_polynomial(table: BernoulliTable, p: int, tau: float,
     polynomial part, bit for bit on a real w."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    if p - 1 > table.max_degree:
-        raise ValueError(
-            f"table covers degree {table.max_degree}, need {p - 1}")
-    w, acc = complex(w), 0j
-    for c in reversed(_polynomial_weights(table, p, tau)):
-        acc = acc * w + c
-    return acc
+    return complex(_polyval(_polynomial_weights(table, p, tau), complex(w)))

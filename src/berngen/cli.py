@@ -26,10 +26,6 @@ SCHEMA = ("experiment", "method", "p", "n", "N", "ell", "tau", "z",
           "value", "elapsed_s")
 
 
-class UsageError(Exception):
-    """Invalid configuration; maps to exit code 2."""
-
-
 @dataclass(frozen=True)
 class Row:
     """One report line; inapplicable parameters stay None (empty in CSV)."""
@@ -104,13 +100,13 @@ def _config_argv(path: str, keys) -> list[str]:
                     continue
                 key, sep, raw = line.partition("=")
                 if not sep:
-                    raise UsageError(f"{path}:{lineno}: expected key=value")
+                    raise ValueError(f"{path}:{lineno}: expected key=value")
                 key = key.strip()
                 if key not in keys:
-                    raise UsageError(f"unknown config key {key!r}")
+                    raise ValueError(f"unknown config key {key!r}")
                 argv.append(f"--{key}={raw.strip()}")
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}")
+        raise ValueError(f"cannot read config file {path}: {exc}")
     return argv
 
 
@@ -122,7 +118,7 @@ def cmd_delta_table(config: dict) -> ExperimentReport:
     """
     z_list, n_list, K = config["z"], config["N"], config["K"]
     if n_list and K < max(n_list):
-        raise UsageError(
+        raise ValueError(
             f"K={K} must be at least max(N)={max(n_list)} so the tail "
             "meets the K >= 2N requirement for every cell")
 
@@ -187,7 +183,7 @@ def cmd_bvp_compare(config: dict) -> ExperimentReport:
     elif kind == "geometric":
         grid = geometric_grid(0.01, 1.005, s)
     else:
-        raise UsageError(f"--grid must be uniform or geometric, got {kind!r}")
+        raise ValueError(f"--grid must be uniform or geometric, got {kind!r}")
     A = discretize_laplacian(grid)
     f = np.ones(A.dimension)
     taus = config["tau"]
@@ -227,10 +223,10 @@ def cmd_arnoldi_compare(config: dict) -> ExperimentReport:
     """
     test = config["test"]
     if test not in (3, 4):
-        raise UsageError(f"--test must be 3 or 4, got {test}")
+        raise ValueError(f"--test must be 3 or 4, got {test}")
     s, steps, tau, N = config["s"], config["steps"], config["tau"], config["N"]
     if steps < 1:
-        raise UsageError("steps must be >= 1")
+        raise ValueError("steps must be >= 1")
     ell = config["ell"]
     if ell is None:
         ell = 5 if test == 3 else 4
@@ -358,16 +354,13 @@ def main(argv=None) -> int:
                 with open(args.out, "w", newline="") as fh:
                     report.write(fh)
             except OSError as exc:
-                raise UsageError(
+                raise ValueError(
                     f"cannot write output file {args.out}: {exc}")
         else:
             report.write(sys.stdout)
         return 0
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (PoleProximityError, TauEndpointError, np.linalg.LinAlgError,
             ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

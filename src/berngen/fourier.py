@@ -150,7 +150,7 @@ def _trig_row(N: int, M: int, tau: float) -> np.ndarray:
 def _mode_sum(params: ApproxParams, row: np.ndarray) -> complex:
     """Polynomial part plus 2 (sc gamma_k a_k + ss delta_k b_k) over the
     modes k of the (2, M) weight row (a, b), parity signs (sc, ss)."""
-    p, w = params.p, check_pole(params.w)
+    p, w = params.p, complex(params.w)
     acc = lanczos_polynomial(shared_table(), p, params.tau, w)
     comp = 0.0 + 0.0j
     sc, ss = parity_signs(p)

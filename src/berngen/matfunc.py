@@ -12,7 +12,7 @@ from .acceleration import _weight_row
 from .acceleration import build_triangle  # noqa: F401
 from .bernoulli import _polynomial_weights, shared_table
 from .fourier import (POLE_TOL, TWO_PI, ApproxParams, PoleProximityError,
-                      _check_order, _check_tau, parity_signs)
+                      _check_order, _check_tau, parity_signs, reference_q)
 
 #: 1-norm bound under which the degree-13 diagonal Pade approximant of the
 #: exponential is accurate to machine precision
@@ -586,21 +586,10 @@ def _circulant_column(A: BandedOperator):
     return column
 
 
-def _q_weights(taus: np.ndarray, lam: np.ndarray, coeffs) -> np.ndarray:
-    """q(tau, lam) * coeffs, one row per tau and one column per eigenvalue.
-
-    Re lam <= 0 uses e^{tau lam} lam / expm1(lam), with the removable value
-    1 at lam == 0; Re lam > 0 uses e^{(tau - 1) lam} lam / -expm1(-lam),
-    the same q without the overflow of e^{tau lam}.
-    """
-    grow = lam.real > 0
-    ratio = np.ones_like(lam)   # the removable value at lam == 0
-    decay = (lam != 0) & ~grow
-    ratio[decay] = lam[decay] / np.expm1(lam[decay])
-    ratio[grow] = lam[grow] / -np.expm1(-lam[grow])
-    exponent = np.multiply.outer(taus, lam)
-    exponent[:, grow] = np.multiply.outer(taus - 1.0, lam[grow])
-    return np.exp(exponent) * (ratio * coeffs)
+def _q(taus: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """reference_q(tau, lam), one row per tau, one column per eigenvalue."""
+    return np.frompyfunc(reference_q, 2, 1).outer(
+        taus.ravel(), lam).astype(complex)
 
 
 def spectral_reference(A: BandedOperator, tau, f) -> np.ndarray:
@@ -614,14 +603,16 @@ def spectral_reference(A: BandedOperator, tau, f) -> np.ndarray:
     q(tau, A) f = D Q q(tau, Lambda) Q^T D^-1 f, up to SPECTRAL_CAP.
     log D is a centred cumulative sum, so D stays finite on strongly
     stretched grids, but max(D) / min(D) > SCALING_CAP raises ValueError.
-    An array tau gives shape tau.shape + (s,), one row of an inverse FFT or
-    GEMM per tau.  Another A, or an f _vector refuses, raises ValueError.
+    q(tau, lam) is fourier.reference_q at each (tau, eigenvalue) pair, so
+    an eigenvalue at a pole raises PoleProximityError.  An array tau gives
+    shape tau.shape + (s,), one row of an inverse FFT or GEMM per tau.
+    Another A, or an f _vector refuses, raises ValueError.
     """
     s, f = A.dimension, _vector(A, f)
     taus = np.asarray(tau, dtype=float)
     column = _circulant_column(A)
     if column is not None:
-        weights = _q_weights(taus.ravel(), np.fft.fft(column), np.fft.fft(f))
+        weights = _q(taus, np.fft.fft(column)) * np.fft.fft(f)
         return np.reshape(np.fft.ifft(weights).real, taus.shape + (s,))
     if not A.is_tridiagonal:
         raise ValueError(
@@ -642,7 +633,7 @@ def spectral_reference(A: BandedOperator, tau, f) -> np.ndarray:
     off = np.sign(A.sup) * np.sqrt(A.sub * A.sup)
     S = BandedOperator.tridiagonal(off, A.diag, off).to_dense()
     lam, Q = np.linalg.eigh(S)
-    weights = _q_weights(taus.ravel(), lam, Q.T @ (f / d))
+    weights = _q(taus, lam).real * (Q.T @ (f / d))
     return np.reshape((weights @ Q.T) * d, taus.shape + (s,))
 
 

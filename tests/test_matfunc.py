@@ -1554,6 +1554,14 @@ class TestSpectralReference:
         for z, ref, diff in zip(fft, pade, measured):
             assert np.max(np.abs(z - ref)) <= 3.0 * diff * np.max(np.abs(ref))
 
+    def test_eigenvalue_at_pole_refused(self):
+        """The FFT gives circulant_shift(4, 2 pi) the eigenvalue -2 pi i
+        exactly, where q has a pole: the oracle refuses it, as the scalar
+        reference_q does, instead of returning entries near 1e16."""
+        with pytest.raises(PoleProximityError):
+            spectral_reference(circulant_shift(4, TWO_PI), 0.5,
+                               [1.0, -2.0, 0.5, 3.0])
+
     def test_signed_off_diagonals_match_pade(self):
         """Off-diagonal pairs of either sign, unequal in size."""
         rng = np.random.default_rng(41)
