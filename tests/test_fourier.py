@@ -109,6 +109,24 @@ class TestReferenceQ:
                                 abs(reference_q(tau, w) - exact) / abs(exact))
         assert worst <= 1e-15
 
+    def test_real_w_matches_complex_form(self):
+        """A real w, which takes float arithmetic, gives bit for bit the
+        real part of the complex closed form, as a complex number."""
+        rng = np.random.default_rng(54)
+        w = rng.choice([-1.0, 1.0], 20000) * np.geomspace(1e-12, 1.6e3, 20000)
+        taus = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 19998)))
+        for tau, x in zip(taus.tolist(), w.tolist()):
+            z = complex(x)
+            if x > 0.0:
+                expect = z * cmath.exp(z * (tau - 1.0)) / -complex(
+                    np.expm1(-z))
+            else:
+                expect = z * cmath.exp(z * tau) / complex(np.expm1(z))
+            got = reference_q(tau, x)
+            assert type(got) is complex
+            assert got.real == expect.real and got.imag == 0.0
+        assert reference_q(0.5, 0.0) == 1.0 and reference_q(0.5, -0.0) == 1.0
+
 
 class TestHatCoefficients:
     def test_first_mode_of_two_pi(self):

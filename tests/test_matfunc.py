@@ -1,8 +1,13 @@
 """Banded operators, shifted solves, and the matrix action of q."""
 
 import math
+import os
+import select
+import signal
 import sys
 import tracemalloc
+import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -1144,6 +1149,100 @@ def _frozen_evaluate(plan, scheme, tau):
     for term in terms[-2::-1]:
         v = plan.A.matvec(v) + term
     return v
+
+
+class TestSplitRowProduct:
+    """From one core's L2 up, evaluate's row products split their columns
+    between the caller and a helper thread."""
+
+    TAUS = (1.0 / 12.0, 0.3, 0.5, 11.0 / 12.0)
+
+    @staticmethod
+    def _plan(s, seed=40):
+        """A heat-operator plan whose X and Z both reach the split."""
+        A = discretize_laplacian(uniform_grid(24.0 * (s + 1) / 513.0, s))
+        f = np.random.default_rng(seed).standard_normal(s)
+        plan = ActionPlan(A, 2, 60, 4, f)
+        assert plan._X.nbytes >= berngen.matfunc._L2_BYTES
+        return plan
+
+    @pytest.mark.parametrize("s", [4096, 4103])
+    def test_split_matches_frozen_arithmetic(self, s):
+        """Above the threshold, at s a multiple of 128 and not, every view
+        evaluates bit for bit as the unsplit _frozen_evaluate does.  That
+        holds at one or two BLAS threads; more threads cut each half again
+        at columns that need not be multiples of four."""
+        base = self._plan(s)
+        for p in (1, 2, 3):
+            for scheme in ("stabilized", "direct"):
+                plan = base.view(p, 60, 4, scheme)
+                for tau in self.TAUS:
+                    assert np.array_equal(plan.evaluate(tau),
+                                          _frozen_evaluate(plan, scheme, tau))
+        assert berngen.matfunc._jobs is not None
+
+    def test_threads_share_large_plans(self):
+        """Two threads evaluating a large plan and its views at once, so
+        that their jobs queue for the one helper, give the serial results."""
+        base = self._plan(4096)
+        plans = (base, base.view(1, 60, 4), base.view(3, 60, 4, "direct"))
+        taus = np.random.default_rng(41).uniform(1.0 / 12.0, 11.0 / 12.0, 20)
+        serial = [[plan.evaluate(tau) for tau in taus] for plan in plans]
+
+        def run():
+            return [[plan.evaluate(tau) for tau in taus] for plan in plans]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [pool.submit(run) for _ in range(3)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            for rows, expect in zip(got, serial):
+                assert all(np.array_equal(a, b) for a, b in zip(rows, expect))
+
+    def test_no_reference_kept_after_a_call(self):
+        """Once evaluate returns, the helper holds nothing of the plan: the
+        next plan would otherwise be built with two Z alive."""
+        plan = self._plan(4096)
+        Z, X = weakref.ref(plan._Z), weakref.ref(plan._X)
+        plan.view(1, 60, 4).evaluate(0.3)
+        plan.evaluate(0.3)
+        del plan
+        assert Z() is None and X() is None
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="fork from a threaded process, Linux only")
+    def test_forked_child_starts_its_own_helper(self):
+        """A child forked after a large evaluate has no helper thread; its
+        own large evaluate starts one instead of waiting forever."""
+        plan = self._plan(4096)
+        expect = plan.evaluate(0.3)
+        assert berngen.matfunc._jobs is not None
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12 warns of fork in a process that has threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                same = np.array_equal(plan.evaluate(0.3), expect)
+                os.write(write, b"1" if same else b"0")
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            ready, _, _ = select.select([read], [], [], 60.0)
+            reply = os.read(read, 1) if ready else b""
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+        finally:
+            os.close(read)
+            os.waitpid(pid, 0)
+        assert reply == b"1"
 
 
 def _dst1(x):
