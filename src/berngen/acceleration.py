@@ -149,8 +149,10 @@ def load_exp_approximant(path) -> Callable[[complex], complex]:
             tokens.extend(float(t) for t in line.split())
     if not tokens:
         raise ValueError(f"{path}: empty coefficient file")
+    if not tokens[0].is_integer() or tokens[0] < 0:
+        raise ValueError(f"{path}: the degree must be an integer >= 0")
     r = int(tokens[0])
-    if r < 0 or len(tokens) != 1 + 2 * (r + 1):
+    if len(tokens) != 1 + 2 * (r + 1):
         raise ValueError(
             f"{path}: expected the degree followed by 2*(degree+1) "
             f"coefficients, got {len(tokens)} values")

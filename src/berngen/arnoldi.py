@@ -28,6 +28,14 @@ class KrylovDecomposition:
     j: int
     breakdown: bool
 
+    def prefix(self, j: int) -> "KrylovDecomposition":
+        """The decomposition after its first j steps, 1 <= j <= self.j:
+        V[:, :j + 1] and H[:j + 1, :j] as views, or self at j = self.j."""
+        if j == self.j:
+            return self
+        return KrylovDecomposition(V=self.V[:, :j + 1], H=self.H[:j + 1, :j],
+                                   beta=self.beta, j=j, breakdown=False)
+
 
 def arnoldi_extend(A: BandedOperator, f, j: int) -> KrylovDecomposition:
     """Run j Arnoldi steps from starting vector f, one modified

@@ -12,8 +12,7 @@ from time import perf_counter
 import numpy as np
 
 from .acceleration import G_approx, TauEndpointError, q0_shift
-from .arnoldi import (KrylovDecomposition, arnoldi_extend, arnoldi_q_approx,
-                      orthogonality_loss)
+from .arnoldi import arnoldi_extend, arnoldi_q_approx, orthogonality_loss
 from .bvp import (circulant_shift, discretize_laplacian, geometric_grid,
                   uniform_grid)
 from .fourier import (TWO_PI, ApproxParams, PoleProximityError, delta_of_N,
@@ -43,14 +42,11 @@ class Row:
 
     def key(self):
         """Total order on the parameter tuple (None sorts first)."""
-        def fi(v):
-            return -1 if v is None else v
-
-        def ff(v):
+        def first(v):
             return -math.inf if v is None else v
 
-        return (self.experiment, self.method, fi(self.p), fi(self.n),
-                fi(self.N), fi(self.ell), ff(self.tau), ff(self.z))
+        return (self.experiment, self.method, first(self.p), first(self.n),
+                first(self.N), first(self.ell), first(self.tau), first(self.z))
 
     def formatted(self) -> list[str]:
         def fi(v):
@@ -249,12 +245,7 @@ def cmd_arnoldi_compare(config: dict) -> ExperimentReport:
     dec = arnoldi_extend(A, f, min(steps, A.dimension))
     extend_time = perf_counter() - t0
     for j in range(1, dec.j + 1):
-        if j == dec.j:
-            pre = dec
-        else:
-            pre = KrylovDecomposition(V=dec.V[:, :j + 1],
-                                      H=dec.H[:j + 1, :j],
-                                      beta=dec.beta, j=j, breakdown=False)
+        pre = dec.prefix(j)
         t1 = perf_counter()
         err = float(np.max(np.abs(arnoldi_q_approx(pre, tau) - z)))
         dt = perf_counter() - t1
@@ -274,8 +265,7 @@ _COMMANDS = {
         {"z": (_floats, "comma-separated z values"),
          "N": (_ints, "comma-separated mode counts"),
          "K": (int, "tail length beyond each N")},
-        {"z": [1.0, 0.1, 10.0], "N": [512, 1024, 2048], "K": 2048,
-         "out": None},
+        {"z": [1.0, 0.1, 10.0], "N": [512, 1024, 2048], "K": 2048},
         "scaled residual norms Delta(N)",
     ),
     "scalar-error": (
@@ -290,8 +280,7 @@ _COMMANDS = {
          "wmax": (float, "right end of the w grid"),
          "alpha": (float, "offset for the tau = 0 shift identity")},
         {"p": [2], "ell": [0, 1, 2, 3], "tau": [0.125, 0.0078125], "N": 100,
-         "points": 400, "wmin": -10.0, "wmax": 0.0, "alpha": 0.125,
-         "out": None},
+         "points": 400, "wmin": -10.0, "wmax": 0.0, "alpha": 0.125},
         "relative error sweep over a w grid",
     ),
     "bvp-compare": (
@@ -303,8 +292,7 @@ _COMMANDS = {
          "n": (_ints, "comma-separated classical half-orders (p = 2n + 2)"),
          "ell": (_ints, "comma-separated accelerated correction depths")},
         {"grid": "uniform", "s": 512, "tau": [1.0 / 12.0, 1.0 / 6.0],
-         "N": [50, 100, 200], "n": [2, 3, 4], "ell": [2, 3, 4],
-         "out": None},
+         "N": [50, 100, 200], "n": [2, 3, 4], "ell": [2, 3, 4]},
         "matrix-action error tables on the heat problems",
     ),
     "arnoldi-compare": (
@@ -316,7 +304,7 @@ _COMMANDS = {
          "ell": (int, "accelerated correction depth"),
          "tau": (float, "evaluation time")},
         {"test": 3, "steps": 100, "s": 512, "N": 50, "ell": None,
-         "tau": 1.0 / 6.0, "out": None},
+         "tau": 1.0 / 6.0},
         "Krylov iteration history vs the accelerated run",
     ),
 }
@@ -344,11 +332,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        run, _, defaults, _ = _COMMANDS[args.command]
         if args.config:
             # file flags go first, so flags on the command line win
-            flags = _config_argv(args.config, _COMMANDS[args.command][2])
+            flags = _config_argv(args.config, {"out", *defaults})
             args = parser.parse_args(argv[:1] + flags + argv[1:])
-        report = _COMMANDS[args.command][0](vars(args))
+        report = run(vars(args))
         if args.out:
             try:
                 with open(args.out, "w", newline="") as fh:

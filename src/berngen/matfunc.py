@@ -67,6 +67,8 @@ class BandedOperator:
         if sub.shape != (s - 1,) or sup.shape != (s - 1,):
             raise ValueError("off-diagonals must have length s - 1")
         corners = tuple(float(c) for c in corners)
+        if len(corners) != 2:
+            raise ValueError("corners must hold exactly two values")
         if not all(np.isfinite(v).all() for v in (sub, diag, sup, corners)):
             raise ValueError("operator entries must be finite")
         if any(corners) and s < 3:
@@ -102,9 +104,8 @@ class BandedOperator:
             rows = [row @ self._dense.T for row in v.reshape(-1, v.shape[-1])]
             return np.reshape(rows, v.shape)
         y = self.diag * v
-        if self.dimension > 1:
-            y[..., 1:] += self.sub * v[..., :-1]
-            y[..., :-1] += self.sup * v[..., 1:]
+        y[..., 1:] += self.sub * v[..., :-1]
+        y[..., :-1] += self.sup * v[..., 1:]
         if self.corners is not None:
             y[..., 0] += self.corners[0] * v[..., -1]
             y[..., -1] += self.corners[1] * v[..., 0]
@@ -116,9 +117,8 @@ class BandedOperator:
         s = self.dimension
         M = np.zeros((s, s))
         M[np.arange(s), np.arange(s)] = self.diag
-        if s > 1:
-            M[np.arange(1, s), np.arange(s - 1)] = self.sub
-            M[np.arange(s - 1), np.arange(1, s)] = self.sup
+        M[np.arange(1, s), np.arange(s - 1)] = self.sub
+        M[np.arange(s - 1), np.arange(1, s)] = self.sup
         if self.corners is not None:
             M[0, s - 1], M[s - 1, 0] = self.corners
         return M
@@ -127,13 +127,11 @@ class BandedOperator:
         """Maximum absolute column sum."""
         if self._dense is not None:
             return float(np.abs(self._dense).sum(axis=0).max())
-        s = self.dimension
-        col = np.abs(self.diag).astype(float)
-        if s > 1:
-            col[:-1] += np.abs(self.sub)
-            col[1:] += np.abs(self.sup)
+        col = np.abs(self.diag)
+        col[:-1] += np.abs(self.sub)
+        col[1:] += np.abs(self.sup)
         if self.corners is not None:
-            col[s - 1] += abs(self.corners[0])
+            col[-1] += abs(self.corners[0])
             col[0] += abs(self.corners[1])
         return float(col.max())
 
@@ -409,6 +407,16 @@ def _rows_dot(w: np.ndarray, R: np.ndarray) -> np.ndarray:
     OpenBLAS sums the columns in blocks of four, and the last s mod 4 in
     another loop; a cut at a multiple of 64 columns leaves every column in
     the loop it takes unsplit, where a 3-way cut at 1365 moved the last bit.
+
+    The split pays only at one BLAS thread, and nothing pins BLAS, the CLI
+    included.  Uniform heat plan, s = 4096, N = 50, ell = 4, 2,000 taus,
+    best of 5 on a 2-core x86-64 box: with OPENBLAS_NUM_THREADS=1 evaluate
+    took 82-86 us split against 118-128 us unsplit; with OpenBLAS at its
+    default thread count, which splits the GEMV itself, 86-104 us split
+    against 57-60 us unsplit.  The CLI reaches the split on any plan whose
+    Z or X holds 2 MiB or more, such as arnoldi-compare --test 4 --s 16384
+    (Z 15.5 MB) or bvp-compare --s 1024 at its default N and ell (the base
+    plan's Z 3.4 MB).
     """
     global _jobs
     cut = R.shape[-1] // 128 * 64
@@ -548,10 +556,10 @@ def g_action(A: BandedOperator, params: ApproxParams, f) -> np.ndarray:
 
 
 def G_action(A: BandedOperator, params: ApproxParams, f) -> np.ndarray:
-    """Accelerated action; ell = 0 falls back to g_action bit-for-bit."""
-    if params.ell == 0:
-        return g_action(A, params, f)
-    plan = ActionPlan(A, params.p, params.N, params.ell, f)
+    """Accelerated action; ell = 0 is g_action's 'direct' scheme, bit for
+    bit."""
+    plan = ActionPlan(A, params.p, params.N, params.ell, f,
+                      scheme="direct" if params.ell == 0 else "stabilized")
     return plan.evaluate(params.tau)
 
 
@@ -730,31 +738,26 @@ def load_matrix_market(path) -> BandedOperator:
             raise ValueError(f"{path}: unsupported field type {field!r}")
         if symmetry not in ("general", "symmetric"):
             raise ValueError(f"{path}: unsupported symmetry {symmetry!r}")
-        line = fh.readline()
-        while line and (line.startswith("%") or not line.strip()):
-            line = fh.readline()
-        try:
-            rows, cols, nnz = (int(t) for t in line.split())
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed size line") from exc
-        if rows != cols:
-            raise ValueError(f"{path}: only square matrices are supported")
-        entries = {}   # (i, j) -> value; a repeated entry overwrites
-        seen = 0
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
-            i_s, j_s, v_s = line.split()[:3]
-            i, j, v = int(i_s) - 1, int(j_s) - 1, float(v_s)
-            if not (0 <= i < rows and 0 <= j < rows):
-                raise ValueError(f"{path}: entry {line!r} is out of range")
-            entries[i, j] = v
-            if symmetry == "symmetric":
-                entries[j, i] = v
-            seen += 1
-        if seen != nnz:
-            raise ValueError(f"{path}: expected {nnz} entries, found {seen}")
+        lines = [line for line in map(str.strip, fh)
+                 if line and not line.startswith("%")]
+    try:
+        rows, cols, nnz = (int(t) for t in lines[0].split())
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed size line") from exc
+    if rows != cols:
+        raise ValueError(f"{path}: only square matrices are supported")
+    entries = {}   # (i, j) -> value; a repeated entry overwrites
+    for line in lines[1:]:
+        i_s, j_s, v_s = line.split()[:3]
+        i, j, v = int(i_s) - 1, int(j_s) - 1, float(v_s)
+        if not (0 <= i < rows and 0 <= j < rows):
+            raise ValueError(f"{path}: entry {line!r} is out of range")
+        entries[i, j] = v
+        if symmetry == "symmetric":
+            entries[j, i] = v
+    if len(lines) - 1 != nnz:
+        raise ValueError(
+            f"{path}: expected {nnz} entries, found {len(lines) - 1}")
     entries = {ij: v for ij, v in entries.items() if v}
     s = rows
     slot = {(0, s - 1): 0, (s - 1, 0): 1} if s >= 3 else {}

@@ -318,3 +318,12 @@ class TestExpApproximant:
         self._write(short, ["2", "1", "0.5"])
         with pytest.raises(ValueError):
             load_exp_approximant(str(short))
+
+    @pytest.mark.parametrize("degree", ["2.5", "inf", "nan", "-1"])
+    def test_degree_must_be_a_non_negative_integer(self, tmp_path, degree):
+        """A fractional degree used to load truncated to an integer, and
+        inf raised OverflowError."""
+        f = tmp_path / "degree.txt"
+        self._write(f, [degree] + ["1"] * 6)
+        with pytest.raises(ValueError, match="degree.txt"):
+            load_exp_approximant(str(f))

@@ -3,18 +3,15 @@
 import numpy as np
 import pytest
 
-from berngen.arnoldi import (KrylovDecomposition, arnoldi_extend,
-                             arnoldi_q_approx, orthogonality_loss)
+from berngen.arnoldi import (arnoldi_extend, arnoldi_q_approx,
+                             orthogonality_loss)
 from berngen.bvp import circulant_shift, discretize_laplacian, uniform_grid
 from berngen.fourier import reference_q
 from berngen.matfunc import BandedOperator, spectral_reference
 
 
 def _prefix(dec, j):
-    if j == dec.j:
-        return dec
-    return KrylovDecomposition(V=dec.V[:, :j + 1], H=dec.H[:j + 1, :j],
-                               beta=dec.beta, j=j, breakdown=False)
+    return dec.prefix(j)
 
 
 class TestFactorization:

@@ -104,6 +104,13 @@ class TestBandedOperator:
         A = BandedOperator.tridiagonal([], [2.5], [])
         assert A.dimension == 1
         assert A.matvec(np.array([2.0]))[0] == 5.0
+        for op in (A, BandedOperator.dense([[2.5]])):
+            assert np.array_equal(op.to_dense(), [[2.5]])
+            assert op.norm1() == 2.5
+            assert np.array_equal(op.matvec(np.array([[2.0], [-4.0]])),
+                                  [[5.0], [-10.0]])
+        B = BandedOperator.tridiagonal([], [-3.0], [])
+        assert B.norm1() == 3.0 and B.diag[0] == -3.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -164,6 +171,10 @@ class TestBandedOperator:
         A = BandedOperator.tridiagonal([1.0], [1.0, 2.0], [1.0],
                                        corners=(0.0, 0.0))
         assert A.corners is None and A.is_tridiagonal
+        bands = (np.ones(3), np.ones(4), np.ones(3))
+        for corners in ((1.0, 2.0, 3.0), (1.0,)):
+            with pytest.raises(ValueError, match="two values"):
+                BandedOperator.tridiagonal(*bands, corners=corners)
 
 
 class TestShiftedSolve:
@@ -1894,6 +1905,25 @@ class TestMatrixMarketLoader:
                      f"4 4 2\n{entries}\n")
         with pytest.raises(ValueError, match="finite"):
             load_matrix_market(str(f))
+
+    def test_one_comment_rule(self, tmp_path):
+        """Blank and '%' lines, indented or not, are skipped alike before
+        the size line and among the entries."""
+        f = tmp_path / "indented.mtx"
+        f.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "  % indented comment\n\n"
+            "2 2 2\n"
+            "\t% another\n"
+            "1 1 3\n\n"
+            "2 2 4\n")
+        A = load_matrix_market(str(f))
+        assert np.array_equal(A.to_dense(), [[3.0, 0.0], [0.0, 4.0]])
+        no_size = tmp_path / "no_size.mtx"
+        no_size.write_text(
+            "%%MatrixMarket matrix coordinate real general\n  %\n\n")
+        with pytest.raises(ValueError, match="malformed size line"):
+            load_matrix_market(str(no_size))
 
     def test_off_band_entry_stays_dense(self, tmp_path):
         f = tmp_path / "off.mtx"
