@@ -145,8 +145,11 @@ def load_exp_approximant(path) -> Callable[[complex], complex]:
     tokens: list[float] = []
     with open(path) as fh:
         for line in fh:
-            line = line.split("#", 1)[0]
-            tokens.extend(float(t) for t in line.split())
+            try:
+                tokens.extend(float(t) for t in line.split("#", 1)[0].split())
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}: malformed line {line.strip()!r}") from exc
     if not tokens:
         raise ValueError(f"{path}: empty coefficient file")
     if not tokens[0].is_integer() or tokens[0] < 0:

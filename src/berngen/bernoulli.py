@@ -11,6 +11,13 @@ from fractions import Fraction
 DEGREE_CAP = 64
 
 
+def _check_p(p: int) -> None:
+    """Refuse an order p outside 1..DEGREE_CAP + 1: the polynomial part of
+    order p needs Bernoulli degrees up to p - 1."""
+    if not 1 <= p <= DEGREE_CAP + 1:
+        raise ValueError(f"p must lie in 1..{DEGREE_CAP + 1}")
+
+
 @dataclass(frozen=True)
 class BernoulliTable:
     """Monomial coefficients of B_0 .. B_max_degree, ascending powers.
@@ -76,6 +83,7 @@ def eval_bernoulli(table: BernoulliTable, k: int, tau: float) -> float:
 def _polynomial_weights(table: BernoulliTable, p: int, tau: float) -> list:
     """B_j(tau) / j! for j < p: the weight of w^j, or of A^j f, in the
     polynomial part."""
+    _check_p(p)
     return [eval_bernoulli(table, j, tau) / math.factorial(j)
             for j in range(p)]
 
@@ -85,6 +93,4 @@ def lanczos_polynomial(table: BernoulliTable, p: int, tau: float,
     """Truncated generating series sum_{k=0}^{p-1} B_k(tau) w^k / k!, by
     Horner's rule over _polynomial_weights: the scalar case of the matrix
     polynomial part, bit for bit on a real w."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
     return complex(_polyval(_polynomial_weights(table, p, tau), complex(w)))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernoulli import DEGREE_CAP, lanczos_polynomial, shared_table
+from .bernoulli import _check_p, lanczos_polynomial, shared_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,8 +35,7 @@ def check_pole(w: complex) -> complex:
 
 def _check_order(p: int, N: int, ell: int) -> None:
     """Refuse an order p, mode count N or correction depth ell out of range."""
-    if not 1 <= p <= DEGREE_CAP + 1:
-        raise ValueError(f"p must lie in 1..{DEGREE_CAP + 1}")
+    _check_p(p)
     if N < 1:
         raise ValueError("N must be >= 1")
     if ell < 0:
@@ -78,19 +77,12 @@ def reference_q(tau: float, w: complex) -> complex:
     expm1 keeps e^w - 1 to full relative accuracy as w -> 0, so no series
     is needed near the removable singularity; for positive real part the
     closed form is rewritten as w e^{w (tau - 1)} / -expm1(-w) to avoid
-    overflow.  A real w takes both forms in float arithmetic, bit for bit
-    the real part of the complex forms, at two thirds of their cost.
-    It calls nothing in bernoulli, so it stays an oracle independent of the
-    approximations it checks.
+    overflow.  It calls nothing in bernoulli, so it stays an oracle
+    independent of the approximations it checks.
     """
     w = check_pole(w)
     if w == 0:
         return 1.0 + 0.0j
-    if w.imag == 0.0:
-        x = w.real
-        if x > 0.0:
-            return complex(x * math.exp(x * (tau - 1.0)) / -math.expm1(-x))
-        return complex(x * math.exp(x * tau) / math.expm1(x))
     if w.real > 0.0:
         return w * cmath.exp(w * (tau - 1.0)) / -complex(np.expm1(-w))
     return w * cmath.exp(w * tau) / complex(np.expm1(w))
@@ -125,8 +117,7 @@ def _modes(p, k, w):
 def lanczos_coefficients(p: int, k: int,
                          w: complex) -> tuple[complex, complex]:
     """Order-p residual-mode coefficients (c_k, s_k) of integer mode k."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     if operator.index(k) < 1:
         raise ValueError("k must be >= 1")
     w = check_pole(w)
@@ -182,8 +173,7 @@ def residual_l2(p: int, w: complex, N: int, K: int) -> float:
     Computed from the coefficients directly (Parseval), which is exact for
     the trigonometric remainder and avoids quadrature noise.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     if N < 0:
         raise ValueError("N must be >= 0")
     if K < N:

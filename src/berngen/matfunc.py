@@ -441,8 +441,6 @@ def _rows_dot(w: np.ndarray, R: np.ndarray) -> np.ndarray:
 def h_action(A: BandedOperator, p: int, tau: float, f) -> np.ndarray:
     """Horner evaluation of the polynomial part on a vector: the matvecs
     of sum_{k<p} B_k(tau) A^k / k! applied to f."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
     _check_tau(tau)
     f = _vector(A, f)
     weights = _polynomial_weights(shared_table(), p, tau)
@@ -488,9 +486,12 @@ class ActionPlan:
         self.p, self.N, self.ell, self._scheme = p, N, ell, scheme
         M, have = N + 2 * ell, len(self._X)
         self._tk = tk = TWO_PI * np.arange(1, M + 1)
-        self._signs = 2.0 * np.array(parity_signs(p))[:, None]
-        self._divisors = ((tk ** (p - 2), tk ** (p - 1)) if scheme == "direct"
-                          else np.repeat(tk ** (p - 2), 2) if p >= 3 else None)
+        # odd p swaps the families; each row's t_k power over 2 x its sign
+        self._order = order = slice(None, None, -1 if p % 2 else 1)
+        powers = ((tk ** (p - 2), tk ** (p - 1)) if scheme == "direct"
+                  else (tk ** max(p - 2, 0),) * 2)
+        self._divisors = np.array(powers) / (
+            2.0 * np.array(parity_signs(p))[order, None])
         self.solve_count = max(M - have, 0)
         if M <= have:
             self._X, self._Z = self._X[:M], self._Z[:2 + 2 * M]
@@ -512,37 +513,28 @@ class ActionPlan:
     def evaluate(self, tau: float) -> np.ndarray:
         """q(tau, A) f from the stored rows (no solves).
 
-        The weight row of acceleration's _weight_row, the plan's parity
-        signs, t_k powers and Bernoulli coefficients fold into one weight
-        per row, so stabilized p = 2 is one GEMV over Z.  One Horner sweep
-        then applies A^{p-2} to it, A to a GEMV over X (p = 1), or A^p and
-        A^{p+1} to two ('direct').  The rest is O(N + ell) scalar work,
-        which writes only arrays the call allocates.
-
-        Each GEMV is _rows_dot's: over a matrix of at least one core's L2
-        (_L2_BYTES, 2 MiB) the caller and one daemon helper thread, started
-        on first use, each stream half of the columns, bit for bit the
-        unsplit product since the cut lies at a multiple of 64 columns.  A
-        forked child forgets the parent's helper and starts its own.
+        The weight row of acceleration's _weight_row, the plan's divisors
+        (parity signs and t_k powers) and Bernoulli coefficients fold into
+        one weight per row, so stabilized p = 2 is one GEMV over Z.  One
+        Horner sweep then applies A^{p-2} to it, A to a GEMV over X (p = 1),
+        or A^p and A^{p+1} to two ('direct').  The rest is O(N + ell) scalar
+        work, which writes only arrays the call allocates.  Each GEMV is
+        _rows_dot's, whose docstring says when it splits.
         """
         _check_tau(tau)
-        p, tk, X = self.p, self._tk, self._X
-        trig = _weight_row(self.N, self.ell, tau) * self._signs
-        # weights of A^p x_k / t_k^(p-2) and of A^(p+1) x_k / t_k^(p-1)
-        lo, hi = trig[::-1] if p % 2 else trig
+        p, X = self.p, self._X
+        # weights of A^p x_k and A^(p+1) x_k, or of the rows Y_k and D_k
+        trig = _weight_row(self.N, self.ell, tau)
+        lo, hi = trig[self._order] / self._divisors
         c, f = _polynomial_weights(shared_table(), p, tau), self.f
         w = np.zeros(len(self._Z))
         if self._scheme == "direct":
-            terms = [cj * f for cj in c] + [
-                _rows_dot(lo / self._divisors[0], X),
-                _rows_dot(hi / self._divisors[1], X)]
+            terms = [cj * f for cj in c] + [_rows_dot(lo, X), _rows_dot(hi, X)]
         elif p == 1:
             w[0], w[2::2] = c[0], hi
-            terms = [_rows_dot(w, self._Z), _rows_dot(lo * tk, X)]
+            terms = [_rows_dot(w, self._Z), _rows_dot(lo * self._tk, X)]
         else:
             w[:2], w[2::2], w[3::2] = c[p - 2:], lo, hi
-            if p > 2:
-                w[2:] /= self._divisors
             terms = [cj * f for cj in c[:p - 2]] + [_rows_dot(w, self._Z)]
         return _horner(self.A, terms)
 
@@ -748,8 +740,11 @@ def load_matrix_market(path) -> BandedOperator:
         raise ValueError(f"{path}: only square matrices are supported")
     entries = {}   # (i, j) -> value; a repeated entry overwrites
     for line in lines[1:]:
-        i_s, j_s, v_s = line.split()[:3]
-        i, j, v = int(i_s) - 1, int(j_s) - 1, float(v_s)
+        try:
+            i_s, j_s, v_s = line.split()[:3]
+            i, j, v = int(i_s) - 1, int(j_s) - 1, float(v_s)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed entry {line!r}") from exc
         if not (0 <= i < rows and 0 <= j < rows):
             raise ValueError(f"{path}: entry {line!r} is out of range")
         entries[i, j] = v

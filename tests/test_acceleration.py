@@ -327,3 +327,12 @@ class TestExpApproximant:
         self._write(f, [degree] + ["1"] * 6)
         with pytest.raises(ValueError, match="degree.txt"):
             load_exp_approximant(str(f))
+
+    def test_unparsable_token_names_file_and_line(self, tmp_path):
+        """A token that is not a number used to raise float()'s bare
+        message, without the path."""
+        f = tmp_path / "token.txt"
+        self._write(f, ["1", "1 0.5", "1 half  # denominator"])
+        with pytest.raises(ValueError, match=r"token\.txt: malformed line "
+                                             r"'1 half  # denominator'"):
+            load_exp_approximant(str(f))

@@ -163,3 +163,38 @@ class TestLanczosPolynomial:
             lanczos_polynomial(table, 0, 0.5, 1.0)
         with pytest.raises(ValueError):
             lanczos_polynomial(table, 5, 0.5, 1.0)
+
+
+
+#: a 1 x 1 operator and vector for the matrix entry points
+_A, _F = berngen.BandedOperator.diagonal([1.0]), np.ones(1)
+
+#: every public entry point that takes an order p, as a function of p
+ORDER_ENTRY_POINTS = {
+    "ApproxParams": lambda p: berngen.ApproxParams(p=p, N=4, tau=0.5),
+    "lanczos_coefficients": lambda p: berngen.lanczos_coefficients(p, 1, 1.0),
+    "residual_l2": lambda p: berngen.residual_l2(p, 1.0, 1, 4),
+    "lanczos_polynomial": lambda p: berngen.lanczos_polynomial(
+        shared_table(), p, 0.5, 1.0),
+    "h_action": lambda p: berngen.h_action(_A, p, 0.5, _F),
+    "correction": lambda p: berngen.correction(p, 4, 1, 0.3, 1.0),
+    "ActionPlan": lambda p: berngen.ActionPlan(_A, p, 4, 1, _F),
+    "view": lambda p: berngen.ActionPlan(_A, 2, 4, 1, _F).view(p, 4, 1),
+}
+
+
+class TestOrderGate:
+    """One gate, with one message, admits p = 1 .. DEGREE_CAP + 1: the
+    polynomial part of order p needs Bernoulli degrees up to p - 1."""
+
+    @pytest.mark.parametrize("p", [0, DEGREE_CAP + 2])
+    @pytest.mark.parametrize("name", sorted(ORDER_ENTRY_POINTS))
+    def test_out_of_range_refused(self, name, p):
+        with pytest.raises(ValueError,
+                           match=rf"^p must lie in 1\.\.{DEGREE_CAP + 1}$"):
+            ORDER_ENTRY_POINTS[name](p)
+
+    @pytest.mark.parametrize("p", [1, DEGREE_CAP + 1])
+    @pytest.mark.parametrize("name", sorted(ORDER_ENTRY_POINTS))
+    def test_range_ends_accepted(self, name, p):
+        ORDER_ENTRY_POINTS[name](p)

@@ -1874,6 +1874,18 @@ class TestMatrixMarketLoader:
         with pytest.raises(ValueError, match=entry):
             load_matrix_market(str(f))
 
+    @pytest.mark.parametrize("entry", ["2 1", "1 x 2.0", "1 1 two"])
+    def test_unparsable_entry_names_file_and_line(self, tmp_path, entry):
+        """A short or non-numeric entry used to raise the bare unpacking or
+        conversion message, without the path."""
+        f = tmp_path / "entry.mtx"
+        f.write_text(
+            "%%MatrixMarket matrix coordinate real general\n3 3 2\n"
+            f"1 1 1.0\n{entry}\n")
+        with pytest.raises(ValueError,
+                           match=rf"entry\.mtx: malformed entry '{entry}'"):
+            load_matrix_market(str(f))
+
 
     def test_periodic_pattern_is_banded(self, tmp_path):
         f = tmp_path / "cyc.mtx"
