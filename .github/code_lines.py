@@ -1,7 +1,9 @@
 """Count the code lines of every *.py file in a directory.
 
 A code line holds a token that is not a comment or part of a docstring;
-blank lines do not count.  Usage: python3 .github/code_lines.py DIR
+blank lines do not count.  Each file's plain line count, as wc -l gives
+it, is printed next to its code lines.
+Usage: python3 .github/code_lines.py DIR
 """
 
 import ast
@@ -33,12 +35,14 @@ def code_lines(text: str) -> int:
 
 
 def main(directory: str) -> None:
-    total = 0
+    total = plain_total = 0
+    print("  code  lines")
     for path in sorted(Path(directory).glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d} {path}")
-    print(f"{total:6d} total")
+        text = path.read_text()
+        count, plain = code_lines(text), text.count("\n")
+        total, plain_total = total + count, plain_total + plain
+        print(f"{count:6d} {plain:6d} {path}")
+    print(f"{total:6d} {plain_total:6d} total")
 
 
 if __name__ == "__main__":

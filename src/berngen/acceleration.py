@@ -182,10 +182,7 @@ def q0_shift(w: complex, alpha: float = 0.125,
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     w = check_pole(w)
-    evaluator = cmath.exp if exp_eval is None else exp_eval
     if params is None:
-        params = ApproxParams(p=2, N=100, tau=1.0 - alpha, w=w, ell=3,
-                              alpha=alpha)
-    else:
-        params = replace(params, tau=1.0 - alpha, w=w, alpha=alpha)
-    return G_approx(params) * evaluator(alpha * w) - w
+        params = ApproxParams(p=2, N=100, tau=1.0 - alpha, ell=3)
+    params = replace(params, tau=1.0 - alpha, w=w, alpha=alpha)
+    return G_approx(params) * (exp_eval or cmath.exp)(alpha * w) - w

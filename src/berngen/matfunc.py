@@ -87,6 +87,8 @@ class BandedOperator:
         matrix = np.array(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("dense operator must be a square matrix")
+        if not matrix.size:
+            raise ValueError("empty dense operator")
         if not np.isfinite(matrix).all():
             raise ValueError("operator entries must be finite")
         return cls(dimension=matrix.shape[0], dense=matrix)
@@ -111,29 +113,31 @@ class BandedOperator:
             y[..., -1] += self.corners[1] * v[..., 0]
         return y
 
+    def _entries(self):
+        """(rows, cols, values) of the banded storage, in the order
+        diagonal, sub-diagonal, super-diagonal, corners: the first s are
+        the diagonal, and np.bincount adds each row's or column's entries
+        in that order."""
+        s, corners = self.dimension, self.corners or ()
+        i, k = np.arange(s), np.array([0, s - 1][:len(corners)], dtype=int)
+        return (np.concatenate((i, i[1:], i[:-1], k)),
+                np.concatenate((i, i[:-1], i[1:], k[::-1])),
+                np.concatenate((self.diag, self.sub, self.sup, corners)))
+
     def to_dense(self) -> np.ndarray:
         if self._dense is not None:
             return self._dense.copy()
-        s = self.dimension
-        M = np.zeros((s, s))
-        M[np.arange(s), np.arange(s)] = self.diag
-        M[np.arange(1, s), np.arange(s - 1)] = self.sub
-        M[np.arange(s - 1), np.arange(1, s)] = self.sup
-        if self.corners is not None:
-            M[0, s - 1], M[s - 1, 0] = self.corners
+        rows, cols, values = self._entries()
+        M = np.zeros((self.dimension, self.dimension))
+        M[rows, cols] = values
         return M
 
     def norm1(self) -> float:
         """Maximum absolute column sum."""
         if self._dense is not None:
             return float(np.abs(self._dense).sum(axis=0).max())
-        col = np.abs(self.diag)
-        col[:-1] += np.abs(self.sub)
-        col[1:] += np.abs(self.sup)
-        if self.corners is not None:
-            col[-1] += abs(self.corners[0])
-            col[0] += abs(self.corners[1])
-        return float(col.max())
+        _, cols, values = self._entries()
+        return float(np.bincount(cols, np.abs(values)).max())
 
 
 #: solves and Z fills work in blocks of max(1, _WORK_ROWS // s) rows
@@ -273,11 +277,8 @@ def _dominant(A: BandedOperator, z) -> np.ndarray:
     Im(z_j)^2 > max_i (r_i^2 - (A[i, i] - Re z_j)^2), one O(s) pass per
     distinct real part.  For a periodic A it implies the same of the
     tridiagonal part T that _periodic_solve eliminates."""
-    r = np.zeros(A.dimension)
-    r[1:] += np.abs(A.sub)
-    r[:-1] += np.abs(A.sup)
-    if A.corners is not None:
-        r[[0, -1]] += np.abs(A.corners)
+    s, (rows, _, values) = A.dimension, A._entries()
+    r = np.bincount(rows[s:], np.abs(values[s:]), minlength=s)
     real, inverse = np.unique(z.real, return_inverse=True)
     gap = np.array([np.max(r * r - np.square(A.diag - x)) for x in real])
     return z.imag * z.imag > gap[inverse]
@@ -576,7 +577,7 @@ def _expm_dense(M: np.ndarray, phi1: bool = False) -> np.ndarray:
     squaring maps the top row [E | G] to [E E | E G + G].
     """
     n = M.shape[0]
-    norm = float(np.abs(M).sum(axis=0).max()) if n else 0.0
+    norm = float(np.abs(M).sum(axis=0).max())
     squarings = 0
     if norm > PADE_THETA:
         squarings = max(0, math.ceil(math.log2(norm / PADE_THETA)))
@@ -738,6 +739,8 @@ def load_matrix_market(path) -> BandedOperator:
         raise ValueError(f"{path}: malformed size line") from exc
     if rows != cols:
         raise ValueError(f"{path}: only square matrices are supported")
+    if rows < 1:
+        raise ValueError(f"{path}: the size line gives an empty matrix")
     entries = {}   # (i, j) -> value; a repeated entry overwrites
     for line in lines[1:]:
         try:
@@ -756,7 +759,7 @@ def load_matrix_market(path) -> BandedOperator:
     entries = {ij: v for ij, v in entries.items() if v}
     s = rows
     slot = {(0, s - 1): 0, (s - 1, 0): 1} if s >= 3 else {}
-    if s and all(abs(i - j) <= 1 or (i, j) in slot for i, j in entries):
+    if all(abs(i - j) <= 1 or (i, j) in slot for i, j in entries):
         bands = (np.zeros(s - 1), np.zeros(s), np.zeros(s - 1))
         corners = [0.0, 0.0]
         for (i, j), v in entries.items():

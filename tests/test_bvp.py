@@ -117,10 +117,12 @@ class TestCirculantShift:
         assert np.allclose(np.abs(eigs), 1e-8, rtol=1e-10)
 
     def test_power_returns_scaled_identity(self):
-        s, scale = 6, 0.5
-        C = circulant_shift(s, scale).to_dense()
-        P = np.linalg.matrix_power(C, s)
-        assert np.allclose(P, scale ** s * np.eye(s), atol=1e-18)
+        """s = 2 stores the shift as both off-diagonals, with no corner."""
+        scale = 0.5
+        for s in (6, 2):
+            C = circulant_shift(s, scale).to_dense()
+            P = np.linalg.matrix_power(C, s)
+            assert np.allclose(P, scale ** s * np.eye(s), atol=1e-18)
 
     def test_dimension_validated(self):
         with pytest.raises(ValueError):

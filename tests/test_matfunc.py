@@ -5,6 +5,7 @@ import os
 import select
 import signal
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -119,6 +120,9 @@ class TestBandedOperator:
             BandedOperator.tridiagonal([], [], [])
         with pytest.raises(ValueError):
             BandedOperator.dense(np.zeros((2, 3)))
+        # the solve layer divides by s
+        with pytest.raises(ValueError, match="empty dense operator"):
+            BandedOperator.dense(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("s", [3, 4, 9, 30])
     def test_periodic_matches_dense(self, s):
@@ -1215,6 +1219,31 @@ class TestSplitRowProduct:
             for rows, expect in zip(got, serial):
                 assert all(np.array_equal(a, b) for a, b in zip(rows, expect))
 
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        """An error in the helper's half is raised by evaluate in the
+        calling thread, and the helper lives on to serve the next call."""
+        plan = self._plan(4096)
+        matmul = np.matmul
+
+        def failing(*args, **kwargs):
+            if threading.current_thread().name == "berngen-rows-dot":
+                raise RuntimeError("helper half failed")
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", failing)
+        with pytest.raises(RuntimeError, match="helper half failed"):
+            plan.evaluate(0.3)
+        monkeypatch.undo()
+        # a dead helper would leave the next call waiting forever
+        got = []
+        caller = threading.Thread(
+            target=lambda: got.append(plan.evaluate(0.3)), daemon=True)
+        caller.start()
+        caller.join(60.0)
+        assert not caller.is_alive()
+        assert np.array_equal(got[0],
+                              _frozen_evaluate(plan, "stabilized", 0.3))
+
     def test_no_reference_kept_after_a_call(self):
         """Once evaluate returns, the helper holds nothing of the plan: the
         next plan would otherwise be built with two Z alive."""
@@ -1863,6 +1892,18 @@ class TestMatrixMarketLoader:
             "1 1 1.0\n")
         with pytest.raises(ValueError):
             load_matrix_market(str(short))
+        hermitian = tmp_path / "e.mtx"
+        hermitian.write_text(
+            "%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n"
+            "1 1 1.0\n")
+        with pytest.raises(ValueError, match="unsupported symmetry"):
+            load_matrix_market(str(hermitian))
+        empty = tmp_path / "f.mtx"
+        empty.write_text("%%MatrixMarket matrix coordinate real general\n"
+                         "0 0 0\n")
+        with pytest.raises(ValueError, match="empty matrix") as info:
+            load_matrix_market(str(empty))
+        assert str(info.value).startswith(f"{empty}: ")
 
     @pytest.mark.parametrize("entry", ["0 1 2.0", "1 0 2.0", "4 1 2.0",
                                        "1 4 2.0"])
