@@ -28,4 +28,7 @@ def main(result_file: str) -> None:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        print(__doc__.splitlines()[-1], file=sys.stderr)
+        sys.exit(2)
     main(sys.argv[1])

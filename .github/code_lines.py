@@ -16,17 +16,19 @@ SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
         tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
+def docstrings(tree: ast.AST) -> list:
+    """The docstring statement of each module, class and function."""
+    return [node.body[0] for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef,
+                                 ast.FunctionDef, ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None]
+
+
 def code_lines(text: str) -> int:
     """Lines of text that hold code, docstrings excluded."""
     docs = set()
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, (ast.Module, ast.ClassDef,
-                             ast.FunctionDef, ast.AsyncFunctionDef)):
-            first = node.body[0] if node.body else None
-            if (isinstance(first, ast.Expr)
-                    and isinstance(first.value, ast.Constant)
-                    and isinstance(first.value.value, str)):
-                docs.update(range(first.lineno, first.end_lineno + 1))
+    for doc in docstrings(ast.parse(text)):
+        docs.update(range(doc.lineno, doc.end_lineno + 1))
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type not in SKIP:
@@ -46,4 +48,7 @@ def main(directory: str) -> None:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        print(__doc__.splitlines()[-1], file=sys.stderr)
+        sys.exit(2)
     main(sys.argv[1])

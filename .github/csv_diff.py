@@ -32,12 +32,9 @@ scalar-deep scalar-error --ell 4 --N 50 --tau 0.3,0.125
 """
 
 
-def cells(src: str, args: list) -> dict:
+def cells(env: dict, args: list) -> dict:
     """Cell key (experiment, method, p, n, N, ell, tau, z) -> value, from
-    the command's output under src, whatever its exit status."""
-    env = dict(os.environ, PYTHONPATH=src)
-    run = [sys.executable, "-c", "import berngen; print(berngen.__file__)"]
-    subprocess.run(run, env=env, stdin=subprocess.DEVNULL)
+    the command's output under env, whatever its exit status."""
     out = subprocess.run([sys.executable, "-m", "berngen", *args], env=env,
                          stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
                          text=True).stdout
@@ -70,13 +67,19 @@ def report(base: dict, head: dict) -> None:
 
 
 def main(base_src: str, head_src: str) -> None:
+    sides = [dict(os.environ, PYTHONPATH=src) for src in (base_src, head_src)]
+    run = [sys.executable, "-c", "import berngen; print(berngen.__file__)"]
+    for env in sides:
+        subprocess.run(run, env=env, stdin=subprocess.DEVNULL)
     for entry in COMMANDS.splitlines():
         name, args = entry.split(" ", 1)
         print(f"== {name}: berngen {args}", flush=True)
-        base, head = (cells(src, shlex.split(args))
-                      for src in (base_src, head_src))
+        base, head = (cells(env, shlex.split(args)) for env in sides)
         report(base, head)
 
 
 if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        print(__doc__.splitlines()[-1], file=sys.stderr)
+        sys.exit(2)
     main(*sys.argv[1:])

@@ -16,19 +16,16 @@ from pathlib import Path
 
 import pytest
 
+from code_lines import docstrings
+
 
 def statements(text: str) -> set:
     """Line numbers where a statement that executes a line starts."""
     tree = ast.parse(text)
-    docstrings = {id(node.body[0]) for node in ast.walk(tree)
-                  if isinstance(node, (ast.Module, ast.ClassDef,
-                                       ast.FunctionDef, ast.AsyncFunctionDef))
-                  and isinstance(node.body[0], ast.Expr)
-                  and isinstance(node.body[0].value, ast.Constant)
-                  and isinstance(node.body[0].value.value, str)}
+    docs = {id(doc) for doc in docstrings(tree)}
     return {node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.stmt) and not isinstance(node, ast.Global)
-            and id(node) not in docstrings}
+            and id(node) not in docs}
 
 
 def main(directory: str, pytest_args: list) -> int:
@@ -62,4 +59,7 @@ def main(directory: str, pytest_args: list) -> int:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        print(__doc__.splitlines()[-1], file=sys.stderr)
+        sys.exit(2)
     sys.exit(main(sys.argv[1], sys.argv[2:]))

@@ -134,6 +134,16 @@ def leading_error_term(p: int, N: int, tau: float, w: complex) -> complex:
     return 2.0 * parity_signs(p)[0] * correction(p, N, 1, tau, w)[0]
 
 
+def _data_lines(path) -> list[str]:
+    """The lines of a text file that hold data, '#' starting a comment; a
+    file with none raises ValueError naming the path, before any parse."""
+    with open(path) as fh:
+        lines = [line for line in fh if line.split("#", 1)[0].strip()]
+    if not lines:
+        raise ValueError(f"{path}: the file holds no data")
+    return lines
+
+
 def load_exp_approximant(path) -> Callable[[complex], complex]:
     """Load a rational approximant of e^{-t} and return an e^{x} evaluator.
 
@@ -143,15 +153,12 @@ def load_exp_approximant(path) -> Callable[[complex], complex]:
     returns N(-x)/D(-x), i.e. approximates e^{x}.
     """
     tokens: list[float] = []
-    with open(path) as fh:
-        for line in fh:
-            try:
-                tokens.extend(float(t) for t in line.split("#", 1)[0].split())
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}: malformed line {line.strip()!r}") from exc
-    if not tokens:
-        raise ValueError(f"{path}: empty coefficient file")
+    for line in _data_lines(path):
+        try:
+            tokens.extend(float(t) for t in line.split("#", 1)[0].split())
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}: malformed line {line.strip()!r}") from exc
     if not tokens[0].is_integer() or tokens[0] < 0:
         raise ValueError(f"{path}: the degree must be an integer >= 0")
     r = int(tokens[0])

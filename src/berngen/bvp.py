@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .acceleration import _data_lines
 from .matfunc import BandedOperator
 
 
@@ -46,7 +47,8 @@ def geometric_grid(x1: float, sigma: float, s: int) -> Grid:
 
     Starts from x_1 = x1 with h_1 = x1; each spacing is the previous one
     scaled by sigma, so sigma > 1 concentrates nodes near the left
-    endpoint relative to the right.
+    endpoint relative to the right.  The spacings are a running product
+    and the nodes a running sum, both accumulated left to right.
     """
     if x1 <= 0:
         raise ValueError("first node must be positive")
@@ -54,14 +56,8 @@ def geometric_grid(x1: float, sigma: float, s: int) -> Grid:
         raise ValueError("stretch factor must be positive")
     if s < 1:
         raise ValueError("need at least one interior node")
-    nodes = np.empty(s + 2)
-    nodes[0] = 0.0
-    nodes[1] = x1
-    h = x1
-    for i in range(2, s + 2):
-        h *= sigma
-        nodes[i] = nodes[i - 1] + h
-    return Grid(nodes=nodes)
+    spacings = np.cumprod(np.r_[x1, np.full(s, sigma, dtype=float)])
+    return Grid(nodes=np.r_[0.0, np.cumsum(spacings)])
 
 
 def discretize_laplacian(grid: Grid) -> BandedOperator:
@@ -107,5 +103,6 @@ def save_grid(grid: Grid, path) -> None:
 
 
 def load_grid(path) -> Grid:
-    """Read nodes written by save_grid."""
-    return Grid(nodes=np.loadtxt(path, ndmin=1))
+    """Read nodes written by save_grid; a file with no data row raises
+    ValueError."""
+    return Grid(nodes=np.loadtxt(_data_lines(path), ndmin=1))

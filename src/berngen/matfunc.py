@@ -10,7 +10,7 @@ import threading
 
 import numpy as np
 
-from .acceleration import _weight_row
+from .acceleration import _data_lines, _weight_row
 # perfbench/tracing.py wraps berngen.matfunc.build_triangle by this name
 from .acceleration import build_triangle  # noqa: F401
 from .bernoulli import _polynomial_weights, shared_table
@@ -578,9 +578,7 @@ def _expm_dense(M: np.ndarray, phi1: bool = False) -> np.ndarray:
     """
     n = M.shape[0]
     norm = float(np.abs(M).sum(axis=0).max())
-    squarings = 0
-    if norm > PADE_THETA:
-        squarings = max(0, math.ceil(math.log2(norm / PADE_THETA)))
+    squarings = math.ceil(math.log2(max(1.0, norm / PADE_THETA)))
     X = M / 2.0 ** squarings
     b = _PADE13
     eye = np.eye(n)
@@ -778,9 +776,9 @@ def load_tridiagonal(path) -> BandedOperator:
     """Read the compact three-column (sub, diag, super) text format.
 
     One row per matrix row; the unused first sub and last super entries
-    are ignored.
+    are ignored.  A file with no data row raises ValueError.
     """
-    data = np.loadtxt(path, ndmin=2)
-    if data.ndim != 2 or data.shape[1] != 3:
+    data = np.loadtxt(_data_lines(path), ndmin=2)
+    if data.shape[1] != 3:
         raise ValueError(f"{path}: expected exactly three columns")
     return BandedOperator.tridiagonal(data[1:, 0], data[:, 1], data[:-1, 2])

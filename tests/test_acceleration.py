@@ -312,7 +312,8 @@ class TestExpApproximant:
     def test_malformed_files_rejected(self, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("# nothing here\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"empty\.txt: the file holds no data"):
             load_exp_approximant(str(empty))
         short = tmp_path / "short.txt"
         self._write(short, ["2", "1", "0.5"])

@@ -1,6 +1,7 @@
 """Grids, the nonuniform Laplacian stencil, and the circulant test matrix."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,20 @@ class TestGrids:
         assert abs(grid.nodes[1] - 0.01) < 1e-17
         assert abs(grid.nodes[2] - 0.02005) < 1e-15
         assert 23.0 < grid.nodes[-1] < 24.5
+
+    @pytest.mark.parametrize("x1, sigma, s", [
+        (0.01, 1.005, 1), (0.01, 1.005, 2), (0.01, 1.005, 512),
+        (0.01, 1.005, 2048), (0.01, 1.0 + 8.0 / 2 ** 16, 2 ** 16),
+        (0.3, 0.9, 40), (0.5, 0.25, 7)])
+    def test_geometric_nodes_match_the_running_loop(self, x1, sigma, s):
+        """Every node is the left-to-right loop's, bit for bit: spacings
+        h_i = h_(i-1) sigma and nodes x_i = x_(i-1) + h_i."""
+        nodes = [0.0, x1]
+        h = x1
+        for _ in range(s):
+            h *= sigma
+            nodes.append(nodes[-1] + h)
+        assert np.array_equal(geometric_grid(x1, sigma, s).nodes, nodes)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -143,6 +158,19 @@ class TestGridFiles:
         path.write_text(nodes)
         with pytest.raises(ValueError, match="at least one interior node"):
             load_grid(str(path))
+
+    @pytest.mark.parametrize("text", ["", "# no nodes\n\n"],
+                             ids=["empty", "comments-only"])
+    def test_file_without_data_refused(self, tmp_path, text):
+        """An empty or comment-only file is refused as one, by a message
+        that names it, and numpy warns of nothing."""
+        path = tmp_path / "grid.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"grid\.txt: the file holds no data"):
+                load_grid(str(path))
 
     def test_geometric_round_trip(self, tmp_path):
         grid = geometric_grid(0.01, 1.005, 100)

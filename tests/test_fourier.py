@@ -8,6 +8,7 @@ import pytest
 import sympy
 from scipy.integrate import quad
 
+from berngen.acceleration import G_approx, _weight_row
 from berngen.bernoulli import DEGREE_CAP, lanczos_polynomial, shared_table
 from berngen.fourier import (ApproxParams, PoleProximityError, _modes,
                              check_pole, delta_of_N, fourier_partial,
@@ -324,6 +325,29 @@ class TestGApprox:
     def test_absolute_accuracy(self):
         params = ApproxParams(p=2, N=100, tau=0.125, w=-4.0)
         assert abs(g_approx(params) - reference_q(0.125, -4.0)) < 1e-4
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("ell", [0, 3])
+    @pytest.mark.parametrize("tau", [0.125, 0.0078125])
+    def test_mode_sum_is_compensated(self, p, ell, tau):
+        """The polynomial part plus the terms 2 (sc g a + ss d b) over the
+        weight row lies within 3 u sum |terms| of their exact sum (fsum),
+        real and imaginary parts apart, u = 2^-53.  A plain running sum
+        reaches about 15 u on these cells; the CSV tables rely on the
+        compensated one."""
+        u, sc, ss = 2.0 ** -53, *parity_signs(p)
+        row = _weight_row(100, ell, tau)
+        for w in np.linspace(-10.0, 0.0, 100):
+            w = complex(w)
+            terms = [lanczos_polynomial(shared_table(), p, tau, w)]
+            for k, (a, b) in enumerate(zip(*row.tolist()), 1):
+                g, d = _modes(p, k, w)
+                terms.append(2.0 * (sc * g * a + ss * d * b))
+            got = G_approx(ApproxParams(p=p, N=100, tau=tau, w=w, ell=ell))
+            for part in (lambda z: z.real, lambda z: z.imag):
+                parts = [part(z) for z in terms]
+                assert (abs(part(got) - math.fsum(parts))
+                        <= 3.0 * u * math.fsum(map(abs, parts)))
 
 
 class TestResidualNorm:

@@ -2015,3 +2015,16 @@ class TestTridiagonalLoader:
         f.write_text("1.0 2.0\n3.0 4.0\n")
         with pytest.raises(ValueError):
             load_tridiagonal(str(f))
+
+    @pytest.mark.parametrize("text", ["", "# no rows\n\n"],
+                             ids=["empty", "comments-only"])
+    def test_file_without_data_refused(self, tmp_path, text):
+        """An empty or comment-only file is refused as one, by a message
+        that names it, and numpy warns of nothing."""
+        f = tmp_path / "tri.txt"
+        f.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"tri\.txt: the file holds no data"):
+                load_tridiagonal(str(f))
