@@ -15,7 +15,7 @@ from .acceleration import _data_lines, _weight_row
 from .acceleration import build_triangle  # noqa: F401
 from .bernoulli import _polynomial_weights, shared_table
 from .fourier import (POLE_TOL, TWO_PI, ApproxParams, PoleProximityError,
-                      _check_order, _check_tau, parity_signs, reference_q)
+                      _check_order, _check_tau, check_pole, parity_signs)
 
 #: 1-norm bound under which the degree-13 diagonal Pade approximant of the
 #: exponential is accurate to machine precision
@@ -140,8 +140,11 @@ class BandedOperator:
         return float(np.bincount(cols, np.abs(values)).max())
 
 
-#: solves and Z fills work in blocks of max(1, _WORK_ROWS // s) rows
-_WORK_ROWS = 2 ** 14
+#: solves and Z fills work in blocks of max(1, _WORK_ROWS // s) rows: six
+#: shifts per cyclic-reduction batch at s = 4096, where numpy's per-call
+#: cost no longer dominates the small last levels and the solve peaks
+#: under 40 bytes per shift and row
+_WORK_ROWS = 6 * 2 ** 12
 
 
 def _vector(A: BandedOperator, f) -> np.ndarray:
@@ -192,19 +195,22 @@ def _reduce(lower, d, upper) -> list:
     -lower[i-1] x[i-1] + d[i] x[i] - upper[i] x[i+1] = f[i], rows along
     the last axis.  Each level adds row 2j times alpha[j] and row 2j+2 times
     gamma[j] to row 2j+1, which leaves the odd rows as the next level; it
-    keeps (lower, upper, 1 / d at the even rows, alpha, gamma).  The last
-    level is one row, (None, None, 1 / d, None, None)."""
+    keeps (lower[1::2], upper[0::2], 1 / d at the even rows, alpha, gamma),
+    the halves of the bands that _substitute reads, as copies so that the
+    full bands are freed.  The last level is one row,
+    (None, None, 1 / d, None, None)."""
     levels = []
     while d.shape[-1] > 1:
         h = d.shape[-1] // 2
         inv = 1.0 / d[..., 0::2]
         alpha = lower[..., 0::2] * inv[..., :h]
         gamma = upper[..., 1::2] * inv[..., 1:]
+        lower, upper = lower[..., 1::2].copy(), upper[..., 0::2].copy()
         levels.append((lower, upper, inv, alpha, gamma))
-        d = d[..., 1::2] - alpha * upper[..., 0::2]
-        d[..., :gamma.shape[-1]] -= gamma * lower[..., 1::2]
-        lower, upper = (alpha[..., 1:] * lower[..., 1:2 * h - 1:2],
-                        gamma[..., :h - 1] * upper[..., 2:2 * h - 1:2])
+        d = d[..., 1::2] - alpha * upper
+        d[..., :gamma.shape[-1]] -= gamma * lower
+        lower, upper = (alpha[..., 1:] * lower[..., :h - 1],
+                        gamma[..., :h - 1] * upper[..., 1:])
     levels.append((None, None, 1.0 / d, None, None))
     return levels
 
@@ -218,11 +224,14 @@ def _substitute(levels, f) -> np.ndarray:
         f = f[..., 1::2] + alpha * f[..., 0:2 * alpha.shape[-1]:2]
         f[..., :gamma.shape[-1]] += gamma * rhs[-1][..., 2::2]
     x = f * levels[-1][2]
-    for (lower, upper, inv, _, gamma), f in zip(levels[-2::-1], rhs[::-1]):
+    for lower, upper, inv, _, gamma in levels[-2::-1]:
+        f = rhs.pop()   # the levels below are freed as x replaces them
         f[..., 1::2] = x
-        f[..., 2::2] += lower[..., 1::2] * x[..., :gamma.shape[-1]]
-        f[..., 0:2 * x.shape[-1]:2] += upper[..., 0::2] * x
-        f[..., 0::2] *= inv
+        f[..., 2::2] += lower * x[..., :gamma.shape[-1]]
+        f[..., 0:2 * x.shape[-1]:2] += upper * x
+        # not *=: numpy's in-place complex product of one element, a batch
+        # of one system at the last levels, rounds differently
+        f[..., 0::2] = f[..., 0::2] * inv
         x = f
     return x
 
@@ -237,7 +246,8 @@ def _cyclic_reduction(A: BandedOperator, d, b) -> np.ndarray:
     systems, so each sees the arithmetic it would see alone."""
     levels = _reduce(-A.sub, d, -A.sup)
     y = _substitute(levels, b.astype(complex, order="C"))
-    r = b - d * y
+    r = d * y                       # the residual b - d y in one array
+    np.subtract(b, r, out=r)
     r[..., 1:] -= A.sub * y[..., :-1]
     r[..., :-1] -= A.sup * y[..., 1:]
     y += _substitute(levels, r)
@@ -353,6 +363,7 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
                 f"2 pi i k is within about {POLE_TOL} of the spectrum (for a "
                 f"non-normal A, the pseudospectrum) at k = {ks[j][near][0]}")
         x[j] = y.imag / t[j, None]
+        del y   # freed before the next batch is reduced
     return x.reshape(np.shape(k) + (A.dimension,))
 
 
@@ -661,9 +672,24 @@ def _circulant_column(A: BandedOperator):
 
 
 def _q(taus: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """reference_q(tau, lam), one row per tau, one column per eigenvalue."""
-    return np.frompyfunc(reference_q, 2, 1).outer(
-        taus.ravel(), lam).astype(complex)
+    """fourier.reference_q(tau, lam), one row per tau, one column per
+    eigenvalue: the same closed form, value 1 at w = 0 and refusals, in
+    numpy over the whole array, so entries round as numpy's exp and
+    complex arithmetic do."""
+    w = np.asarray(lam, dtype=complex)
+    with np.errstate(invalid="ignore"):   # a non-finite w is refused below
+        k = np.round(w.imag / TWO_PI)
+        near = (k != 0) & (np.hypot(w.real, w.imag - TWO_PI * k) < POLE_TOL)
+    for v in w[~np.isfinite(w) | near]:
+        check_pole(v)   # raises reference_q's error for that eigenvalue
+    # w e^{w tau} / expm1(w), or w e^{w (tau - 1)} / -expm1(-w) if Re w > 0
+    right, zero = w.real > 0.0, w == 0
+    em = np.expm1(np.where(right, -w, w))
+    em[zero] = 1.0   # no 0 / 0 where q takes its value 1
+    q = (w * np.exp(w * (taus.reshape(-1, 1) - right))
+         / np.where(right, -em, em))
+    q[:, zero] = 1.0
+    return q
 
 
 def spectral_reference(A: BandedOperator, tau, f) -> np.ndarray:
@@ -677,9 +703,10 @@ def spectral_reference(A: BandedOperator, tau, f) -> np.ndarray:
     q(tau, A) f = D Q q(tau, Lambda) Q^T D^-1 f, up to SPECTRAL_CAP.
     log D is a centred cumulative sum, so D stays finite on strongly
     stretched grids, but max(D) / min(D) > SCALING_CAP raises ValueError.
-    q(tau, lam) is fourier.reference_q at each (tau, eigenvalue) pair, so
-    an eigenvalue at a pole raises PoleProximityError.  An array tau gives
-    shape tau.shape + (s,), one row of an inverse FFT or GEMM per tau.
+    q(tau, lam) is fourier.reference_q's closed form over the eigenvalue
+    array (_q), so an eigenvalue at a pole raises PoleProximityError.  An
+    array tau gives shape tau.shape + (s,), one row of an inverse FFT or
+    GEMM per tau.
     Another A, or an f _vector refuses, raises ValueError.
     """
     s, f = A.dimension, _vector(A, f)
