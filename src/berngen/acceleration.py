@@ -130,8 +130,12 @@ def G_approx(params: ApproxParams) -> complex:
 
 def leading_error_term(p: int, N: int, tau: float, w: complex) -> complex:
     """Principal term of the order-p truncation residual at interior tau:
-    the cosine half of the depth-1 correction."""
-    return 2.0 * parity_signs(p)[0] * correction(p, N, 1, tau, w)[0]
+    the cosine half of the depth-1 correction.  Its pair is modes N + 1 and
+    N + 2 (mode N has depth-1 weight 0), so only they are formed."""
+    _check_order(p, N, 1)
+    _check_tau(tau)
+    g, _ = _modes(p, np.arange(N + 1, N + 3), check_pole(w))
+    return 2.0 * parity_signs(p)[0] * complex(pair_weights(N, 1, tau)[0] @ g)
 
 
 def _data_lines(path) -> list[str]:

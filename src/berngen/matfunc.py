@@ -140,11 +140,11 @@ class BandedOperator:
         return float(np.bincount(cols, np.abs(values)).max())
 
 
-#: solves and Z fills work in blocks of max(1, _WORK_ROWS // s) rows: six
+#: solves and Z fills work in blocks of max(1, _WORK_ROWS // s) rows: eight
 #: shifts per cyclic-reduction batch at s = 4096, where numpy's per-call
 #: cost no longer dominates the small last levels and the solve peaks
 #: under 40 bytes per shift and row
-_WORK_ROWS = 6 * 2 ** 12
+_WORK_ROWS = 8 * 2 ** 12
 
 
 def _vector(A: BandedOperator, f) -> np.ndarray:
@@ -158,19 +158,20 @@ def _vector(A: BandedOperator, f) -> np.ndarray:
     return f
 
 
-def _pivoted_elimination(A: BandedOperator, d, b) -> np.ndarray:
+def _pivoted_elimination(A: BandedOperator, z, b) -> np.ndarray:
     """Pivoted elimination of the right-hand sides b, shape (m, ..., n),
-    against m systems with the off-diagonals of A and the (m, n) complex
-    main diagonals d, which it overwrites; returns the solutions.  System
-    j swaps rows i and i+1 when |dl[i]| > |d[j, i]|, as LAPACK gtsv does,
-    through a mask, so each system sees the arithmetic it would see alone.
-    Errors are ignored: a zero pivot or an overflow leaves a non-finite
-    solution for shifted_solve to refuse.
+    against the m systems A - z_j I over the 1-D array z of complex shifts;
+    returns the solutions.  System j swaps rows i and i+1 when
+    |dl[i]| > |A[i, i] - z_j|, as LAPACK gtsv does, through a mask, so each
+    system sees the arithmetic it would see alone.  Errors are ignored: a
+    zero pivot or an overflow leaves a non-finite solution for
+    shifted_solve to refuse.
     """
-    n = d.shape[-1]
+    n = A.dimension
     x = np.zeros(b.shape[:-1] + (n + 2,), dtype=complex)   # x[n:] stay 0
     x[..., :n] = b
-    d, x = d.T, x.T                   # row i of every system: d[i], x[i]
+    # row i of every system: d[i], x[i]; d is overwritten by the pivots
+    d, x = (A.diag - z[:, None]).T, x.T
     dl, du, du2 = A.sub.tolist(), A.sup.tolist() + [0.0], [0.0] * n
     with np.errstate(all="ignore"):
         for i in range(n - 1):
@@ -197,7 +198,7 @@ def _reduce(lower, d, upper) -> list:
     gamma[j] to row 2j+1, which leaves the odd rows as the next level; it
     keeps (lower[1::2], upper[0::2], 1 / d at the even rows, alpha, gamma),
     the halves of the bands that _substitute reads, as copies so that the
-    full bands are freed.  The last level is one row,
+    full bands, d included, are freed.  The last level is one row,
     (None, None, 1 / d, None, None)."""
     levels = []
     while d.shape[-1] > 1:
@@ -217,17 +218,23 @@ def _reduce(lower, d, upper) -> list:
 
 def _substitute(levels, f) -> np.ndarray:
     """Solve with the levels of _reduce for the right-hand sides f, rows
-    along the last axis; overwrites f and returns the solution."""
+    along the last axis; overwrites f and returns the solution.  The back
+    pass reads no alpha or gamma, so each level's are dropped from the
+    list levels after its forward step: pass a copy to keep them."""
     rhs = []
-    for _, _, _, alpha, gamma in levels[:-1]:
+    for i in range(len(levels) - 1):
+        lower, upper, inv, alpha, gamma = levels[i]
+        levels[i] = lower, upper, inv
         rhs.append(f)
-        f = f[..., 1::2] + alpha * f[..., 0:2 * alpha.shape[-1]:2]
+        f = alpha * f[..., 0:2 * alpha.shape[-1]:2]
+        f += rhs[-1][..., 1::2]   # a sum rounds the same either way round
+        del alpha                 # freed here if levels held the last copy
         f[..., :gamma.shape[-1]] += gamma * rhs[-1][..., 2::2]
     x = f * levels[-1][2]
-    for lower, upper, inv, _, gamma in levels[-2::-1]:
+    for lower, upper, inv in levels[-2::-1]:
         f = rhs.pop()   # the levels below are freed as x replaces them
         f[..., 1::2] = x
-        f[..., 2::2] += lower * x[..., :gamma.shape[-1]]
+        f[..., 2::2] += lower * x[..., :lower.shape[-1]]
         f[..., 0:2 * x.shape[-1]:2] += upper * x
         # not *=: numpy's in-place complex product of one element, a batch
         # of one system at the last levels, rounds differently
@@ -236,25 +243,33 @@ def _substitute(levels, f) -> np.ndarray:
     return x
 
 
-def _cyclic_reduction(A: BandedOperator, d, b) -> np.ndarray:
+def _cyclic_reduction(A: BandedOperator, z, b) -> np.ndarray:
     """Cyclic reduction (Buzbee, Golub & Nielson 1970) of the systems of
-    _pivoted_elimination, with the same arguments (b of shape (m, n), d is
-    left as it is), plus one step of iterative refinement through the
-    stored multipliers.  It does not pivot, so every row of every system
-    must be strictly diagonally dominant, a property each reduced system
-    inherits (Heller 1976).  Every operation is elementwise across
-    systems, so each sees the arithmetic it would see alone."""
-    levels = _reduce(-A.sub, d, -A.sup)
-    y = _substitute(levels, b.astype(complex, order="C"))
-    r = d * y                       # the residual b - d y in one array
-    np.subtract(b, r, out=r)
-    r[..., 1:] -= A.sub * y[..., :-1]
-    r[..., :-1] -= A.sup * y[..., 1:]
+    _pivoted_elimination, with the same arguments (b of shape (m, n)), plus
+    one step of iterative refinement through the stored multipliers.  It
+    does not pivot, so every row of every system must be strictly
+    diagonally dominant, a property each reduced system inherits (Heller
+    1976).  Every operation is elementwise across systems, so each sees the
+    arithmetic it would see alone.  The diagonals A.diag - z are formed
+    where they are read, so none outlives the reduction or waits through
+    the first substitution for the residual."""
+    levels = _reduce(-A.sub, A.diag - z[:, None], -A.sup)
+    y = _substitute(levels.copy(), b.astype(complex, order="C"))
+    r = np.empty_like(y)   # the residual b - (A - z I) y
+    half = len(z) // 2
+    # in two halves of the batch, so that each temporary holds half a batch
+    # and the residual peaks below the substitutions; the product goes to a
+    # separate array, which rounds as a fresh one would
+    for j in (slice(None, half), slice(half, None)):
+        np.multiply(A.diag - z[j, None], y[j], out=r[j])
+        np.subtract(b[j], r[j], out=r[j])
+        r[j, 1:] -= A.sub * y[j, :-1]
+        r[j, :-1] -= A.sup * y[j, 1:]
     y += _substitute(levels, r)
     return y
 
 
-def _periodic_solve(A: BandedOperator, d, b) -> np.ndarray:
+def _periodic_solve(A: BandedOperator, z, b) -> np.ndarray:
     """The systems of _pivoted_elimination, with the same arguments (b of
     shape (m, n)), for a periodic tridiagonal A; every row of every system
     must be strictly diagonally dominant (_dominant).
@@ -268,12 +283,14 @@ def _periodic_solve(A: BandedOperator, d, b) -> np.ndarray:
     leaves a non-finite solution for shifted_solve to refuse.
     """
     top, bottom = A.corners
+    d = A.diag - z[:, None]
     n, g = A.dimension, -d[:, 0]
     d[:, 0] -= g
     d[:, -1] -= top * bottom / g
-    x = np.zeros((d.shape[0], 2, n), dtype=complex)
+    x = np.zeros((z.shape[0], 2, n), dtype=complex)
     x[:, 0, 0], x[:, 0, n - 1], x[:, 1] = g, bottom, b
     levels = _reduce(-A.sub, d[:, None], -A.sup)
+    del d   # the substitution reads only the levels
     c, y = _substitute(levels, x).transpose(1, 0, 2)
     den = 1.0 + c[:, 0] + top / g * c[:, -1]
     with np.errstate(all="ignore"):
@@ -314,8 +331,7 @@ def _complex_solves(A: BandedOperator, z, b: np.ndarray):
             f"diagonally dominant, and s = {s} exceeds DENSE_CAP")
 
     def banded(kernel, j):
-        return j, kernel(A, A.diag - z[j, None],
-                         np.broadcast_to(b, (j.shape[0], s)))
+        return j, kernel(A, z[j], np.broadcast_to(b, (j.shape[0], s)))
 
     step = max(1, _WORK_ROWS // s)
     reduction = _cyclic_reduction if A.corners is None else _periodic_solve
@@ -375,8 +391,9 @@ def _horner(A: BandedOperator, terms) -> np.ndarray:
     return v
 
 
-#: one core's L2 (2 MiB on the 2-core x86-64 box the split was measured
-#: on); _rows_dot splits a row product over a matrix at least this large
+#: _rows_dot splits a row product over a matrix at least this large: a
+#: threshold measured on a 2-core x86-64 box whose L2 holds 1 MiB per core,
+#: not shared, so a matrix this size fits neither core's L2
 _L2_BYTES = 2 * 2 ** 20
 
 #: the job queue of _rows_dot's helper thread, started on first use
@@ -412,10 +429,11 @@ def _helper(jobs) -> None:
 def _rows_dot(w: np.ndarray, R: np.ndarray) -> np.ndarray:
     """w @ R, bit for bit, for a row w and a matrix R of s columns.
 
-    A GEMV over more than one core's L2 is bound by memory bandwidth, so
-    from _L2_BYTES up the columns are cut in two at s // 128 * 64: a helper
-    thread computes the right half while the caller computes the left, and
-    numpy releases the GIL inside BLAS, so each core streams its own half.
+    A GEMV over a matrix larger than a core's L2 is bound by memory
+    bandwidth, so from _L2_BYTES up the columns are cut in two at
+    s // 128 * 64: a helper thread computes the right half while the
+    caller computes the left, and numpy releases the GIL inside BLAS, so
+    each core streams its own half.
     OpenBLAS sums the columns in blocks of four, and the last s mod 4 in
     another loop; a cut at a multiple of 64 columns leaves every column in
     the loop it takes unsplit, where a 3-way cut at 1365 moved the last bit.

@@ -1,6 +1,7 @@
 """Second-difference correction triangles and the accelerated evaluator."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -209,6 +210,18 @@ class TestLeadingErrorTerm:
         sc, _ = parity_signs(p)
         assert leading_error_term(p, N, tau, w) == (
             2.0 * sc * correction(p, N, 1, tau, w)[0])
+
+    def test_is_depth_one_cosine_pair_over_a_grid(self):
+        """The same equality, bit for bit, over 1,764 (p, N, tau, w): the
+        term forms only modes N + 1 and N + 2 of the cosine family, where
+        correction forms modes N .. N + 2 of both families."""
+        for p, N, tau, w in itertools.product(
+                range(1, 7), (1, 7, 12, 33, 50, 100, 200),
+                (0.0078125, 0.125, 0.3, 0.45, 0.7, 0.9),
+                (-10.0, -4.0, -2.0, 1e-8, 0.25j, 1.5 - 2.0j, 3.0 + 1.0j)):
+            assert leading_error_term(p, N, tau, w) == (
+                2.0 * parity_signs(p)[0] * correction(p, N, 1, tau, w)[0]), (
+                p, N, tau, w)
 
 
 _A = BandedOperator.diagonal([-1.0, -2.0])

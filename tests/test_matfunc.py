@@ -406,8 +406,8 @@ class TestShiftedSolve:
 
     @pytest.mark.parametrize("kind", ["tridiagonal", "periodic"])
     def test_batch_width_never_changes_bits(self, kind, monkeypatch):
-        """29 cyclic-reduction shifts at s = 4096 in batches of 1, 4, 6 and
-        all 29 give the same bits.  A batch of one system reaches numpy's
+        """29 cyclic-reduction shifts at s = 4096 in batches of 1, 4, 6, 8
+        and all 29 give the same bits.  A batch of one system reaches numpy's
         one-element loops at the last levels, where an in-place complex
         product rounds differently from the batched one."""
         s = 4096
@@ -417,7 +417,7 @@ class TestShiftedSolve:
         ks = np.arange(1, 30)
         assert _dominant(A, 1j * TWO_PI * ks).all()
         solves = []
-        for width in (1, 4, 6, 29):
+        for width in (1, 4, 6, 8, 29):
             monkeypatch.setattr(berngen.matfunc, "_WORK_ROWS", width * s)
             solves.append(shifted_solve(A, ks, f))
         for x in solves[1:]:
@@ -425,12 +425,12 @@ class TestShiftedSolve:
 
     def test_plan_batch_width_never_changes_bits(self, monkeypatch):
         """The 58 solves and Z rows of a trajectory-sized plan in batches
-        of 1, 6 and 58."""
+        of 1, 6, 8 and 58."""
         s = 4096
         A = discretize_laplacian(uniform_grid(192.0, s))
         f = np.random.default_rng(9).standard_normal(s)
         plans = []
-        for width in (1, 6, 58):
+        for width in (1, 6, 8, 58):
             monkeypatch.setattr(berngen.matfunc, "_WORK_ROWS", width * s)
             plans.append(ActionPlan(A, 2, 50, 4, f))
         for plan in plans[1:]:
@@ -556,11 +556,11 @@ class TestShiftedSolve:
         paths, calls = {}, []
 
         def recording(name, kernel):
-            def run(A, d, b):
-                k = np.rint(-d[:, 1].imag / TWO_PI).astype(int).tolist()
+            def run(A, z, b):
+                k = np.rint(z.imag / TWO_PI).astype(int).tolist()
                 paths.update(dict.fromkeys(k, name))
                 calls.append(name)
-                return kernel(A, d, b)
+                return kernel(A, z, b)
             return run
 
         def dense_lu(M, b, solve=np.linalg.solve):
@@ -644,8 +644,7 @@ class TestShiftedSolve:
         errors = {}
         for kernel in (berngen.matfunc._cyclic_reduction,
                        berngen.matfunc._pivoted_elimination):
-            x = kernel(A, A.diag - 1j * t[:, None],
-                       np.broadcast_to(f, (len(t), len(f)))).imag
+            x = kernel(A, 1j * t, np.broadcast_to(f, (len(t), len(f)))).imag
             got = f - t[:, None] * x
             errors[kernel] = (np.abs(got - expect).max(axis=1)
                               / np.abs(expect).max(axis=1)).astype(float)
@@ -770,9 +769,12 @@ class TestWorkMemory:
     @pytest.mark.parametrize("kind, per_shift", [("tridiagonal", 40.0),
                                                  ("periodic", 70.0)])
     def test_solve_bytes_per_shift_and_row(self, kind, per_shift):
-        """Six shifts per batch: the tridiagonal path measured 37.4 bytes
-        per shift and row and the periodic one 40.7, the periodic one
-        reducing u and b at once against one copy of the diagonals."""
+        """Eight shifts per batch: the tridiagonal path measured 39.3 bytes
+        per shift and row and the periodic one 43.7, the periodic one
+        reducing u and b at once against one copy of the diagonals.  Of
+        each, 8 bytes per shift and row are the result; the rest, about
+        113 and 129 bytes per row of each shift in the batch, is the
+        batch's work."""
         A = (discretize_laplacian(uniform_grid(192.0, self.S))
              if kind == "tridiagonal" else circulant_shift(self.S, 1e-8))
         f = np.random.default_rng(9).standard_normal(self.S)
@@ -785,7 +787,7 @@ class TestWorkMemory:
     def test_plan_build_peak(self):
         """The build fills X and Z (24 bytes per mode and row) only after
         the eliminations' work arrays are freed, so it peaks within 15 %
-        of what it keeps (8.0 % measured)."""
+        of what it keeps (10.3 % measured)."""
         A = discretize_laplacian(uniform_grid(192.0, self.S))
         f = np.random.default_rng(9).standard_normal(self.S)
         peak = self._peak(lambda: ActionPlan(A, 2, 50, 4, f)) / (
@@ -1204,7 +1206,7 @@ def _frozen_evaluate(plan, scheme, tau):
 
 
 class TestSplitRowProduct:
-    """From one core's L2 up, evaluate's row products split their columns
+    """From _L2_BYTES up, evaluate's row products split their columns
     between the caller and a helper thread."""
 
     TAUS = (1.0 / 12.0, 0.3, 0.5, 11.0 / 12.0)
