@@ -8,6 +8,7 @@ import math
 import sys
 from dataclasses import dataclass
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,13 +22,16 @@ from .matfunc import ActionPlan, spectral_reference
 # perfbench/tracing.py wraps berngen.cli.reference_solution by this name
 from .matfunc import reference_solution  # noqa: F401
 
-SCHEMA = ("experiment", "method", "p", "n", "N", "ell", "tau", "z",
-          "value", "elapsed_s")
+#: the format spec of each Row column; format(v, "") is str(v) for the
+#: str and int parameters
+_SPECS = ("",) * 6 + (".12g", ".12g", ".16e", ".6e")
 
 
-@dataclass(frozen=True)
-class Row:
-    """One report line; inapplicable parameters stay None (empty in CSV)."""
+class Row(NamedTuple):
+    """One report line; inapplicable parameters stay None (empty in CSV).
+
+    The fields are the CSV columns, in order.
+    """
 
     experiment: str
     method: str
@@ -41,23 +45,15 @@ class Row:
     elapsed_s: float = 0.0
 
     def key(self):
-        """Total order on the parameter tuple (None sorts first)."""
-        def first(v):
-            return -math.inf if v is None else v
-
-        return (self.experiment, self.method, first(self.p), first(self.n),
-                first(self.N), first(self.ell), first(self.tau), first(self.z))
+        """Total order on the parameter columns (None sorts first)."""
+        return tuple(-math.inf if v is None else v for v in self[:8])
 
     def formatted(self) -> list[str]:
-        def fi(v):
-            return "" if v is None else str(v)
+        return ["" if v is None else format(v, spec)
+                for v, spec in zip(self, _SPECS)]
 
-        def ff(v):
-            return "" if v is None else format(v, ".12g")
 
-        return [self.experiment, self.method, fi(self.p), fi(self.n),
-                fi(self.N), fi(self.ell), ff(self.tau), ff(self.z),
-                format(self.value, ".16e"), format(self.elapsed_s, ".6e")]
+SCHEMA = Row._fields
 
 
 @dataclass

@@ -179,10 +179,15 @@ def residual_l2(p: int, w: complex, N: int, K: int) -> float:
     if K < N:
         raise ValueError("K must be >= N")
     w = check_pole(w)
-    g, d = _modes(p, np.arange(N + 1, K + 1, dtype=np.float64), w)
-    mags = np.abs(g) ** 2 + np.abs(d) ** 2
-    # summed in ascending magnitude, i.e. descending k
-    return math.sqrt(2.0 * float(np.sum(mags[::-1])))
+    # at a huge |w| the squares or their sum overflow; refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, d = _modes(p, np.arange(N + 1, K + 1, dtype=np.float64), w)
+        mags = np.abs(g) ** 2 + np.abs(d) ** 2
+        # summed in ascending magnitude, i.e. descending k
+        norm = math.sqrt(2.0 * float(np.sum(mags[::-1])))
+    if not math.isfinite(norm):
+        raise FloatingPointError(f"the residual norm at w={w} is not finite")
+    return norm
 
 
 def delta_of_N(z: complex, N: int, K: int) -> float:

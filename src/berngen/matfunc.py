@@ -799,22 +799,19 @@ def load_matrix_market(path) -> BandedOperator:
     if len(lines) - 1 != nnz:
         raise ValueError(
             f"{path}: expected {nnz} entries, found {len(lines) - 1}")
-    entries = {ij: v for ij, v in entries.items() if v}
-    s = rows
-    slot = {(0, s - 1): 0, (s - 1, 0): 1} if s >= 3 else {}
-    if all(abs(i - j) <= 1 or (i, j) in slot for i, j in entries):
-        bands = (np.zeros(s - 1), np.zeros(s), np.zeros(s - 1))
-        corners = [0.0, 0.0]
+    s, get = rows, entries.get
+    slots = ((0, s - 1), (s - 1, 0))   # on the bands when s < 3
+    if any(v and abs(i - j) > 1 and (i, j) not in slots
+           for (i, j), v in entries.items()):
+        M = np.zeros((s, s))
         for (i, j), v in entries.items():
-            if (i, j) in slot:
-                corners[slot[i, j]] = v
-            else:
-                bands[j - i + 1][min(i, j)] = v
-        return BandedOperator.tridiagonal(*bands, corners=corners)
-    M = np.zeros((s, s))
-    for (i, j), v in entries.items():
-        M[i, j] = v
-    return BandedOperator.dense(M)
+            M[i, j] = v
+        return BandedOperator.dense(M)
+    return BandedOperator.tridiagonal(
+        [get((i + 1, i), 0.0) for i in range(s - 1)],
+        [get((i, i), 0.0) for i in range(s)],
+        [get((i, i + 1), 0.0) for i in range(s - 1)],
+        corners=[get(ij, 0.0) if s >= 3 else 0.0 for ij in slots])
 
 
 def load_tridiagonal(path) -> BandedOperator:

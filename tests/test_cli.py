@@ -3,6 +3,7 @@
 import ast
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import berngen.matfunc
 from berngen.bvp import discretize_laplacian, uniform_grid
-from berngen.cli import SCHEMA, main
+from berngen.cli import SCHEMA, Row, main
 from berngen.matfunc import (DENSE_CAP, SPECTRAL_CAP, ActionPlan,
                              spectral_reference)
 
@@ -88,6 +89,15 @@ class TestDeltaTable:
                      "--K", "8"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("z", ["1e54", "1e60", "1e154", "1e200"])
+    def test_huge_z_is_numerical_failure(self, capsys, z):
+        """The residual used to overflow to inf (1e54 to 1e60) or nan
+        (1e154, 1e200) with only numpy RuntimeWarnings, and exit 0."""
+        assert main(["delta-table", "--z", z]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "residual norm at w=" in captured.err
+
     def test_runs_are_byte_identical_modulo_timing(self, capsys):
         _, first = _run(capsys, ["delta-table"])
         _, second = _run(capsys, ["delta-table"])
@@ -109,6 +119,37 @@ class TestDeltaTable:
         assert code == 2
         err = capsys.readouterr().err
         assert "cannot write output file" in err
+
+
+class TestRow:
+    def test_schema_is_field_order(self):
+        assert SCHEMA == ("experiment", "method", "p", "n", "N", "ell",
+                          "tau", "z", "value", "elapsed_s")
+        assert SCHEMA == Row._fields
+
+    def test_formatted_without_parameters(self):
+        """Every optional column None: the strings the CSV held before
+        the columns were stated once."""
+        row = Row("delta-table", "parseval", value=0.5327382918126354,
+                  elapsed_s=0.0001234567)
+        assert row.formatted() == [
+            "delta-table", "parseval", "", "", "", "", "", "",
+            "5.3273829181263543e-01", "1.234567e-04"]
+
+    def test_formatted_with_every_parameter(self):
+        row = Row("bvp-uniform", "fastlanc", p=2, n=3, N=50, ell=4,
+                  tau=1 / 12, z=-1.5915494309189535, value=1.25e-13,
+                  elapsed_s=3.0)
+        assert row.formatted() == [
+            "bvp-uniform", "fastlanc", "2", "3", "50", "4",
+            "0.0833333333333", "-1.59154943092",
+            "1.2500000000000000e-13", "3.000000e+00"]
+
+    def test_key_sorts_none_first_and_skips_results(self):
+        low = Row("e", "m", N=None, value=2.0)
+        high = Row("e", "m", N=1, value=1.0)
+        assert low.key() == ("e", "m") + (-math.inf,) * 6
+        assert sorted([high, low], key=Row.key) == [low, high]
 
 
 class TestArgumentHandling:

@@ -389,6 +389,15 @@ class TestResidualNorm:
         b = residual_l2(4, TWO_PI, 512, 4096)
         assert 10.5 <= a / b <= 12.0
 
+    @pytest.mark.parametrize("z", [1e54, 1e60, 1e154, 1e200])
+    def test_overflow_refused(self, z):
+        """A norm that overflows to inf or nan is refused, with no numpy
+        RuntimeWarning on the way (the suite turns one into an error)."""
+        with pytest.raises(FloatingPointError, match=r"w=\(6\.28"):
+            residual_l2(4, TWO_PI * z, 512, 2560)
+        with pytest.raises(FloatingPointError, match="residual norm"):
+            delta_of_N(z, 512, 2560)
+
 
 class TestDeltaOfN:
     def test_requires_long_tail(self):

@@ -2060,6 +2060,80 @@ class TestMatrixMarketLoader:
         expect[0, 0], expect[1, 0], expect[0, 2] = 1.0, 2.0, 5.0
         assert np.array_equal(A.to_dense(), expect)
 
+    def test_two_by_two_has_no_corners(self, tmp_path):
+        """At s = 2 the entries (1, 2) and (2, 1) are the off-diagonals."""
+        f = tmp_path / "two.mtx"
+        f.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     "2 2 2\n1 2 3\n2 1 -4\n")
+        A = load_matrix_market(str(f))
+        assert A.is_tridiagonal and A.corners is None
+        assert A.sup.tolist() == [3.0] and A.sub.tolist() == [-4.0]
+
+
+#: entry patterns of the Matrix Market property test
+_MM_PATTERNS = ("tridiagonal", "upper-corner", "lower-corner",
+                "both-corners", "off-band", "off-band-zero")
+
+
+def _mm_entries(rng, s, pattern):
+    """A random entry map (i, j) -> value of the given pattern: each band
+    slot present with probability 0.8, as an explicit zero now and then,
+    plus the pattern's corner or off-band entries."""
+    entries = {}
+    for i in range(s):
+        for j in range(max(i - 1, 0), min(i + 2, s)):
+            if rng.random() < 0.8:
+                entries[i, j] = 0.0 if rng.random() < 0.1 else rng.normal()
+    corners = {"upper-corner": [(0, s - 1)], "lower-corner": [(s - 1, 0)],
+               "both-corners": [(0, s - 1), (s - 1, 0)]}
+    for ij in corners.get(pattern, []):
+        entries[ij] = rng.normal()
+    if pattern.startswith("off-band"):
+        off = [(i, j) for i in range(s) for j in range(s) if abs(i - j) > 1
+               and (i, j) not in ((0, s - 1), (s - 1, 0))]
+        ij = off[rng.integers(len(off))]
+        entries[ij] = 0.0 if pattern == "off-band-zero" else rng.normal()
+    return entries
+
+
+class TestMatrixMarketPatterns:
+    """load_matrix_market against a dense matrix filled from the same
+    entries, over seeded random band, corner and off-band patterns."""
+
+    # below s = 4 every slot off the bands is a corner slot
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    @pytest.mark.parametrize("s, pattern", [
+        (s, pattern) for s in range(1, 7) for pattern in _MM_PATTERNS
+        if s >= 4 or not pattern.startswith("off-band")])
+    def test_matches_dense_fill(self, tmp_path, s, pattern, symmetry):
+        rng = np.random.default_rng(
+            [s, _MM_PATTERNS.index(pattern), symmetry == "symmetric"])
+        for trial in range(4):
+            entries = _mm_entries(rng, s, pattern)
+            if symmetry == "symmetric":
+                # the file holds the lower triangle; the reader mirrors it
+                entries = {(max(i, j), min(i, j)): v
+                           for (i, j), v in entries.items()}
+            M = np.zeros((s, s))
+            for (i, j), v in entries.items():
+                M[i, j] = v
+            if symmetry == "symmetric":
+                M += np.tril(M, -1).T
+            lines = [f"{i + 1} {j + 1} {v!r}" for (i, j), v in entries.items()]
+            rng.shuffle(lines)
+            f = tmp_path / f"{trial}.mtx"
+            f.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n"
+                         f"{s} {s} {len(lines)}\n" + "\n".join(lines) + "\n")
+            A = load_matrix_market(str(f))
+            assert np.array_equal(A.to_dense(), M)
+            corner_slots = ((0, s - 1), (s - 1, 0)) if s >= 3 else ()
+            off_band = any(M[i, j] for i in range(s) for j in range(s)
+                           if abs(i - j) > 1 and (i, j) not in corner_slots)
+            corners = tuple(float(M[ij]) for ij in corner_slots)
+            assert A.is_tridiagonal == (not off_band and not any(corners))
+            assert A.corners == (corners if any(corners) and not off_band
+                                 else None)
+
 
 class TestTridiagonalLoader:
     def test_round_trip(self, tmp_path):
