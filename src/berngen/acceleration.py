@@ -12,8 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bernoulli import _polyval
-from .fourier import (TWO_PI, ApproxParams, _check_order, _check_tau,
-                      _mode_sum, _modes, _trig_row, check_pole,
+from .fourier import (TWO_PI, ApproxParams, _mode_sum, _modes, _trig_row,
                       parity_signs)
 
 #: |1 - cos(2 pi tau)| below this leaves the correction denominators
@@ -112,10 +111,10 @@ def _weight_row(N: int, ell: int, tau: float) -> np.ndarray:
 
 def correction(p: int, N: int, ell: int, tau: float,
                w: complex) -> tuple[complex, complex]:
-    """Depth-ell boundary correction (Gamma, Delta) of the order-p sum."""
-    _check_order(p, N, ell)
-    _check_tau(tau)
-    g, d = _modes(p, np.arange(N, N + 2 * ell + 1), check_pole(w))
+    """Depth-ell boundary correction (Gamma, Delta) of the order-p sum; its
+    arguments pass ApproxParams' checks."""
+    ApproxParams(p=p, N=N, tau=tau, w=w, ell=ell)
+    g, d = _modes(p, np.arange(N, N + 2 * ell + 1), complex(w))
     gw, dw = _correction_weights(N, ell, tau)
     return complex(gw @ g), complex(dw @ d)
 
@@ -130,12 +129,9 @@ def G_approx(params: ApproxParams) -> complex:
 
 def leading_error_term(p: int, N: int, tau: float, w: complex) -> complex:
     """Principal term of the order-p truncation residual at interior tau:
-    the cosine half of the depth-1 correction.  Its pair is modes N + 1 and
-    N + 2 (mode N has depth-1 weight 0), so only they are formed."""
-    _check_order(p, N, 1)
-    _check_tau(tau)
-    g, _ = _modes(p, np.arange(N + 1, N + 3), check_pole(w))
-    return 2.0 * parity_signs(p)[0] * complex(pair_weights(N, 1, tau)[0] @ g)
+    the cosine half of the depth-1 correction, signed by the cosine family's
+    parity sign."""
+    return 2.0 * parity_signs(p)[0] * correction(p, N, 1, tau, w)[0]
 
 
 def _data_lines(path) -> list[str]:
@@ -192,7 +188,7 @@ def q0_shift(w: complex, alpha: float = 0.125,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    w = check_pole(w)
+    w = complex(w)   # checked by ApproxParams below
     if params is None:
         params = ApproxParams(p=2, N=100, tau=1.0 - alpha, ell=3)
     params = replace(params, tau=1.0 - alpha, w=w, alpha=alpha)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -12,9 +13,10 @@ DEGREE_CAP = 64
 
 
 def _check_p(p: int) -> None:
-    """Refuse an order p outside 1..DEGREE_CAP + 1: the polynomial part of
-    order p needs Bernoulli degrees up to p - 1."""
-    if not 1 <= p <= DEGREE_CAP + 1:
+    """Refuse an order p that is not an integer (TypeError, from
+    operator.index) or lies outside 1..DEGREE_CAP + 1: the polynomial part
+    of order p needs Bernoulli degrees up to p - 1."""
+    if not 1 <= operator.index(p) <= DEGREE_CAP + 1:
         raise ValueError(f"p must lie in 1..{DEGREE_CAP + 1}")
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acceleration import _data_lines
-from .matfunc import BandedOperator
+from .matfunc import BandedOperator, _real
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class Grid:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = _real(self.nodes, "grid nodes")
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.shape[0] < 3:
             raise ValueError("grid needs at least one interior node")

@@ -34,16 +34,21 @@ def check_pole(w: complex) -> complex:
 
 
 def _check_order(p: int, N: int, ell: int) -> None:
-    """Refuse an order p, mode count N or correction depth ell out of range."""
+    """Refuse an order p, mode count N or correction depth ell that is not
+    an integer (TypeError) or lies out of range (ValueError)."""
     _check_p(p)
-    if N < 1:
+    if operator.index(N) < 1:
         raise ValueError("N must be >= 1")
-    if ell < 0:
+    if operator.index(ell) < 0:
         raise ValueError("ell must be >= 0")
 
 
 def _check_tau(tau: float) -> None:
-    """Refuse a tau outside [0, 1], NaN included."""
+    """Refuse a complex tau (TypeError: numpy orders complex numbers, so
+    the range test alone would pass one) and a tau outside [0, 1], NaN
+    included (ValueError)."""
+    if isinstance(tau, (complex, np.complexfloating)):
+        raise TypeError("tau must be real, not complex")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
 
@@ -174,17 +179,21 @@ def residual_l2(p: int, w: complex, N: int, K: int) -> float:
     the trigonometric remainder and avoids quadrature noise.
     """
     _check_p(p)
-    if N < 0:
+    if operator.index(N) < 0:
         raise ValueError("N must be >= 0")
-    if K < N:
+    if operator.index(K) < N:
         raise ValueError("K must be >= N")
     w = check_pole(w)
-    # at a huge |w| the squares or their sum overflow; refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        g, d = _modes(p, np.arange(N + 1, K + 1, dtype=np.float64), w)
-        mags = np.abs(g) ** 2 + np.abs(d) ** 2
-        # summed in ascending magnitude, i.e. descending k
-        norm = math.sqrt(2.0 * float(np.sum(mags[::-1])))
+    # at a huge |w| the squares or their sum overflow, or Python's complex
+    # w ** p raises; each is refused below
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, d = _modes(p, np.arange(N + 1, K + 1, dtype=np.float64), w)
+            mags = np.abs(g) ** 2 + np.abs(d) ** 2
+            # summed in ascending magnitude, i.e. descending k
+            norm = math.sqrt(2.0 * float(np.sum(mags[::-1])))
+    except OverflowError:
+        norm = math.inf
     if not math.isfinite(norm):
         raise FloatingPointError(f"the residual norm at w={w} is not finite")
     return norm

@@ -32,6 +32,20 @@ SPECTRAL_CAP = 4096
 SCALING_CAP = 1e6
 
 
+def _real(x, what: str) -> np.ndarray:
+    """x as a float64 array, the one conversion of every real array input:
+    a complex dtype raises TypeError, where numpy would drop the imaginary
+    part with only a ComplexWarning, and a non-finite entry ValueError,
+    each naming what."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise TypeError(f"{what} must be real, not complex")
+    x = x.astype(float, copy=False)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+    return x
+
+
 class BandedOperator:
     """Real square operator stored as tridiagonal bands or a dense matrix.
 
@@ -58,19 +72,16 @@ class BandedOperator:
                     corners=(0.0, 0.0)) -> "BandedOperator":
         """Operator from sub-, main and super-diagonals (lengths s-1, s, s-1)
         and the corners (A[0, s-1], A[s-1, 0]), which need s >= 3."""
-        sub = np.asarray(sub, dtype=float)
-        diag = np.asarray(diag, dtype=float)
-        sup = np.asarray(sup, dtype=float)
+        sub, diag, sup = (_real(v, "operator entries")
+                          for v in (sub, diag, sup))
         s = diag.shape[0]
         if s < 1:
             raise ValueError("empty diagonal")
         if sub.shape != (s - 1,) or sup.shape != (s - 1,):
             raise ValueError("off-diagonals must have length s - 1")
-        corners = tuple(float(c) for c in corners)
+        corners = tuple(_real(corners, "operator entries").tolist())
         if len(corners) != 2:
             raise ValueError("corners must hold exactly two values")
-        if not all(np.isfinite(v).all() for v in (sub, diag, sup, corners)):
-            raise ValueError("operator entries must be finite")
         if any(corners) and s < 3:
             raise ValueError("corner entries need dimension >= 3")
         return cls(dimension=s, sub=sub, diag=diag, sup=sup,
@@ -78,20 +89,18 @@ class BandedOperator:
 
     @classmethod
     def diagonal(cls, d) -> "BandedOperator":
-        d = np.asarray(d, dtype=float)
+        d = _real(d, "operator entries")
         zeros = np.zeros(max(d.shape[0] - 1, 0))
         return cls.tridiagonal(zeros, d, zeros.copy())
 
     @classmethod
     def dense(cls, matrix) -> "BandedOperator":
-        matrix = np.array(matrix, dtype=float)
+        matrix = _real(matrix, "operator entries")
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("dense operator must be a square matrix")
         if not matrix.size:
             raise ValueError("empty dense operator")
-        if not np.isfinite(matrix).all():
-            raise ValueError("operator entries must be finite")
-        return cls(dimension=matrix.shape[0], dense=matrix)
+        return cls(dimension=matrix.shape[0], dense=matrix.copy())
 
     @property
     def is_tridiagonal(self) -> bool:
@@ -148,13 +157,11 @@ _WORK_ROWS = 8 * 2 ** 12
 
 
 def _vector(A: BandedOperator, f) -> np.ndarray:
-    """f as a float array of shape (s,); any other shape or a non-finite
-    entry raises ValueError."""
-    f = np.asarray(f, dtype=float)
+    """f through _real, then of shape (s,): any other shape raises
+    ValueError."""
+    f = _real(f, "f")
     if f.shape != (A.dimension,):
         raise ValueError(f"f has shape {f.shape}, expected ({A.dimension},)")
-    if not np.isfinite(f).all():
-        raise ValueError("f must be finite")
     return f
 
 
@@ -357,8 +364,8 @@ def shifted_solve(A: BandedOperator, k, b) -> np.ndarray:
     of _complex_solves, is a system refused: a non-finite solution
     raises LinAlgError, then ||(A - i t I)^{-1} b||_1 > ||b||_1 / POLE_TOL
     raises PoleProximityError: 2 pi k i lies within about POLE_TOL of
-    spec(A), or of its pseudospectrum if A is non-normal.  A non-finite
-    or wrong-length b raises ValueError before any solve.
+    spec(A), or of its pseudospectrum if A is non-normal.  A b that
+    _vector refuses raises before any solve.
     """
     ks = np.atleast_1d(k)
     if ks.ndim != 1 or ks.dtype.kind not in "iu":
@@ -659,15 +666,16 @@ def reference_solution(A: BandedOperator, tau, f) -> np.ndarray:
     The general dense oracle, for any operator up to DENSE_CAP, and
     independent of spectral_reference; no CLI command calls it, the tests
     check both oracles against each other.  tau may be an array: phi_1(A)
-    is formed once and the result has shape tau.shape + (s,).  A
-    non-finite or wrong-length f raises ValueError before any Pade step; a
-    non-finite result, from overflow of e^A, raises FloatingPointError.
+    is formed once and the result has shape tau.shape + (s,).  An f that
+    _vector refuses, or a tau that _real refuses, raises before any Pade
+    step; a non-finite result, from overflow of e^A, raises
+    FloatingPointError.
     """
     if A.dimension > DENSE_CAP:
         raise ValueError(
             f"dense reference capped at dimension {DENSE_CAP}")
     f = _vector(A, f)
-    taus = np.asarray(tau, dtype=float)
+    taus = _real(tau, "tau")
     z = _phi1_solve(A.to_dense(), taus.flat, f)
     return np.reshape(z, taus.shape + f.shape)
 
@@ -691,15 +699,13 @@ def _circulant_column(A: BandedOperator):
 
 def _q(taus: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """fourier.reference_q(tau, lam), one row per tau, one column per
-    eigenvalue: the same closed form, value 1 at w = 0 and refusals, in
-    numpy over the whole array, so entries round as numpy's exp and
-    complex arithmetic do."""
+    eigenvalue: check_pole refuses each eigenvalue as reference_q does, then
+    the same closed form, with the value 1 at w = 0, runs in numpy over the
+    whole array, so entries round as numpy's exp and complex arithmetic
+    do."""
     w = np.asarray(lam, dtype=complex)
-    with np.errstate(invalid="ignore"):   # a non-finite w is refused below
-        k = np.round(w.imag / TWO_PI)
-        near = (k != 0) & (np.hypot(w.real, w.imag - TWO_PI * k) < POLE_TOL)
-    for v in w[~np.isfinite(w) | near]:
-        check_pole(v)   # raises reference_q's error for that eigenvalue
+    for v in w.tolist():
+        check_pole(v)
     # w e^{w tau} / expm1(w), or w e^{w (tau - 1)} / -expm1(-w) if Re w > 0
     right, zero = w.real > 0.0, w == 0
     em = np.expm1(np.where(right, -w, w))
@@ -725,10 +731,11 @@ def spectral_reference(A: BandedOperator, tau, f) -> np.ndarray:
     array (_q), so an eigenvalue at a pole raises PoleProximityError.  An
     array tau gives shape tau.shape + (s,), one row of an inverse FFT or
     GEMM per tau.
-    Another A, or an f _vector refuses, raises ValueError.
+    Another A raises ValueError; an f that _vector refuses, or a tau that
+    _real refuses, raises before any FFT or eigendecomposition.
     """
     s, f = A.dimension, _vector(A, f)
-    taus = np.asarray(tau, dtype=float)
+    taus = _real(tau, "tau")
     column = _circulant_column(A)
     if column is not None:
         weights = _q(taus, np.fft.fft(column)) * np.fft.fft(f)

@@ -244,6 +244,17 @@ def test_tau_outside_unit_interval_refused(entry, tau):
         _TAU_ENTRIES[entry](tau)
 
 
+@pytest.mark.parametrize("tau", [np.complex128(0.3 + 1j), np.complex128(0.3),
+                                 np.complex64(0.5), 0.3 + 0j])
+@pytest.mark.parametrize("entry", sorted(_TAU_ENTRIES))
+def test_complex_tau_refused(entry, tau):
+    """A complex tau raises TypeError at the same gate: numpy orders
+    complex numbers, so np.complex128(0.3 + 1j) used to pass the range test
+    (a 16-point heat plan then evaluated to about 1e27)."""
+    with pytest.raises(TypeError, match="tau must be real"):
+        _TAU_ENTRIES[entry](tau)
+
+
 class TestTailIdentity:
     def test_residual_equals_mode_tail(self):
         """q - g equals the summed discarded modes to well below roundoff

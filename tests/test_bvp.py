@@ -58,6 +58,23 @@ class TestGrids:
             Grid(nodes=np.array([0.0, 0.5, 0.4, 1.0]))
 
 
+    @pytest.mark.parametrize("nodes", [[0.0, 0.5 + 0j, 1.0],
+                                       [0.0, 0.5, 1.0 + 1j]])
+    def test_complex_nodes_refused(self, nodes):
+        """numpy would drop the imaginary part with only a ComplexWarning."""
+        with pytest.raises(TypeError, match="grid nodes must be real"):
+            Grid(nodes=np.array(nodes))
+
+    @pytest.mark.parametrize("nodes", [[0.0, 0.5, np.inf],
+                                       [-np.inf, 0.5, 1.0],
+                                       [0.0, np.nan, 1.0]])
+    def test_non_finite_nodes_refused(self, nodes):
+        """An infinite end node used to pass as strictly increasing, and a
+        NaN was refused as out of order."""
+        with pytest.raises(ValueError, match="grid nodes must be finite"):
+            Grid(nodes=np.array(nodes))
+
+
 class TestLaplacian:
     def test_two_point_stencil_exact(self):
         grid = Grid(nodes=np.array([0.0, 1.0, 2.0, 3.0]) / 3.0)
@@ -171,6 +188,14 @@ class TestGridFiles:
             with pytest.raises(ValueError,
                                match=r"grid\.txt: the file holds no data"):
                 load_grid(str(path))
+
+    @pytest.mark.parametrize("text", ["0\n0.5\ninf\n", "0\nnan\n1\n",
+                                      "-inf\n0\n1\n"])
+    def test_non_finite_node_refused(self, tmp_path, text):
+        path = tmp_path / "grid.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="grid nodes must be finite"):
+            load_grid(str(path))
 
     def test_geometric_round_trip(self, tmp_path):
         grid = geometric_grid(0.01, 1.005, 100)

@@ -89,7 +89,8 @@ class TestDeltaTable:
                      "--K", "8"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("z", ["1e54", "1e60", "1e154", "1e200"])
+    @pytest.mark.parametrize("z", ["1e54", "1e60", "1e61", "1e100", "1e153",
+                                   "1e154", "1e200"])
     def test_huge_z_is_numerical_failure(self, capsys, z):
         """The residual used to overflow to inf (1e54 to 1e60) or nan
         (1e154, 1e200) with only numpy RuntimeWarnings, and exit 0."""
@@ -339,6 +340,13 @@ class TestBvpCompare:
                      "--ell", "2", "--tau", "1.5"])
         assert code == 2
         assert "tau must lie in [0, 1]" in capsys.readouterr().err
+
+    def test_non_finite_tau_names_tau(self, capsys):
+        """The oracle's tau array meets the one real-array gate first."""
+        code = main(["bvp-compare", "--s", "16", "--N", "8", "--n", "2",
+                     "--ell", "2", "--tau", "0.5,nan"])
+        assert code == 2
+        assert "tau must be finite" in capsys.readouterr().err
 
     def test_runs_above_dense_cap(self, capsys):
         """The spectral reference forms no dense exponential, so s may

@@ -227,6 +227,13 @@ class TestLanczosCoefficients:
         assert lanczos_coefficients(2, np.int64(3), 1.0) == (
             lanczos_coefficients(2, 3, 1.0))
 
+    @pytest.mark.parametrize("p", [2.0, 10.5, np.float64(4.0)])
+    def test_non_integer_order_refused(self, p):
+        """p must be an integer too: a float p used to give the modes of a
+        fractional power of w."""
+        with pytest.raises(TypeError, match="integer"):
+            lanczos_coefficients(p, 1, 1.0)
+
     @pytest.mark.parametrize("p", range(1, 7))
     def test_signed_mode_pair(self, p):
         """(c, s) is the _modes pair times the exact +-1 parity signs."""
@@ -389,7 +396,8 @@ class TestResidualNorm:
         b = residual_l2(4, TWO_PI, 512, 4096)
         assert 10.5 <= a / b <= 12.0
 
-    @pytest.mark.parametrize("z", [1e54, 1e60, 1e154, 1e200])
+    @pytest.mark.parametrize("z", [1e54, 1e60, 1e61, 1e100, 1e153, 1e154,
+                                   1e200])
     def test_overflow_refused(self, z):
         """A norm that overflows to inf or nan is refused, with no numpy
         RuntimeWarning on the way (the suite turns one into an error)."""
@@ -397,6 +405,15 @@ class TestResidualNorm:
             residual_l2(4, TWO_PI * z, 512, 2560)
         with pytest.raises(FloatingPointError, match="residual norm"):
             delta_of_N(z, 512, 2560)
+
+
+    @pytest.mark.parametrize("N, K", [(5.0, 10), (5.5, 10), (5, 10.0),
+                                      (5, 10.5)])
+    def test_non_integer_mode_counts_refused(self, N, K):
+        """N and K count modes: a float, even 5.0, raises TypeError where
+        it used to sum over modes such as 6.5, 7.5, ..."""
+        with pytest.raises(TypeError, match="integer"):
+            residual_l2(4, 1.0, N, K)
 
 
 class TestDeltaOfN:
@@ -419,6 +436,14 @@ class TestDeltaOfN:
     def test_non_finite_z_refused(self, z):
         with pytest.raises(ValueError, match="z=.* must be finite"):
             delta_of_N(z, 4, 8)
+
+    @pytest.mark.parametrize("N, K", [(512.5, 2560), (512.0, 2560),
+                                      (512, 2560.0), (512, 2560.5)])
+    def test_non_integer_mode_counts_refused(self, N, K):
+        """delta_of_N(1.0, 512.5, 2560) used to return 0.53269, as if 512.5
+        were a mode count."""
+        with pytest.raises(TypeError, match="integer"):
+            delta_of_N(1.0, N, K)
 
     def test_z_independence(self):
         """The scaled functional approaches the same constant for every z."""
@@ -448,3 +473,13 @@ class TestApproxParams:
         with pytest.raises(ValueError):
             ApproxParams(p=DEGREE_CAP + 2, N=10, tau=0.5)
         assert ApproxParams(p=DEGREE_CAP + 1, N=10, tau=0.5).p == DEGREE_CAP + 1
+
+    @pytest.mark.parametrize("value", [2.0, 10.5])
+    @pytest.mark.parametrize("slot", ["p", "N", "ell"])
+    def test_non_integer_order_refused(self, slot, value):
+        """p, N and ell must be integers; numpy integers are accepted."""
+        orders = {"p": 2, "N": 10, "ell": 2, slot: value}
+        with pytest.raises(TypeError, match="integer"):
+            ApproxParams(tau=0.5, **orders)
+        orders[slot] = np.int64(value)
+        assert ApproxParams(tau=0.5, **orders)

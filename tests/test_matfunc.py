@@ -169,6 +169,25 @@ class TestBandedOperator:
         with pytest.raises(ValueError, match="finite"):
             BandedOperator.dense([[1.0, bad], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    def test_complex_entries_refused(self, imag):
+        """A complex dtype is refused even with zero imaginary parts: numpy
+        would drop them with only a ComplexWarning."""
+        bad, match = complex(2.0, imag), "operator entries must be real"
+        bands = [np.ones(3), np.zeros(4), np.ones(3)]
+        for band in range(3):
+            with_bad = [b.astype(complex) if i == band else b
+                        for i, b in enumerate(bands)]
+            with_bad[band][1] = bad
+            with pytest.raises(TypeError, match=match):
+                BandedOperator.tridiagonal(*with_bad)
+        with pytest.raises(TypeError, match=match):
+            BandedOperator.tridiagonal(*bands, corners=(1.0, bad))
+        with pytest.raises(TypeError, match=match):
+            BandedOperator.diagonal([1.0, bad])
+        with pytest.raises(TypeError, match=match):
+            BandedOperator.dense([[1.0, bad], [0.0, 1.0]])
+
     def test_corner_validation(self):
         with pytest.raises(ValueError, match="dimension >= 3"):
             BandedOperator.tridiagonal([1.0], [1.0, 2.0], [1.0],
@@ -1911,6 +1930,86 @@ class TestRightHandSideGate:
                            match=r"expected \(8,\)" if bad == "length"
                            else "finite"):
             _RHS_ENTRIES[entry](A, f)
+
+    @pytest.mark.parametrize("imag", [0.0, 0.5])
+    @pytest.mark.parametrize("entry", sorted(_RHS_ENTRIES))
+    def test_complex_f_refused_before_any_work(self, monkeypatch, entry,
+                                               imag):
+        """A complex f, even with zero imaginary parts, raises TypeError
+        before any solve, eigendecomposition, FFT or Pade step, where numpy
+        would drop the imaginary part with only a ComplexWarning."""
+        A = (circulant_shift(8, 1.0) if entry.endswith("fft")
+             else discretize_laplacian(uniform_grid(1.0, 8)))
+        f = np.ones(8, dtype=complex)
+        f[3] += 1j * imag
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before f was checked")
+        for name in ("_complex_solves", "_expm_dense"):
+            monkeypatch.setattr(berngen.matfunc, name, never)
+        monkeypatch.setattr(np.linalg, "eigh", never)
+        monkeypatch.setattr(np.fft, "fft", never)
+        with pytest.raises(TypeError, match="f must be real"):
+            _RHS_ENTRIES[entry](A, f)
+
+
+_ORACLES = {
+    "spectral_reference-eigh": (spectral_reference, "heat"),
+    "spectral_reference-fft": (spectral_reference, "circulant"),
+    "reference_solution": (reference_solution, "heat"),
+}
+
+
+class TestOracleTauGate:
+    """Both oracles take any real tau, scalar or array, but refuse a
+    complex or a non-finite one, as they refuse such an f."""
+
+    @staticmethod
+    def _call(entry, tau):
+        oracle, kind = _ORACLES[entry]
+        A = (circulant_shift(8, 1.0) if kind == "circulant"
+             else discretize_laplacian(uniform_grid(1.0, 8)))
+        return oracle(A, tau, np.ones(8))
+
+    @pytest.mark.parametrize("tau", [np.complex128(0.3), 0.3 + 0.5j,
+                                     [0.3, 0.5 + 0j]])
+    @pytest.mark.parametrize("entry", sorted(_ORACLES))
+    def test_complex_tau_refused(self, entry, tau):
+        with pytest.raises(TypeError, match="tau must be real"):
+            self._call(entry, tau)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, [0.3, -np.inf]])
+    @pytest.mark.parametrize("entry", sorted(_ORACLES))
+    def test_non_finite_tau_refused(self, entry, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            self._call(entry, tau)
+
+
+class TestIntegerOrders:
+    @pytest.mark.parametrize("value", [2.0, 10.5])
+    @pytest.mark.parametrize("slot", ["p", "N", "ell"])
+    @pytest.mark.parametrize("build", ["ActionPlan", "view"])
+    def test_fractional_order_refused_before_any_solve(
+            self, monkeypatch, build, slot, value):
+        """p, N and ell must be integers: a float, even 2.0, raises
+        TypeError before shifted_solve is called, where it used to build
+        the whole plan and fail only in evaluate, or pass float modes."""
+        A, f = discretize_laplacian(uniform_grid(1.0, 16)), np.ones(16)
+        plan = ActionPlan(A, 2, 2, 1, f)
+        calls, original = [], berngen.matfunc.shifted_solve
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(berngen.matfunc, "shifted_solve", counting)
+        orders = {"p": 2, "N": 10, "ell": 2, slot: value}
+        with pytest.raises(TypeError, match="integer"):
+            if build == "ActionPlan":
+                ActionPlan(A, f=f, **orders)
+            else:
+                plan.view(**orders)
+        assert calls == []
 
 
 class TestMatrixMarketLoader:
