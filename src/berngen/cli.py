@@ -7,6 +7,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from itertools import product
 from time import perf_counter
 from typing import NamedTuple
 
@@ -112,6 +113,26 @@ _OPERATORS = dict(
 )
 
 
+def _timed(rows) -> ExperimentReport:
+    """The report of the rows a command yields, each stamped with the
+    seconds since the previous row was yielded, the first with the seconds
+    since the command began: work done before a row (an operator, an
+    oracle, a plan build) counts in that row, so the elapsed_s column
+    sums to the command's time."""
+    stamped = []
+    t0 = perf_counter()
+    for row in rows:
+        t1 = perf_counter()
+        stamped.append(row._make((*row[:-1], t1 - t0)))
+        t0 = t1
+    return ExperimentReport(stamped)
+
+
+def _max_error(x: np.ndarray, ref: np.ndarray) -> float:
+    """The max-norm distance of x from ref, as a Python float."""
+    return float(np.max(np.abs(x - ref)))
+
+
 def cmd_delta_table(config: dict) -> ExperimentReport:
     """Scaled residual norms Delta(N) per (z, N).
 
@@ -123,15 +144,9 @@ def cmd_delta_table(config: dict) -> ExperimentReport:
         raise ValueError(
             f"K={K} must be at least max(N)={max(n_list)} so the tail "
             "meets the K >= 2N requirement for every cell")
-
-    def cell(z: float, N: int) -> Row:
-        t0 = perf_counter()
-        value = delta_of_N(z, N, N + K)
-        dt = perf_counter() - t0
-        return Row("delta-table", "parseval", p=4, n=1, N=N, z=z,
-                   value=value, elapsed_s=dt)
-
-    return ExperimentReport([cell(z, N) for z in z_list for N in n_list])
+    return _timed(Row("delta-table", "parseval", p=4, n=1, N=N, z=z,
+                      value=delta_of_N(z, N, N + K))
+                  for z in z_list for N in n_list)
 
 
 def cmd_scalar_error(config: dict) -> ExperimentReport:
@@ -143,12 +158,10 @@ def cmd_scalar_error(config: dict) -> ExperimentReport:
     ws = np.linspace(config["wmin"], config["wmax"], config["points"])
     N, alpha = config["N"], config["alpha"]
 
-    def sweep(p: int, ell: int, tau: float) -> list:
-        method = "truncated" if ell == 0 else "accelerated"
-        rows = []
-        for w in ws:
-            w = float(w)
-            t0 = perf_counter()
+    def rows():
+        for p, ell, tau, w in product(config["p"], config["ell"],
+                                      config["tau"], ws.tolist()):
+            method = "truncated" if ell == 0 else "accelerated"
             exact = reference_q(tau, w)
             params = ApproxParams(p=p, N=N, tau=tau, w=w, ell=ell,
                                   alpha=alpha)
@@ -156,17 +169,10 @@ def cmd_scalar_error(config: dict) -> ExperimentReport:
                 approx = q0_shift(w, alpha=alpha, params=params)
             else:
                 approx = G_approx(params)
-            value = abs(approx - exact) / abs(exact)
-            dt = perf_counter() - t0
-            rows.append(Row("scalar-error", method, p=p, N=N, ell=ell,
-                            tau=tau, z=w / TWO_PI, value=value,
-                            elapsed_s=dt))
-        return rows
+            yield Row("scalar-error", method, p=p, N=N, ell=ell, tau=tau,
+                      z=w / TWO_PI, value=abs(approx - exact) / abs(exact))
 
-    return ExperimentReport([row for p in config["p"]
-                             for ell in config["ell"]
-                             for tau in config["tau"]
-                             for row in sweep(p, ell, tau)])
+    return _timed(rows())
 
 
 def cmd_bvp_compare(config: dict) -> ExperimentReport:
@@ -182,32 +188,26 @@ def cmd_bvp_compare(config: dict) -> ExperimentReport:
     kind, s = config["grid"], config["s"]
     if kind not in ("uniform", "geometric"):
         raise ValueError(f"--grid must be uniform or geometric, got {kind!r}")
-    A = _OPERATORS[kind](s)
-    f = np.ones(A.dimension)
-    taus = config["tau"]
-    refs = spectral_reference(A, taus, f)
-    experiment = f"bvp-{kind}"
-    base = ActionPlan(A, 2, max(config["N"], default=1),
-                      max(config["ell"], default=0), f)
+    taus, Ns, experiment = config["tau"], config["N"], f"bvp-{kind}"
+    # (method, n, ell, N, view arguments), in the order the views are built
+    cells = [("lanc", n, None, N, (2 * n + 2, N, 0, "direct"))
+             for n in config["n"] for N in Ns]
+    cells += [("fastlanc", None, ell, N, (2, N, ell))
+              for ell in config["ell"] for N in Ns]
 
-    def cell(method: str, N: int, n=None, ell=None) -> list:
-        t0 = perf_counter()
-        plan = (base.view(2 * n + 2, N, 0, scheme="direct")
-                if method == "lanc" else base.view(2, N, ell))
-        rows = []
-        for tau, ref in zip(taus, refs):
-            err = float(np.max(np.abs(plan.evaluate(tau) - ref)))
-            t1 = perf_counter()
-            rows.append(Row(experiment, method, p=plan.p, n=n, N=N, ell=ell,
-                            tau=tau, value=err, elapsed_s=t1 - t0))
-            t0 = t1
-        return rows
+    def rows():
+        A = _OPERATORS[kind](s)
+        f = np.ones(A.dimension)
+        refs = spectral_reference(A, taus, f)
+        base = ActionPlan(A, 2, max(Ns, default=1),
+                          max(config["ell"], default=0), f)
+        for method, n, ell, N, view in cells:
+            plan = base.view(*view)
+            for tau, ref in zip(taus, refs):
+                yield Row(experiment, method, p=plan.p, n=n, N=N, ell=ell,
+                          tau=tau, value=_max_error(plan.evaluate(tau), ref))
 
-    rows = [row for n in config["n"] for N in config["N"]
-            for row in cell("lanc", N, n=n)]
-    rows += [row for ell in config["ell"] for N in config["N"]
-             for row in cell("fastlanc", N, ell=ell)]
-    return ExperimentReport(rows)
+    return _timed(rows())
 
 
 def cmd_arnoldi_compare(config: dict) -> ExperimentReport:
@@ -228,33 +228,24 @@ def cmd_arnoldi_compare(config: dict) -> ExperimentReport:
     ell = config["ell"]
     if ell is None:
         ell = 5 if test == 3 else 4
-    A = _OPERATORS["geometric" if test == 3 else "circulant"](s)
-    f = np.ones(A.dimension)
-    z = spectral_reference(A, tau, f)
     experiment = f"arnoldi-test{test}"
-    rows = []
 
-    t0 = perf_counter()
-    plan = ActionPlan(A, 2, N, ell, f)
-    err = float(np.max(np.abs(plan.evaluate(tau) - z)))
-    rows.append(Row(experiment, "fastlanc", p=2, N=N, ell=ell, tau=tau,
-                    value=err, elapsed_s=perf_counter() - t0))
+    def rows():
+        A = _OPERATORS["geometric" if test == 3 else "circulant"](s)
+        f = np.ones(A.dimension)
+        z = spectral_reference(A, tau, f)
+        plan = ActionPlan(A, 2, N, ell, f)
+        yield Row(experiment, "fastlanc", p=2, N=N, ell=ell, tau=tau,
+                  value=_max_error(plan.evaluate(tau), z))
+        dec = arnoldi_extend(A, f, min(steps, A.dimension))
+        for j in range(1, dec.j + 1):
+            pre = dec.prefix(j)
+            yield Row(experiment, "arnoldi", N=j, tau=tau,
+                      value=_max_error(arnoldi_q_approx(pre, tau), z))
+            yield Row(experiment, "arnoldi-loss", N=j, tau=tau,
+                      value=orthogonality_loss(pre))
 
-    t0 = perf_counter()
-    dec = arnoldi_extend(A, f, min(steps, A.dimension))
-    extend_time = perf_counter() - t0
-    for j in range(1, dec.j + 1):
-        pre = dec.prefix(j)
-        t1 = perf_counter()
-        err = float(np.max(np.abs(arnoldi_q_approx(pre, tau) - z)))
-        dt = perf_counter() - t1
-        rows.append(Row(experiment, "arnoldi", N=j, tau=tau, value=err,
-                        elapsed_s=dt + (extend_time if j == 1 else 0.0)))
-        t1 = perf_counter()
-        loss = orthogonality_loss(pre)
-        rows.append(Row(experiment, "arnoldi-loss", N=j, tau=tau,
-                        value=loss, elapsed_s=perf_counter() - t1))
-    return ExperimentReport(rows)
+    return _timed(rows())
 
 
 #: command -> (function, {key: (parser, help)}, {key: default}, help)

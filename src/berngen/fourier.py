@@ -44,9 +44,14 @@ def _check_order(p: int, N: int, ell: int) -> None:
 
 
 def _check_tau(tau: float) -> None:
-    """Refuse a complex tau (TypeError: numpy orders complex numbers, so
-    the range test alone would pass one) and a tau outside [0, 1], NaN
-    included (ValueError)."""
+    """Refuse an array tau of one or more dimensions and a complex tau of
+    any kind, a 0-d array included (TypeError: numpy orders complex
+    numbers, so the range test alone would pass one), and a tau outside
+    [0, 1], NaN included (ValueError)."""
+    if isinstance(tau, np.ndarray):
+        if tau.ndim:
+            raise TypeError("tau must be a scalar, not an array")
+        tau = tau[()]
     if isinstance(tau, (complex, np.complexfloating)):
         raise TypeError("tau must be real, not complex")
     if not 0.0 <= tau <= 1.0:

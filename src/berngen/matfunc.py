@@ -72,25 +72,28 @@ class BandedOperator:
                     corners=(0.0, 0.0)) -> "BandedOperator":
         """Operator from sub-, main and super-diagonals (lengths s-1, s, s-1)
         and the corners (A[0, s-1], A[s-1, 0]), which need s >= 3."""
-        sub, diag, sup = (_real(v, "operator entries")
-                          for v in (sub, diag, sup))
+        sub, diag, sup = bands = [_real(v, "operator entries")
+                                  for v in (sub, diag, sup)]
+        for name, band in zip(("sub-diagonal", "diagonal", "super-diagonal"),
+                              bands):
+            if band.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {band.shape}")
         s = diag.shape[0]
         if s < 1:
             raise ValueError("empty diagonal")
         if sub.shape != (s - 1,) or sup.shape != (s - 1,):
             raise ValueError("off-diagonals must have length s - 1")
-        corners = tuple(_real(corners, "operator entries").tolist())
-        if len(corners) != 2:
+        corners = _real(corners, "operator entries")
+        if corners.shape != (2,):
             raise ValueError("corners must hold exactly two values")
-        if any(corners) and s < 3:
+        if corners.any() and s < 3:
             raise ValueError("corner entries need dimension >= 3")
         return cls(dimension=s, sub=sub, diag=diag, sup=sup,
-                   corners=corners if any(corners) else None)
+                   corners=tuple(corners.tolist()) if corners.any() else None)
 
     @classmethod
     def diagonal(cls, d) -> "BandedOperator":
-        d = _real(d, "operator entries")
-        zeros = np.zeros(max(d.shape[0] - 1, 0))
+        zeros = np.zeros(max(np.size(d) - 1, 0))
         return cls.tridiagonal(zeros, d, zeros.copy())
 
     @classmethod

@@ -255,6 +255,39 @@ def test_complex_tau_refused(entry, tau):
         _TAU_ENTRIES[entry](tau)
 
 
+@pytest.mark.parametrize("tau", [np.array(0.3 + 1j), np.array(0.3 + 0j),
+                                 np.array(0.5, dtype=np.complex64)])
+@pytest.mark.parametrize("entry", sorted(_TAU_ENTRIES))
+def test_complex_0d_array_tau_refused(entry, tau):
+    """A 0-d complex array is a complex tau too: it used to pass the gate,
+    and evaluate then dropped its imaginary part with ComplexWarnings."""
+    with pytest.raises(TypeError, match="tau must be real"):
+        _TAU_ENTRIES[entry](tau)
+
+
+@pytest.mark.parametrize("tau", [np.array([0.3]), np.array([[0.3]]),
+                                 np.array([0.3, 0.5])])
+@pytest.mark.parametrize("entry", sorted(_TAU_ENTRIES))
+def test_array_tau_refused(entry, tau):
+    """tau is a scalar: a one-element array used to be stored as tau, and
+    evaluate then failed inside the weight row at ell > 0."""
+    with pytest.raises(TypeError, match="tau must be a scalar"):
+        _TAU_ENTRIES[entry](tau)
+
+
+@pytest.mark.parametrize("tau", [0.3, 0.7])
+def test_real_0d_array_tau_keeps_its_bits(tau):
+    """A real 0-d array is a real scalar: every entry point gives the bits
+    of the float."""
+    params = ApproxParams(p=2, N=10, tau=np.array(tau), w=-1.0, ell=2)
+    assert params.tau == tau
+    assert G_approx(params) == G_approx(
+        ApproxParams(p=2, N=10, tau=tau, w=-1.0, ell=2))
+    for entry in ("ActionPlan.evaluate", "h_action", "correction"):
+        assert np.array_equal(_TAU_ENTRIES[entry](np.array(tau)),
+                              _TAU_ENTRIES[entry](tau)), entry
+
+
 class TestTailIdentity:
     def test_residual_equals_mode_tail(self):
         """q - g equals the summed discarded modes to well below roundoff

@@ -7,13 +7,17 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+import berngen.cli
 import berngen.matfunc
 from berngen.bvp import discretize_laplacian, uniform_grid
-from berngen.cli import SCHEMA, Row, main
+from berngen.cli import (_COMMANDS, SCHEMA, Row, cmd_arnoldi_compare,
+                         cmd_bvp_compare, cmd_delta_table, cmd_scalar_error,
+                         main)
 from berngen.matfunc import (DENSE_CAP, SPECTRAL_CAP, ActionPlan,
                              spectral_reference)
 
@@ -417,6 +421,54 @@ class TestArnoldiCompare:
 
     def test_zero_steps(self, capsys):
         assert main(["arnoldi-compare", "--steps", "0"]) == 2
+
+
+#: each command at small sizes, as (cmd_* function, overrides of its
+#: defaults); s = 256 makes setup (operator, oracle, plan) a visible share
+_SMALL = {
+    "delta-table": (cmd_delta_table, {"z": [1.0, 10.0], "N": [64, 128],
+                                      "K": 256}),
+    "scalar-error": (cmd_scalar_error, {"points": 50, "N": 20,
+                                        "tau": [0.125, 0.0]}),
+    "bvp-compare": (cmd_bvp_compare, {"s": 256, "N": [8, 12], "n": [2],
+                                      "ell": [2]}),
+    "arnoldi-compare": (cmd_arnoldi_compare, {"s": 256, "steps": 6, "N": 8,
+                                              "ell": 2}),
+}
+
+
+def _small_run(name):
+    """(report, wall seconds) of one in-process call of the command."""
+    run, overrides = _SMALL[name]
+    config = {**_COMMANDS[name][2], **overrides}
+    t0 = time.perf_counter()
+    report = run(config)
+    return report, time.perf_counter() - t0
+
+
+class TestElapsed:
+    @pytest.mark.parametrize("name", sorted(_SMALL))
+    def test_column_sums_to_the_command_time(self, name):
+        """elapsed_s is the time since the previous row, the first row's
+        including the command's setup, so the column sums to the call."""
+        report, wall = _small_run(name)
+        elapsed = [row.elapsed_s for row in report.rows]
+        assert elapsed
+        assert all(math.isfinite(t) and t >= 0.0 for t in elapsed)
+        assert wall - max(2e-3, 0.05 * wall) <= sum(elapsed) <= wall
+
+    @pytest.mark.parametrize("name", ["arnoldi-compare", "bvp-compare"])
+    def test_oracle_time_counts_in_the_first_row(self, name, monkeypatch):
+        """The oracle runs before any row, so the first row waits on it."""
+        original = berngen.cli.spectral_reference
+
+        def slow(*args):
+            time.sleep(0.05)
+            return original(*args)
+
+        monkeypatch.setattr(berngen.cli, "spectral_reference", slow)
+        report, _ = _small_run(name)
+        assert report.rows[0].elapsed_s >= 0.05
 
 
 class TestEntryPoint:

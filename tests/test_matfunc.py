@@ -200,6 +200,33 @@ class TestBandedOperator:
             with pytest.raises(ValueError, match="two values"):
                 BandedOperator.tridiagonal(*bands, corners=corners)
 
+    @pytest.mark.parametrize("corners", [[[1.0, 2.0], [3.0, 4.0]],
+                                         [[1.0], [2.0]], 1.0])
+    def test_corners_of_other_shape_refused(self, corners):
+        """Two rows of two used to be stored as two lists, and matvec then
+        failed on a broadcast."""
+        bands = (np.ones(3), np.ones(4), np.ones(3))
+        with pytest.raises(ValueError, match="two values"):
+            BandedOperator.tridiagonal(*bands, corners=corners)
+
+    @pytest.mark.parametrize("band, name", [(0, "sub-diagonal"),
+                                            (1, "diagonal"),
+                                            (2, "super-diagonal")])
+    @pytest.mark.parametrize("shape", ["0-d", "2-D"])
+    def test_band_that_is_not_1d_refused(self, band, name, shape):
+        """A 2-D diagonal used to pass (its matvec then returned a matrix)
+        and a 0-d one raised IndexError."""
+        bands = [np.ones(1), np.ones(2), np.ones(1)]
+        bands[band] = (np.array(1.0) if shape == "0-d"
+                       else np.ones((len(bands[band]), 2)))
+        with pytest.raises(ValueError, match=f"^{name} must be 1-D"):
+            BandedOperator.tridiagonal(*bands)
+
+    @pytest.mark.parametrize("d", [[[1.0, 2.0], [3.0, 4.0]], 3.0, [[1.0]]])
+    def test_diagonal_that_is_not_1d_refused(self, d):
+        with pytest.raises(ValueError, match="^diagonal must be 1-D"):
+            BandedOperator.diagonal(d)
+
 
 class TestShiftedSolve:
     def test_matches_dense_solve(self):
