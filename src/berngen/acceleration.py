@@ -12,8 +12,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bernoulli import _polyval
-from .fourier import (TWO_PI, ApproxParams, _mode_sum, _modes, _trig_row,
-                      parity_signs)
+from .fourier import (TWO_PI, ApproxParams, _k_powers, _mode_sum, _modes,
+                      _trig_row, _w_powers, parity_signs)
 
 #: |1 - cos(2 pi tau)| below this leaves the correction denominators
 #: dominated by roundoff
@@ -113,9 +113,10 @@ def correction(p: int, N: int, ell: int, tau: float,
                w: complex) -> tuple[complex, complex]:
     """Depth-ell boundary correction (Gamma, Delta) of the order-p sum; its
     arguments pass ApproxParams' checks."""
-    ApproxParams(p=p, N=N, tau=tau, w=w, ell=ell)
-    g, d = _modes(p, np.arange(N, N + 2 * ell + 1), complex(w))
-    gw, dw = _correction_weights(N, ell, tau)
+    params = ApproxParams(p=p, N=N, tau=tau, w=w, ell=ell)
+    ks = np.arange(N, N + 2 * ell + 1)
+    g, d = _modes(p, _w_powers(p, complex(w)), _k_powers(p, ks))
+    gw, dw = _correction_weights(N, ell, params.tau)
     return complex(gw @ g), complex(dw @ d)
 
 

@@ -43,11 +43,16 @@ def _check_order(p: int, N: int, ell: int) -> None:
         raise ValueError("ell must be >= 0")
 
 
-def _check_tau(tau: float) -> None:
-    """Refuse an array tau of one or more dimensions and a complex tau of
+def _check_tau(tau: float) -> float:
+    """tau as a Python float, which callers compute with.
+
+    Refuses an array tau of one or more dimensions and a complex tau of
     any kind, a 0-d array included (TypeError: numpy orders complex
     numbers, so the range test alone would pass one), and a tau outside
-    [0, 1], NaN included (ValueError)."""
+    [0, 1], NaN included (ValueError).  A np.float32 tau comes back widened,
+    so no tau arithmetic runs in single precision; a float or np.float64
+    keeps its bits.
+    """
     if isinstance(tau, np.ndarray):
         if tau.ndim:
             raise TypeError("tau must be a scalar, not an array")
@@ -56,6 +61,7 @@ def _check_tau(tau: float) -> None:
         raise TypeError("tau must be real, not complex")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
+    return float(tau)
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ class ApproxParams:
 
     def __post_init__(self):
         _check_order(self.p, self.N, self.ell)
-        _check_tau(self.tau)
+        object.__setattr__(self, "tau", _check_tau(self.tau))
         check_pole(self.w)
 
 
@@ -111,16 +117,56 @@ def parity_signs(p: int) -> tuple[float, float]:
     return -sg, sg
 
 
-def _modes(p, k, w):
-    """Magnitudes (gamma, delta) of order-p mode k; k is an int or array.
+def _w_powers(p: int, w: complex) -> tuple:
+    """The w factors (w^2, w^p, w^(p+1)) of every order-p mode."""
+    return w * w, w ** p, w ** (p + 1)
+
+
+def _k_powers(p: int, k) -> tuple:
+    """The k factors ((2 pi k)^2, (2 pi k)^(p-2), (2 pi k)^(p-1)) of order-p
+    mode k; k is an int or array."""
+    tk = TWO_PI * k
+    return tk * tk, tk ** (p - 2), tk ** (p - 1)
+
+
+#: order p -> the tuple of _k_powers of modes 1, 2, ...
+_K_TABLES: dict = {}
+
+
+def _k_table(p: int, M: int) -> tuple:
+    """_k_powers(p, k) for k = 1..M, or more: a prefix of the one table kept
+    per order p.
+
+    The table grows only to the largest M asked, and its entries do not
+    depend on the order of the calls that grew it.  It is a tuple, replaced
+    whole when it grows, so threads share it without a lock: a reader sees
+    an old or a new table, never a part of one, and two threads that grow
+    it at once cost at most a second growth.  Its powers are Python's float
+    ** of the float 2 pi k, as for an int k outside the table; numpy's **
+    on a float64 array rounds some of them differently.
+    """
+    table = _K_TABLES.get(p, ())
+    if len(table) < M:
+        table += tuple(_k_powers(p, k) for k in range(len(table) + 1, M + 1))
+        _K_TABLES[p] = table
+    return table
+
+
+def _modes(p: int, w_powers: tuple, k_powers: tuple) -> tuple:
+    """Magnitudes (gamma, delta) of order-p mode k, from _w_powers(p, w)
+    and _k_powers(p, k).
 
     Even p: gamma = w^p / ((2 pi k)^{p-2} (w^2 + (2 pi k)^2)), and delta
-    carries one more power of w / (2 pi k); odd p swaps the two.
+    carries one more power of w / (2 pi k); odd p swaps the two.  The
+    factors come in formed, so that a sum over modes forms the w powers
+    once and reads the k powers from _k_table; every mode still takes the
+    same IEEE operations in the same order.
     """
-    tk = TWO_PI * k
-    den = w * w + tk * tk
-    lo = w ** p / (tk ** (p - 2) * den)
-    hi = w ** (p + 1) / (tk ** (p - 1) * den)
+    w2, wp, wp1 = w_powers
+    tk2, kp2, kp1 = k_powers
+    den = w2 + tk2
+    lo = wp / (kp2 * den)
+    hi = wp1 / (kp1 * den)
     return (hi, lo) if p % 2 else (lo, hi)
 
 
@@ -132,7 +178,7 @@ def lanczos_coefficients(p: int, k: int,
         raise ValueError("k must be >= 1")
     w = check_pole(w)
     sc, ss = parity_signs(p)
-    g, d = _modes(p, k, w)
+    g, d = _modes(p, _w_powers(p, w), _k_powers(p, k))
     return sc * g, ss * d
 
 
@@ -157,14 +203,21 @@ def _trig_row(N: int, M: int, tau: float) -> np.ndarray:
 
 def _mode_sum(params: ApproxParams, row: np.ndarray) -> complex:
     """Polynomial part plus 2 (sc gamma_k a_k + ss delta_k b_k) over the
-    modes k of the (2, M) weight row (a, b), parity signs (sc, ss)."""
+    modes k of the (2, M) weight row (a, b), parity signs (sc, ss).
+
+    The w powers are formed once per sum and the k powers read from the
+    order's _k_table, which holds Python's float ** of each 2 pi k (numpy's
+    ** would round some differently); each term is the one _modes forms
+    from freshly formed powers, bit for bit.
+    """
     p, w = params.p, complex(params.w)
     acc = lanczos_polynomial(shared_table(), p, params.tau, w)
     comp = 0.0 + 0.0j
     sc, ss = parity_signs(p)
+    wp = _w_powers(p, w)
     # compensated (Kahan) sum in ascending k, so tables reproduce exactly
-    for k, (a, b) in enumerate(zip(*row.tolist()), 1):
-        g, d = _modes(p, k, w)
+    for a, b, kp in zip(*row.tolist(), _k_table(p, row.shape[1])):
+        g, d = _modes(p, wp, kp)
         term = 2.0 * (sc * g * a + ss * d * b)
         y = term - comp
         total = acc + y
@@ -193,7 +246,8 @@ def residual_l2(p: int, w: complex, N: int, K: int) -> float:
     # w ** p raises; each is refused below
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            g, d = _modes(p, np.arange(N + 1, K + 1, dtype=np.float64), w)
+            ks = np.arange(N + 1, K + 1, dtype=np.float64)
+            g, d = _modes(p, _w_powers(p, w), _k_powers(p, ks))
             mags = np.abs(g) ** 2 + np.abs(d) ** 2
             # summed in ascending magnitude, i.e. descending k
             norm = math.sqrt(2.0 * float(np.sum(mags[::-1])))

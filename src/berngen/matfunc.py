@@ -481,7 +481,7 @@ def _rows_dot(w: np.ndarray, R: np.ndarray) -> np.ndarray:
 def h_action(A: BandedOperator, p: int, tau: float, f) -> np.ndarray:
     """Horner evaluation of the polynomial part on a vector: the matvecs
     of sum_{k<p} B_k(tau) A^k / k! applied to f."""
-    _check_tau(tau)
+    tau = _check_tau(tau)
     f = _vector(A, f)
     weights = _polynomial_weights(shared_table(), p, tau)
     return _horner(A, [c * f for c in weights])
@@ -561,7 +561,7 @@ class ActionPlan:
         work, which writes only arrays the call allocates.  Each GEMV is
         _rows_dot's, whose docstring says when it splits.
         """
-        _check_tau(tau)
+        tau = _check_tau(tau)
         p, X = self.p, self._X
         # weights of A^p x_k and A^(p+1) x_k, or of the rows Y_k and D_k
         trig = _weight_row(self.N, self.ell, tau)
@@ -642,8 +642,10 @@ def _expm_dense(M: np.ndarray, phi1: bool = False) -> np.ndarray:
     F = np.linalg.solve(V - U[:, :n],
                         np.hstack([V + U[:, :n], 2.0 * U[:, n:]]))
     E, G = F[:, :n], F[:, n:]
-    for _ in range(squarings):
-        E, G = E @ E, E @ G + G
+    for i in range(squarings, 0, -1):
+        G = E @ G + G
+        if i > 1 or not phi1:   # nothing reads phi_1's last E E
+            E = E @ E
     return G if phi1 else E
 
 

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,17 +11,22 @@ import pytest
 from berngen.acceleration import (G_approx, TauEndpointError, build_triangle,
                                   correction, leading_error_term,
                                   load_exp_approximant, q0_shift)
-from berngen.fourier import (ApproxParams, PoleProximityError, _modes,
-                             g_approx, lanczos_coefficients, parity_signs,
-                             reference_q)
+from berngen.fourier import (ApproxParams, PoleProximityError, _k_powers,
+                             _modes, _w_powers, g_approx,
+                             lanczos_coefficients, parity_signs, reference_q)
 from berngen.matfunc import ActionPlan, BandedOperator, h_action
 
 TWO_PI = 2.0 * math.pi
 
 
+def _mode_pair(p, k, w):
+    """_modes of mode k at argument w, from factors formed for this call."""
+    return _modes(p, _w_powers(p, w), _k_powers(p, k))
+
+
 class TestBaseMagnitudes:
     def test_reference_values(self):
-        gamma, delta = _modes(2, 1, TWO_PI)
+        gamma, delta = _mode_pair(2, 1, TWO_PI)
         assert abs(gamma - 0.5) < 1e-14
         assert abs(delta - 0.5) < 1e-14
 
@@ -29,8 +35,8 @@ class TestBaseMagnitudes:
         for k in (1, 3, 10):
             for w in (1.0, -3.0, 0.5):
                 tk = TWO_PI * k
-                g2, d2 = _modes(2, k, w)
-                g3, d3 = _modes(3, k, w)
+                g2, d2 = _mode_pair(2, k, w)
+                g3, d3 = _mode_pair(3, k, w)
                 assert abs(d3 - d2) < 1e-15
                 lhs = g3 * tk * tk
                 rhs = g2 * w * w
@@ -108,7 +114,7 @@ class TestCorrection:
         c0 = math.cos(TWO_PI * N * tau)
         s1 = math.sin(TWO_PI * (N + 1) * tau)
         s0 = math.sin(TWO_PI * N * tau)
-        (g1, d1), (g2, d2) = _modes(p, N + 1, w), _modes(p, N + 2, w)
+        (g1, d1), (g2, d2) = _mode_pair(p, N + 1, w), _mode_pair(p, N + 2, w)
         expect_g = (g1 * (2.0 * c1 - c0) - g2 * c1) / den
         expect_d = (d1 * (2.0 * s1 - s0) - d2 * s1) / den
         gamma, delta = correction(p, N, 1, tau, w)
@@ -288,6 +294,28 @@ def test_real_0d_array_tau_keeps_its_bits(tau):
                               _TAU_ENTRIES[entry](tau)), entry
 
 
+def test_float32_tau_computes_in_double():
+    """A np.float32 tau is widened at the gate, so the tau arithmetic runs
+    in double precision: every entry point gives the bits of the float of
+    its value (G_approx, evaluate and h_action used to differ by 4e-8 to
+    8e-8 relative), and ApproxParams stores that float."""
+    tau32 = np.float32(0.3)
+    tau = float(tau32)
+    params = ApproxParams(p=2, N=10, tau=tau32, w=-1.0, ell=2)
+    assert type(params.tau) is float and params.tau == tau
+    z, expect = G_approx(params), G_approx(replace(params, tau=tau))
+    assert (z.real.hex(), z.imag.hex()) == (expect.real.hex(),
+                                            expect.imag.hex())
+    A = BandedOperator.diagonal(-np.arange(1.0, 17.0))
+    plan = ActionPlan(A, 2, 10, 2, np.ones(16))
+    f = np.linspace(-1.0, 1.0, 16)
+    for got, want in ((plan.evaluate(tau32), plan.evaluate(tau)),
+                      (h_action(A, 3, tau32, f), h_action(A, 3, tau, f)),
+                      (correction(2, 10, 2, tau32, -1.0),
+                       correction(2, 10, 2, tau, -1.0))):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestTailIdentity:
     def test_residual_equals_mode_tail(self):
         """q - g equals the summed discarded modes to well below roundoff
@@ -295,7 +323,7 @@ class TestTailIdentity:
         p, N, tau, w = 2, 50, 0.3, 1.0
         ks = np.arange(N + 1, 100_001, dtype=float)
         sc, ss = parity_signs(p)
-        gamma, delta = _modes(p, ks, w)
+        gamma, delta = _mode_pair(p, ks, w)
         tail = 2.0 * np.sum(sc * gamma * np.cos(TWO_PI * ks * tau)
                             + ss * delta * np.sin(TWO_PI * ks * tau))
         resid = reference_q(tau, w) - g_approx(

@@ -1,22 +1,35 @@
 """Scalar q, its Fourier modes, and the truncated-sum error functional."""
 
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import sympy
 from scipy.integrate import quad
 
+import berngen
+from berngen import fourier
 from berngen.acceleration import G_approx, _weight_row
 from berngen.bernoulli import DEGREE_CAP, lanczos_polynomial, shared_table
-from berngen.fourier import (ApproxParams, PoleProximityError, _modes,
-                             check_pole, delta_of_N, fourier_partial,
-                             g_approx, hat_coefficients,
+from berngen.fourier import (ApproxParams, PoleProximityError, _k_powers,
+                             _modes, _w_powers, check_pole, delta_of_N,
+                             fourier_partial, g_approx, hat_coefficients,
                              lanczos_coefficients, parity_signs, reference_q,
                              residual_l2)
 
 TWO_PI = 2.0 * math.pi
+
+
+def _mode_pair(p, k, w):
+    """_modes of mode k at argument w, from factors formed for this call."""
+    return _modes(p, _w_powers(p, w), _k_powers(p, k))
 
 
 class TestReferenceQ:
@@ -239,7 +252,7 @@ class TestLanczosCoefficients:
         """(c, s) is the _modes pair times the exact +-1 parity signs."""
         sc, ss = parity_signs(p)
         for k, w in ((1, -4.0), (7, 2.5), (3, 1.5 - 2.0j), (12, 0.25j)):
-            gamma, delta = _modes(p, k, complex(w))
+            gamma, delta = _mode_pair(p, k, complex(w))
             assert lanczos_coefficients(p, k, w) == (sc * gamma, ss * delta)
 
     def test_order_four_values(self):
@@ -348,13 +361,95 @@ class TestGApprox:
             w = complex(w)
             terms = [lanczos_polynomial(shared_table(), p, tau, w)]
             for k, (a, b) in enumerate(zip(*row.tolist()), 1):
-                g, d = _modes(p, k, w)
+                g, d = _mode_pair(p, k, w)
                 terms.append(2.0 * (sc * g * a + ss * d * b))
             got = G_approx(ApproxParams(p=p, N=100, tau=tau, w=w, ell=ell))
             for part in (lambda z: z.real, lambda z: z.imag):
                 parts = [part(z) for z in terms]
                 assert (abs(part(got) - math.fsum(parts))
                         <= 3.0 * u * math.fsum(map(abs, parts)))
+
+
+def _bits(z: complex) -> list:
+    return [z.real.hex(), z.imag.hex()]
+
+
+class TestModeTable:
+    """The per-order table of k powers that the mode sum reads."""
+
+    W = -3.0 + 20.0j
+
+    def test_growth_matches_a_fresh_process(self, monkeypatch):
+        """Sums over M = 400, then 100, then 1,000 modes, which grow the
+        table twice and read it once as a prefix, have the bits of the same
+        sums in a fresh process, each from a table of its own length."""
+        monkeypatch.setattr(fourier, "_K_TABLES", {})
+        cases = [(p, N) for p in (2, 6, 24) for N in (400, 100, 1000)]
+        got = [_bits(g_approx(ApproxParams(p=p, N=N, tau=0.3, w=self.W)))
+               for p, N in cases]
+        child = (
+            "import json, sys\n"
+            "from berngen import fourier\n"
+            "from berngen.fourier import ApproxParams, g_approx\n"
+            "out = []\n"
+            "for p, N in json.loads(sys.argv[1]):\n"
+            "    fourier._K_TABLES.clear()\n"
+            f"    z = g_approx(ApproxParams(p=p, N=N, tau=0.3, w={self.W}))\n"
+            "    out.append([z.real.hex(), z.imag.hex()])\n"
+            "print(json.dumps(out))\n")
+        src = os.path.dirname(os.path.dirname(berngen.__file__))
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, json.dumps(cases)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == got
+
+    def test_one_table_per_order(self, monkeypatch):
+        """Sums of many lengths keep one table per order, as long as the
+        longest sum, holding the k powers formed without a table."""
+        tables = {}
+        monkeypatch.setattr(fourier, "_K_TABLES", tables)
+        for N in (30, 10, 50, 20):
+            g_approx(ApproxParams(p=6, N=N, tau=0.3, w=self.W))
+            G_approx(ApproxParams(p=6, N=N, tau=0.3, w=self.W, ell=2))
+        g_approx(ApproxParams(p=3, N=5, tau=0.3, w=self.W))
+        assert sorted(tables) == [3, 6]
+        assert tables[6] == tuple(_k_powers(6, k) for k in range(1, 55))
+        assert tables[3] == tuple(_k_powers(3, k) for k in range(1, 6))
+
+    def test_threads_share_the_table(self, monkeypatch):
+        """G_approx from four threads at once, each growing the same empty
+        tables in another order, gives the serial results bit for bit."""
+        cases = [ApproxParams(p=p, N=N, tau=0.3, w=w, ell=2)
+                 for p in (2, 6) for N in (50, 400, 20, 200, 800)
+                 for w in (-3.0, self.W)]
+        serial = [_bits(G_approx(params)) for params in cases]
+        tables = {}
+        monkeypatch.setattr(fourier, "_K_TABLES", tables)
+        barrier = threading.Barrier(4)
+
+        def run(shift):
+            barrier.wait(timeout=60)
+            order = list(range(shift, len(cases))) + list(range(shift))
+            return {i: _bits(G_approx(cases[i])) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, 5 * i) for i in range(4)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert [got[i] for i in range(len(cases))] == serial
+        assert sorted(tables) == [2, 6]
+        for p, table in tables.items():
+            assert table == tuple(_k_powers(p, k)
+                                  for k in range(1, len(table) + 1))
 
 
 class TestResidualNorm:
