@@ -112,11 +112,13 @@ def _weight_row(N: int, ell: int, tau: float) -> np.ndarray:
 def correction(p: int, N: int, ell: int, tau: float,
                w: complex) -> tuple[complex, complex]:
     """Depth-ell boundary correction (Gamma, Delta) of the order-p sum; its
-    arguments pass ApproxParams' checks."""
+    arguments pass ApproxParams' checks, and it computes with the values
+    ApproxParams stores."""
     params = ApproxParams(p=p, N=N, tau=tau, w=w, ell=ell)
+    p, N, ell, tau, w = params.p, params.N, params.ell, params.tau, params.w
     ks = np.arange(N, N + 2 * ell + 1)
-    g, d = _modes(p, _w_powers(p, complex(w)), _k_powers(p, ks))
-    gw, dw = _correction_weights(N, ell, params.tau)
+    g, d = _modes(p, _w_powers(p, w), _k_powers(p, ks))
+    gw, dw = _correction_weights(N, ell, tau)
     return complex(gw @ g), complex(dw @ d)
 
 
@@ -185,12 +187,13 @@ def q0_shift(w: complex, alpha: float = 0.125,
     Uses q(0, w) = q(1 - alpha, w) e^{alpha w} - w with the value at
     1 - alpha supplied by G_approx.  exp_eval defaults to cmath.exp; a
     rational approximant from load_exp_approximant may be plugged in
-    instead.
+    instead.  alpha is widened to a float before its range check, and w is
+    the complex that ApproxParams' check returns.
     """
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < (alpha := float(alpha)) < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    w = complex(w)   # checked by ApproxParams below
     if params is None:
         params = ApproxParams(p=2, N=100, tau=1.0 - alpha, ell=3)
     params = replace(params, tau=1.0 - alpha, w=w, alpha=alpha)
+    w = params.w
     return G_approx(params) * (exp_eval or cmath.exp)(alpha * w) - w

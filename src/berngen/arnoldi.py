@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fourier import _check_tau
 from .matfunc import BandedOperator, _phi1_solve, _vector
 
 #: happy-breakdown threshold, relative to ||A||_1
@@ -74,12 +75,13 @@ def arnoldi_q_approx(dec: KrylovDecomposition, tau: float) -> np.ndarray:
     Evaluates V_j phi_1(H_j)^{-1} e^{tau H_j} (beta e_1) on the small j x j
     Hessenberg matrix, with the dense kernel of reference_solution; both
     Pade exponentials work on j x j blocks, phi_1 without forming the
-    2j x 2j augmented matrix.
+    2j x 2j augmented matrix.  tau passes _check_tau: a real scalar in
+    [0, 1].
     """
     j = dec.j
     e1 = np.zeros(j)
     e1[0] = dec.beta
-    y, = _phi1_solve(dec.H[:j, :j], [tau], e1)
+    y, = _phi1_solve(dec.H[:j, :j], [_check_tau(tau)], e1)
     return dec.V[:, :j] @ y
 
 

@@ -12,12 +12,17 @@ from fractions import Fraction
 DEGREE_CAP = 64
 
 
-def _check_p(p: int) -> None:
-    """Refuse an order p that is not an integer (TypeError, from
+def _check_p(p: int) -> int:
+    """p as a Python int, which callers compute with.
+
+    Refuses an order p that is not an integer (TypeError, from
     operator.index) or lies outside 1..DEGREE_CAP + 1: the polynomial part
-    of order p needs Bernoulli degrees up to p - 1."""
-    if not 1 <= operator.index(p) <= DEGREE_CAP + 1:
+    of order p needs Bernoulli degrees up to p - 1.  A numpy integer comes
+    back as an int, so no order arithmetic runs in numpy.
+    """
+    if not 1 <= (p := operator.index(p)) <= DEGREE_CAP + 1:
         raise ValueError(f"p must lie in 1..{DEGREE_CAP + 1}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -76,18 +81,18 @@ def shared_table() -> BernoulliTable:
 
 
 def eval_bernoulli(table: BernoulliTable, k: int, tau: float) -> float:
-    """Horner evaluation of B_k(tau)."""
+    """Horner evaluation of B_k(tau) at any real tau, widened to a float (a
+    np.float32 tau would run the loop in single precision)."""
     if not 0 <= k <= table.max_degree:
         raise ValueError(f"degree {k} outside table range 0..{table.max_degree}")
-    return _polyval(table.coeffs_float[k], tau)
+    return _polyval(table.coeffs_float[k], float(tau))
 
 
 def _polynomial_weights(table: BernoulliTable, p: int, tau: float) -> list:
     """B_j(tau) / j! for j < p: the weight of w^j, or of A^j f, in the
     polynomial part."""
-    _check_p(p)
     return [eval_bernoulli(table, j, tau) / math.factorial(j)
-            for j in range(p)]
+            for j in range(_check_p(p))]
 
 
 def lanczos_polynomial(table: BernoulliTable, p: int, tau: float,

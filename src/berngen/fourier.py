@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -33,14 +34,18 @@ def check_pole(w: complex) -> complex:
     return w
 
 
-def _check_order(p: int, N: int, ell: int) -> None:
-    """Refuse an order p, mode count N or correction depth ell that is not
-    an integer (TypeError) or lies out of range (ValueError)."""
-    _check_p(p)
-    if operator.index(N) < 1:
+def _check_order(p: int, N: int, ell: int) -> tuple[int, int, int]:
+    """(p, N, ell) as Python ints, which callers compute with.
+
+    Refuses, in that order, an order p, mode count N or correction depth ell
+    that is not an integer (TypeError) or lies out of range (ValueError).
+    """
+    p = _check_p(p)
+    if (N := operator.index(N)) < 1:
         raise ValueError("N must be >= 1")
-    if operator.index(ell) < 0:
+    if (ell := operator.index(ell)) < 0:
         raise ValueError("ell must be >= 0")
+    return p, N, ell
 
 
 def _check_tau(tau: float) -> float:
@@ -72,6 +77,8 @@ class ApproxParams:
     N the number of retained modes, ell the correction depth, tau the
     evaluation point in [0, 1], and w the (complex) argument.  alpha is the
     offset used when evaluating at tau = 0 through the shift identity.
+    p, N, ell, tau and w are stored as their gates return them: ints, a
+    float and a complex, whatever number types the caller passed.
     """
 
     p: int
@@ -82,9 +89,10 @@ class ApproxParams:
     alpha: float = 0.125
 
     def __post_init__(self):
-        _check_order(self.p, self.N, self.ell)
-        object.__setattr__(self, "tau", _check_tau(self.tau))
-        check_pole(self.w)
+        p, N, ell = _check_order(self.p, self.N, self.ell)
+        tau, w = _check_tau(self.tau), check_pole(self.w)
+        # frozen: the checked values go into the instance dict directly
+        vars(self).update(p=p, N=N, ell=ell, tau=tau, w=w)
 
 
 def reference_q(tau: float, w: complex) -> complex:
@@ -93,10 +101,11 @@ def reference_q(tau: float, w: complex) -> complex:
     expm1 keeps e^w - 1 to full relative accuracy as w -> 0, so no series
     is needed near the removable singularity; for positive real part the
     closed form is rewritten as w e^{w (tau - 1)} / -expm1(-w) to avoid
-    overflow.  It calls nothing in bernoulli, so it stays an oracle
-    independent of the approximations it checks.
+    overflow.  It takes any real tau, widened to a float.  It calls nothing
+    in bernoulli, so it stays an oracle independent of the approximations
+    it checks.
     """
-    w = check_pole(w)
+    tau, w = float(tau), check_pole(w)
     if w == 0:
         return 1.0 + 0.0j
     if w.real > 0.0:
@@ -129,27 +138,34 @@ def _k_powers(p: int, k) -> tuple:
     return tk * tk, tk ** (p - 2), tk ** (p - 1)
 
 
-#: order p -> the tuple of _k_powers of modes 1, 2, ...
+#: order p -> the tuple of _k_powers of modes 1, 2, ..., at most _K_CAP
 _K_TABLES: dict = {}
 
+#: modes kept per order, about 590 KB a table; longer sums form the rest
+_K_CAP = 2 ** 12
 
-def _k_table(p: int, M: int) -> tuple:
-    """_k_powers(p, k) for k = 1..M, or more: a prefix of the one table kept
-    per order p.
 
-    The table grows only to the largest M asked, and its entries do not
-    depend on the order of the calls that grew it.  It is a tuple, replaced
-    whole when it grows, so threads share it without a lock: a reader sees
-    an old or a new table, never a part of one, and two threads that grow
-    it at once cost at most a second growth.  Its powers are Python's float
-    ** of the float 2 pi k, as for an int k outside the table; numpy's **
-    on a float64 array rounds some of them differently.
+def _k_table(p: int, M: int):
+    """_k_powers(p, k) for k = 1..M, or more: the one table kept per order
+    p, and beyond its _K_CAP modes the rest, formed per call, as an
+    iterator.
+
+    The table grows only to the largest M asked, up to _K_CAP, and its
+    entries do not depend on the order of the calls that grew it.  It is a
+    tuple, replaced whole when it grows, so threads share it without a
+    lock: a reader sees an old or a new table, never a part of one, and two
+    threads that grow it at once cost at most a second growth.  Its powers,
+    the tail's too, are Python's float ** of the float 2 pi k to the int
+    powers of a gated p; numpy's ** on a float64 array, or a numpy integer
+    p, rounds some of them differently.
     """
-    table = _K_TABLES.get(p, ())
-    if len(table) < M:
-        table += tuple(_k_powers(p, k) for k in range(len(table) + 1, M + 1))
+    table, kept = _K_TABLES.get(p, ()), min(M, _K_CAP)
+    if len(table) < kept:
+        ks = range(len(table) + 1, kept + 1)
+        table += tuple(_k_powers(p, k) for k in ks)
         _K_TABLES[p] = table
-    return table
+    tail = (_k_powers(p, k) for k in range(len(table) + 1, M + 1))
+    return itertools.chain(table, tail) if len(table) < M else table
 
 
 def _modes(p: int, w_powers: tuple, k_powers: tuple) -> tuple:
@@ -173,8 +189,8 @@ def _modes(p: int, w_powers: tuple, k_powers: tuple) -> tuple:
 def lanczos_coefficients(p: int, k: int,
                          w: complex) -> tuple[complex, complex]:
     """Order-p residual-mode coefficients (c_k, s_k) of integer mode k."""
-    _check_p(p)
-    if operator.index(k) < 1:
+    p = _check_p(p)
+    if (k := operator.index(k)) < 1:
         raise ValueError("k must be >= 1")
     w = check_pole(w)
     sc, ss = parity_signs(p)
@@ -210,7 +226,7 @@ def _mode_sum(params: ApproxParams, row: np.ndarray) -> complex:
     ** would round some differently); each term is the one _modes forms
     from freshly formed powers, bit for bit.
     """
-    p, w = params.p, complex(params.w)
+    p, w = params.p, params.w
     acc = lanczos_polynomial(shared_table(), p, params.tau, w)
     comp = 0.0 + 0.0j
     sc, ss = parity_signs(p)
@@ -236,10 +252,10 @@ def residual_l2(p: int, w: complex, N: int, K: int) -> float:
     Computed from the coefficients directly (Parseval), which is exact for
     the trigonometric remainder and avoids quadrature noise.
     """
-    _check_p(p)
-    if operator.index(N) < 0:
+    p = _check_p(p)
+    if (N := operator.index(N)) < 0:
         raise ValueError("N must be >= 0")
-    if operator.index(K) < N:
+    if (K := operator.index(K)) < N:
         raise ValueError("K must be >= N")
     w = check_pole(w)
     # at a huge |w| the squares or their sum overflow, or Python's complex
@@ -269,4 +285,7 @@ def delta_of_N(z: complex, N: int, K: int) -> float:
         raise ValueError("z must be nonzero")
     if not cmath.isfinite(z):
         raise ValueError(f"z={z} must be finite")
+    # a non-integer N or K raises here what residual_l2 raised for it; an
+    # int N makes N ** 3.5 Python's float power, not numpy's
+    N, K = operator.index(N), operator.index(K)
     return N ** 3.5 * abs(z) ** -4.0 * residual_l2(4, TWO_PI * z, N, K)

@@ -519,7 +519,7 @@ class ActionPlan:
 
     def _build(self, p: int, N: int, ell: int, scheme: str) -> None:
         """Set p, N, ell, scheme, evaluate's tau-independent factors, X, Z."""
-        _check_order(p, N, ell)
+        p, N, ell = _check_order(p, N, ell)
         if scheme not in ("stabilized", "direct"):
             raise ValueError(f"unknown scheme {scheme!r}")
         A, f, s = self.A, self.f, self.A.dimension

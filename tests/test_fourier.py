@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -450,6 +451,40 @@ class TestModeTable:
         for p, table in tables.items():
             assert table == tuple(_k_powers(p, k)
                                   for k in range(1, len(table) + 1))
+
+
+class TestModeTableCap:
+    """The kept table stops at _K_CAP modes; a longer sum forms its tail."""
+
+    W = -3.0 + 20.0j
+
+    def test_long_sum_keeps_a_bounded_table(self, monkeypatch):
+        """After a 20,000-mode sum less than 1 MB stays allocated; an
+        uncapped table kept about 2.9 MB."""
+        monkeypatch.setattr(fourier, "_K_TABLES", {})
+        g_approx(ApproxParams(p=2, N=10, tau=0.3, w=self.W))
+        params = ApproxParams(p=2, N=20_000, tau=0.3, w=self.W)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g_approx(params)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 ** 20
+        assert len(fourier._K_TABLES[2]) == fourier._K_CAP
+
+    @pytest.mark.parametrize("p", [2, 6, 24])
+    def test_tail_has_the_table_bits(self, monkeypatch, p):
+        """A sum past the cap has the bits of the same sum read whole from
+        a table, the cap raised above its length."""
+        params = ApproxParams(p=p, N=20_000, tau=0.3, w=self.W, ell=2)
+        monkeypatch.setattr(fourier, "_K_TABLES", {})
+        capped = _bits(G_approx(params))
+        monkeypatch.setattr(fourier, "_K_TABLES", {})
+        monkeypatch.setattr(fourier, "_K_CAP", 30_000)
+        assert _bits(G_approx(params)) == capped
+        assert len(fourier._K_TABLES[p]) == 20_004
 
 
 class TestResidualNorm:
