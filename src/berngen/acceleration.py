@@ -7,13 +7,13 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .bernoulli import _polyval
 from .fourier import (TWO_PI, ApproxParams, _k_powers, _mode_sum, _modes,
-                      _trig_row, _w_powers, parity_signs)
+                      _trig_row, _w_powers, check_pole, parity_signs)
 
 #: |1 - cos(2 pi tau)| below this leaves the correction denominators
 #: dominated by roundoff
@@ -87,9 +87,16 @@ def pair_weights(N: int, ell: int, tau: float) -> tuple[list, list]:
 @functools.cache
 def _pair_matrix(ell: int) -> np.ndarray:
     """The (2 ell, 2 ell + 1) integer matrix of CoefficientTriangle.pairs()
-    as combinations of its base entries: build_triangle on the identity."""
-    pairs = np.reshape(build_triangle(list(np.eye(2 * ell + 1)), ell).pairs(),
-                       (2 * ell, 2 * ell + 1))
+    as combinations of its base entries, what build_triangle returns on the
+    identity.  Level m of the triangle is the 2m-th difference of the base,
+    so pair 2m + a (a = 0, 1), level m's entry a + 1, weighs base entry
+    a + 1 + r by (-1)^(m + r) C(2m, r), r = 0..2m."""
+    pairs = np.zeros((2 * ell, 2 * ell + 1))
+    for m in range(ell):
+        diff = [(-1.0) ** (m + r) * math.comb(2 * m, r)
+                for r in range(2 * m + 1)]
+        for a in (0, 1):
+            pairs[2 * m + a, a + 1:a + 2 * m + 2] = diff
     pairs.flags.writeable = False
     return pairs
 
@@ -127,7 +134,8 @@ def G_approx(params: ApproxParams) -> complex:
     which carries the depth-ell rational correction with the parity-aware
     family signs: for even p the total is g + 2 sign (Gamma + Delta).
     ell = 0 returns g_approx unchanged."""
-    return _mode_sum(params, _weight_row(params.N, params.ell, params.tau))
+    row = _weight_row(params.N, params.ell, params.tau)
+    return next(_mode_sum(params.p, params.tau, row, (params.w,)))
 
 
 def leading_error_term(p: int, N: int, tau: float, w: complex) -> complex:
@@ -179,6 +187,21 @@ def load_exp_approximant(path) -> Callable[[complex], complex]:
     return evaluate
 
 
+def _check_alpha(alpha: float) -> float:
+    """The shift offset alpha as a Python float, refused (ValueError)
+    outside (0, 1)."""
+    if not 0.0 < (alpha := float(alpha)) < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    return alpha
+
+
+def _shift(g: complex, w: complex, alpha: float,
+           exp_eval: Callable[[complex], complex]) -> complex:
+    """q(0, w) from g = q(1 - alpha, w), by the shift identity
+    q(0, w) = q(1 - alpha, w) e^{alpha w} - w."""
+    return g * exp_eval(alpha * w) - w
+
+
 def q0_shift(w: complex, alpha: float = 0.125,
              exp_eval: Callable[[complex], complex] | None = None,
              params: ApproxParams | None = None) -> complex:
@@ -190,10 +213,31 @@ def q0_shift(w: complex, alpha: float = 0.125,
     instead.  alpha is widened to a float before its range check, and w is
     the complex that ApproxParams' check returns.
     """
-    if not 0.0 < (alpha := float(alpha)) < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    alpha = _check_alpha(alpha)
     if params is None:
         params = ApproxParams(p=2, N=100, tau=1.0 - alpha, ell=3)
     params = replace(params, tau=1.0 - alpha, w=w, alpha=alpha)
-    w = params.w
-    return G_approx(params) * (exp_eval or cmath.exp)(alpha * w) - w
+    return _shift(G_approx(params), params.w, alpha, exp_eval or cmath.exp)
+
+
+def _q_sweep(p: int, N: int, ell: int, tau: float, alpha: float,
+             ws: Sequence) -> Iterator[complex]:
+    """For each w of ws in turn, G_approx(params) or, at tau = 0,
+    q0_shift(w, alpha, params=params), with params = ApproxParams(p=p, N=N,
+    tau=tau, w=w, ell=ell, alpha=alpha): the same values, bit for bit, from
+    one weight row and polynomial part per sweep.
+
+    It checks nothing before its first value is asked.  Then it checks p,
+    N, ell and tau, and alpha at tau = 0, once, and each w by check_pole as
+    the sweep reaches it, so a caller that asks for one value per w meets
+    the refusals of the per-w calls in their order.
+    """
+    params = ApproxParams(p=p, N=N, tau=tau, ell=ell)
+    at_zero = params.tau == 0.0
+    if at_zero:
+        alpha = _check_alpha(alpha)
+        params = replace(params, tau=1.0 - alpha)
+    row = _weight_row(params.N, params.ell, params.tau)
+    gs = _mode_sum(params.p, params.tau, row, map(check_pole, ws))
+    for w, g in zip(ws, gs):
+        yield _shift(g, complex(w), alpha, cmath.exp) if at_zero else g

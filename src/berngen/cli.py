@@ -13,14 +13,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .acceleration import G_approx, TauEndpointError, q0_shift
+from .acceleration import TauEndpointError, _q_sweep
 from .arnoldi import arnoldi_extend, arnoldi_q_approx, orthogonality_loss
 from .bvp import (circulant_shift, discretize_laplacian, geometric_grid,
                   uniform_grid)
-from .fourier import (TWO_PI, ApproxParams, PoleProximityError, delta_of_N,
-                      reference_q)
+from .fourier import TWO_PI, PoleProximityError, delta_of_N, reference_q
 from .matfunc import ActionPlan, spectral_reference
-# perfbench/tracing.py wraps berngen.cli.reference_solution by this name
+# perfbench/tracing.py wraps berngen.cli.G_approx, q0_shift and
+# reference_solution by these names
+from .acceleration import G_approx, q0_shift  # noqa: F401
 from .matfunc import reference_solution  # noqa: F401
 
 #: the format spec of each Row column; format(v, "") is str(v) for the
@@ -153,24 +154,26 @@ def cmd_scalar_error(config: dict) -> ExperimentReport:
     """Relative error of the accelerated scalar evaluation over a w grid.
 
     tau = 0 rows evaluate through the shift identity (q0_shift) with the
-    configured alpha; interior tau uses G_approx directly.
+    configured alpha; interior tau uses G_approx directly.  Each
+    (p, ell, tau) is one sweep over the grid, which checks its parameters
+    and sets up once; a row is formed when it is asked for, so its
+    elapsed_s times its own w.
     """
     ws = np.linspace(config["wmin"], config["wmax"], config["points"])
+    ws = ws.tolist()
     N, alpha = config["N"], config["alpha"]
 
     def rows():
-        for p, ell, tau, w in product(config["p"], config["ell"],
-                                      config["tau"], ws.tolist()):
+        for p, ell, tau in product(config["p"], config["ell"], config["tau"]):
             method = "truncated" if ell == 0 else "accelerated"
-            exact = reference_q(tau, w)
-            params = ApproxParams(p=p, N=N, tau=tau, w=w, ell=ell,
-                                  alpha=alpha)
-            if tau == 0.0:
-                approx = q0_shift(w, alpha=alpha, params=params)
-            else:
-                approx = G_approx(params)
-            yield Row("scalar-error", method, p=p, N=N, ell=ell, tau=tau,
-                      z=w / TWO_PI, value=abs(approx - exact) / abs(exact))
+            approx = _q_sweep(p, N, ell, tau, alpha, ws)
+            for w in ws:
+                # reference_q checks w before the sweep's first value runs
+                # its checks, the order of the per-w calls
+                exact = reference_q(tau, w)
+                yield Row("scalar-error", method, p=p, N=N, ell=ell, tau=tau,
+                          z=w / TWO_PI,
+                          value=abs(next(approx) - exact) / abs(exact))
 
     return _timed(rows())
 

@@ -7,10 +7,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .bernoulli import _check_p, lanczos_polynomial, shared_table
+from .bernoulli import (_check_p, _polynomial_weights, _polyval,
+                        shared_table)
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,33 +219,40 @@ def _trig_row(N: int, M: int, tau: float) -> np.ndarray:
     return row
 
 
-def _mode_sum(params: ApproxParams, row: np.ndarray) -> complex:
-    """Polynomial part plus 2 (sc gamma_k a_k + ss delta_k b_k) over the
-    modes k of the (2, M) weight row (a, b), parity signs (sc, ss).
+def _mode_sum(p: int, tau: float, row: np.ndarray, ws) -> Iterator[complex]:
+    """For each w of ws in turn, a complex as check_pole returns it: the
+    order-p polynomial part at tau plus 2 (sc gamma_k a_k + ss delta_k b_k)
+    over the modes k of the (2, M) weight row (a, b), parity signs (sc, ss).
 
-    The w powers are formed once per sum and the k powers read from the
-    order's _k_table, which holds Python's float ** of each 2 pi k (numpy's
-    ** would round some differently); each term is the one _modes forms
-    from freshly formed powers, bit for bit.
+    The row's lists, the signs and the polynomial weights are formed once
+    per sweep, the w powers once per w.  The k powers are read per w from
+    the order's _k_table, which holds Python's float ** of each 2 pi k
+    (numpy's ** would round some differently) and forms a tail past its
+    cap per read, so a long sum keeps no more than the cap.  Each term is
+    the one _modes forms from freshly formed powers, bit for bit, whatever
+    the sweep's length.
     """
-    p, w = params.p, params.w
-    acc = lanczos_polynomial(shared_table(), p, params.tau, w)
-    comp = 0.0 + 0.0j
     sc, ss = parity_signs(p)
-    wp = _w_powers(p, w)
-    # compensated (Kahan) sum in ascending k, so tables reproduce exactly
-    for a, b, kp in zip(*row.tolist(), _k_table(p, row.shape[1])):
-        g, d = _modes(p, wp, kp)
-        term = 2.0 * (sc * g * a + ss * d * b)
-        y = term - comp
-        total = acc + y
-        acc, comp = total, (total - acc) - y
-    return acc
+    weights = _polynomial_weights(shared_table(), p, tau)
+    a_row, b_row = row.tolist()
+    for w in ws:
+        acc = complex(_polyval(weights, w))
+        comp = 0.0 + 0.0j
+        wp = _w_powers(p, w)
+        # compensated (Kahan) sum in ascending k, so tables reproduce exactly
+        for a, b, kp in zip(a_row, b_row, _k_table(p, len(a_row))):
+            g, d = _modes(p, wp, kp)
+            term = 2.0 * (sc * g * a + ss * d * b)
+            y = term - comp
+            total = acc + y
+            acc, comp = total, (total - acc) - y
+        yield acc
 
 
 def g_approx(params: ApproxParams) -> complex:
     """Polynomial part plus the N-mode trigonometric remainder sum."""
-    return _mode_sum(params, _trig_row(params.N, params.N, params.tau))
+    row = _trig_row(params.N, params.N, params.tau)
+    return next(_mode_sum(params.p, params.tau, row, (params.w,)))
 
 
 def residual_l2(p: int, w: complex, N: int, K: int) -> float:

@@ -3,14 +3,16 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from berngen.acceleration import (G_approx, TauEndpointError, build_triangle,
-                                  correction, leading_error_term,
-                                  load_exp_approximant, q0_shift)
+from berngen.acceleration import (G_approx, TauEndpointError, _pair_matrix,
+                                  _q_sweep, build_triangle, correction,
+                                  leading_error_term, load_exp_approximant,
+                                  q0_shift)
 from berngen.fourier import (ApproxParams, PoleProximityError, _k_powers,
                              _modes, _w_powers, g_approx,
                              lanczos_coefficients, parity_signs, reference_q)
@@ -94,6 +96,27 @@ class TestCoefficientTriangle:
             build_triangle(np.arange(4.0), 2)
         with pytest.raises(ValueError):
             build_triangle(np.arange(5.0), -1)
+
+    def test_pair_matrix_is_the_triangle_on_the_identity(self):
+        """The signed binomial pair matrix is pairs() of build_triangle on
+        the identity rows, entry for entry, through depth 30, whose largest
+        entry C(58, 29) passes 2^53."""
+        for ell in range(31):
+            pairs = build_triangle(list(np.eye(2 * ell + 1)), ell).pairs()
+            expect = np.reshape(pairs, (2 * ell, 2 * ell + 1))
+            assert np.array_equal(_pair_matrix(ell), expect)
+
+    def test_pair_matrix_peaks_near_its_size(self):
+        """Building the depth-60 pair matrix peaks below twice its own
+        bytes (0.12 MB measured); the triangle on the identity peaked at
+        3.9 MB."""
+        tracemalloc.start()
+        try:
+            pairs = _pair_matrix.__wrapped__(60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * pairs.nbytes
 
 
 class TestCorrection:
@@ -364,6 +387,40 @@ class TestZeroTauShift:
         params = ApproxParams(p=2, N=120, tau=0.3, w=7.0, ell=2, alpha=0.5)
         got = q0_shift(-2.0, 0.125, cmath.exp, params=params)
         assert abs(got - reference_q(0.0, -2.0)) < 1e-10
+
+
+class TestSweep:
+    """_q_sweep sets a (p, ell, tau) sweep up once and keeps the bits of
+    the per-w G_approx and q0_shift calls."""
+
+    WS = [-10.0, -1e-3, 0.0, 1e-3, 2.0, -3.0 + 20.0j]
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 6, 24])
+    @pytest.mark.parametrize("ell", [0, 2])
+    @pytest.mark.parametrize("tau", [0.125, 0.3, 0.0])
+    def test_values_match_per_call_bits(self, p, ell, tau):
+        alpha = 0.25
+        got = list(_q_sweep(p, 40, ell, tau, alpha, self.WS))
+        expect = []
+        for w in self.WS:
+            params = ApproxParams(p=p, N=40, tau=tau, w=w, ell=ell,
+                                  alpha=alpha)
+            expect.append(q0_shift(w, alpha, params=params) if tau == 0.0
+                          else G_approx(params))
+        assert ([(z.real.hex(), z.imag.hex()) for z in got]
+                == [(z.real.hex(), z.imag.hex()) for z in expect])
+
+    def test_checks_wait_for_the_first_value(self):
+        """Nothing is checked until a value is asked; then the parameters
+        once, and each w as the sweep reaches it."""
+        sweep = _q_sweep(0, 40, 0, 0.3, 0.125, [-1.0])
+        with pytest.raises(ValueError, match="p must lie"):
+            next(sweep)
+        sweep = _q_sweep(2, 40, 0, 0.3, 0.125, [-1.0, math.nan])
+        assert next(sweep) == G_approx(ApproxParams(p=2, N=40, tau=0.3,
+                                                    w=-1.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            next(sweep)
 
 
 class TestExpApproximant:

@@ -3,6 +3,7 @@
 import ast
 import csv
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -14,7 +15,9 @@ import pytest
 
 import berngen.cli
 import berngen.matfunc
+from berngen.acceleration import G_approx, q0_shift
 from berngen.bvp import discretize_laplacian, uniform_grid
+from berngen.fourier import TWO_PI, ApproxParams, reference_q
 from berngen.cli import (_COMMANDS, SCHEMA, Row, cmd_arnoldi_compare,
                          cmd_bvp_compare, cmd_delta_table, cmd_scalar_error,
                          main)
@@ -292,6 +295,59 @@ class TestScalarError:
         assert main(["scalar-error", "--wmin=-1e200", "--wmax=0", "--points",
                      "3", "--ell", "0", "--tau", "0.125"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestScalarSweep:
+    """scalar-error evaluates one sweep per (p, ell, tau); its cells and
+    its refusals are those of the per-w G_approx and q0_shift calls."""
+
+    @pytest.mark.parametrize("grid", [(-1e-3, 1e-3, 3), (-10.0, 2.0, 7)])
+    def test_cells_match_per_call_bits(self, grid):
+        wmin, wmax, points = grid
+        config = {**_COMMANDS["scalar-error"][2], "p": [1, 2, 3, 6, 24],
+                  "ell": [0, 2], "tau": [0.125, 0.3, 0.0], "N": 40,
+                  "wmin": wmin, "wmax": wmax, "points": points}
+        ws = np.linspace(wmin, wmax, points).tolist()
+        assert 0.0 in ws
+        expect = {}
+        for p, ell, tau, w in itertools.product(
+                config["p"], config["ell"], config["tau"], ws):
+            params = ApproxParams(p=p, N=40, tau=tau, w=w, ell=ell,
+                                  alpha=config["alpha"])
+            approx = (q0_shift(w, alpha=config["alpha"], params=params)
+                      if tau == 0.0 else G_approx(params))
+            exact = reference_q(tau, w)
+            expect[p, ell, tau, w / TWO_PI] = (
+                abs(approx - exact) / abs(exact)).hex()
+        report = cmd_scalar_error(config)
+        assert {(r.p, r.ell, r.tau, r.z): r.value.hex()
+                for r in report.rows} == expect
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--wmin=nan"], 2, "error: w=(nan+0j) must be finite"),
+        (["--tau", "0.125,1", "--ell", "0,2"], 3,
+         "numerical failure: tau=1.0 is too close to an endpoint for the "
+         "rational correction; evaluate tau = 0 through q0_shift instead"),
+        (["--alpha", "1.5", "--tau", "0.125,0"], 2,
+         "error: alpha must lie in (0, 1)"),
+        (["--N", "0"], 2, "error: N must be >= 1"),
+        # each cell checks w before the parameters, alpha after them
+        (["--wmin=nan", "--N", "0"], 2, "error: w=(nan+0j) must be finite"),
+        (["--alpha", "1.5", "--tau", "0", "--N", "0"], 2,
+         "error: N must be >= 1"),
+        (["--p", "2,70"], 2, "error: p must lie in 1..65"),
+    ])
+    def test_first_refusal_is_kept(self, capsys, argv, code, message):
+        assert main(["scalar-error", *argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+    def test_empty_grid_checks_nothing(self, capsys):
+        """With no w there is no cell, so no parameter is checked."""
+        code, lines = _run(capsys, ["scalar-error", "--points", "0",
+                                    "--p", "70", "--N", "0"])
+        assert (code, lines) == (0, [HEADER])
 
 
 class TestBvpCompare:

@@ -102,7 +102,8 @@ class TestReferenceQ:
         def refuse(*args):
             raise AssertionError("reference_q reached the Bernoulli code")
 
-        monkeypatch.setattr("berngen.fourier.lanczos_polynomial", refuse)
+        monkeypatch.setattr("berngen.fourier._polynomial_weights", refuse)
+        monkeypatch.setattr("berngen.fourier._polyval", refuse)
         monkeypatch.setattr("berngen.fourier.shared_table", refuse)
         monkeypatch.setattr("berngen.bernoulli.eval_bernoulli", refuse)
         assert [reference_q(tau, w) for tau, w in points] == before
