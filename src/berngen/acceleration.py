@@ -11,7 +11,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .bernoulli import _polyval
+from .bernoulli import _not_text, _polyval
 from .fourier import (TWO_PI, ApproxParams, _k_powers, _mode_sum, _modes,
                       _trig_row, _w_powers, check_pole, parity_signs)
 
@@ -188,9 +188,9 @@ def load_exp_approximant(path) -> Callable[[complex], complex]:
 
 
 def _check_alpha(alpha: float) -> float:
-    """The shift offset alpha as a Python float, refused (ValueError)
-    outside (0, 1)."""
-    if not 0.0 < (alpha := float(alpha)) < 1.0:
+    """The shift offset alpha as a Python float, refused as text
+    (TypeError) or outside (0, 1) (ValueError)."""
+    if not 0.0 < (alpha := float(_not_text(alpha, "alpha"))) < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     return alpha
 

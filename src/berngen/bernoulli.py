@@ -12,6 +12,16 @@ from fractions import Fraction
 DEGREE_CAP = 64
 
 
+def _not_text(x, what: str):
+    """x itself, refused (TypeError) if it is text: float() parses a
+    string, bytes or a text array of one entry, and complex() a string, but
+    no gate takes a number in writing."""
+    if isinstance(x, (str, bytes, bytearray)) or (
+            hasattr(x, "dtype") and x.dtype.kind in "SU"):
+        raise TypeError(f"{what} must be a number, not text")
+    return x
+
+
 def _check_p(p: int) -> int:
     """p as a Python int, which callers compute with.
 
@@ -82,10 +92,11 @@ def shared_table() -> BernoulliTable:
 
 def eval_bernoulli(table: BernoulliTable, k: int, tau: float) -> float:
     """Horner evaluation of B_k(tau) at any real tau, widened to a float (a
-    np.float32 tau would run the loop in single precision)."""
+    np.float32 tau would run the loop in single precision); a text tau is
+    refused."""
     if not 0 <= k <= table.max_degree:
         raise ValueError(f"degree {k} outside table range 0..{table.max_degree}")
-    return _polyval(table.coeffs_float[k], float(tau))
+    return _polyval(table.coeffs_float[k], float(_not_text(tau, "tau")))
 
 
 def _polynomial_weights(table: BernoulliTable, p: int, tau: float) -> list:
@@ -100,4 +111,5 @@ def lanczos_polynomial(table: BernoulliTable, p: int, tau: float,
     """Truncated generating series sum_{k=0}^{p-1} B_k(tau) w^k / k!, by
     Horner's rule over _polynomial_weights: the scalar case of the matrix
     polynomial part, bit for bit on a real w."""
-    return complex(_polyval(_polynomial_weights(table, p, tau), complex(w)))
+    weights = _polynomial_weights(table, p, tau)
+    return complex(_polyval(weights, complex(_not_text(w, "w"))))

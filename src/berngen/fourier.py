@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -11,7 +10,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bernoulli import (_check_p, _polynomial_weights, _polyval,
+from .bernoulli import (_check_p, _not_text, _polynomial_weights, _polyval,
                         shared_table)
 
 TWO_PI = 2.0 * math.pi
@@ -25,8 +24,9 @@ class PoleProximityError(ValueError):
 
 
 def check_pole(w: complex) -> complex:
-    """Return w as a complex number, refusing near-pole arguments."""
-    w = complex(w)
+    """Return w as a complex number, refusing text and near-pole
+    arguments."""
+    w = complex(_not_text(w, "w"))
     if not cmath.isfinite(w):
         raise ValueError(f"w={w} must be finite")
     k = round(w.imag / TWO_PI)
@@ -103,11 +103,11 @@ def reference_q(tau: float, w: complex) -> complex:
     expm1 keeps e^w - 1 to full relative accuracy as w -> 0, so no series
     is needed near the removable singularity; for positive real part the
     closed form is rewritten as w e^{w (tau - 1)} / -expm1(-w) to avoid
-    overflow.  It takes any real tau, widened to a float.  It calls nothing
-    in bernoulli, so it stays an oracle independent of the approximations
-    it checks.
+    overflow.  It takes any real tau, widened to a float, but not text.  It
+    evaluates no Bernoulli polynomial, so it stays an oracle independent of
+    the approximations it checks.
     """
-    tau, w = float(tau), check_pole(w)
+    tau, w = float(_not_text(tau, "tau")), check_pole(w)
     if w == 0:
         return 1.0 + 0.0j
     if w.real > 0.0:
@@ -140,36 +140,6 @@ def _k_powers(p: int, k) -> tuple:
     return tk * tk, tk ** (p - 2), tk ** (p - 1)
 
 
-#: order p -> the tuple of _k_powers of modes 1, 2, ..., at most _K_CAP
-_K_TABLES: dict = {}
-
-#: modes kept per order, about 590 KB a table; longer sums form the rest
-_K_CAP = 2 ** 12
-
-
-def _k_table(p: int, M: int):
-    """_k_powers(p, k) for k = 1..M, or more: the one table kept per order
-    p, and beyond its _K_CAP modes the rest, formed per call, as an
-    iterator.
-
-    The table grows only to the largest M asked, up to _K_CAP, and its
-    entries do not depend on the order of the calls that grew it.  It is a
-    tuple, replaced whole when it grows, so threads share it without a
-    lock: a reader sees an old or a new table, never a part of one, and two
-    threads that grow it at once cost at most a second growth.  Its powers,
-    the tail's too, are Python's float ** of the float 2 pi k to the int
-    powers of a gated p; numpy's ** on a float64 array, or a numpy integer
-    p, rounds some of them differently.
-    """
-    table, kept = _K_TABLES.get(p, ()), min(M, _K_CAP)
-    if len(table) < kept:
-        ks = range(len(table) + 1, kept + 1)
-        table += tuple(_k_powers(p, k) for k in ks)
-        _K_TABLES[p] = table
-    tail = (_k_powers(p, k) for k in range(len(table) + 1, M + 1))
-    return itertools.chain(table, tail) if len(table) < M else table
-
-
 def _modes(p: int, w_powers: tuple, k_powers: tuple) -> tuple:
     """Magnitudes (gamma, delta) of order-p mode k, from _w_powers(p, w)
     and _k_powers(p, k).
@@ -177,7 +147,7 @@ def _modes(p: int, w_powers: tuple, k_powers: tuple) -> tuple:
     Even p: gamma = w^p / ((2 pi k)^{p-2} (w^2 + (2 pi k)^2)), and delta
     carries one more power of w / (2 pi k); odd p swaps the two.  The
     factors come in formed, so that a sum over modes forms the w powers
-    once and reads the k powers from _k_table; every mode still takes the
+    once per w and the k powers once per sweep; every mode still takes the
     same IEEE operations in the same order.
     """
     w2, wp, wp1 = w_powers
@@ -224,23 +194,23 @@ def _mode_sum(p: int, tau: float, row: np.ndarray, ws) -> Iterator[complex]:
     order-p polynomial part at tau plus 2 (sc gamma_k a_k + ss delta_k b_k)
     over the modes k of the (2, M) weight row (a, b), parity signs (sc, ss).
 
-    The row's lists, the signs and the polynomial weights are formed once
-    per sweep, the w powers once per w.  The k powers are read per w from
-    the order's _k_table, which holds Python's float ** of each 2 pi k
-    (numpy's ** would round some differently) and forms a tail past its
-    cap per read, so a long sum keeps no more than the cap.  Each term is
-    the one _modes forms from freshly formed powers, bit for bit, whatever
-    the sweep's length.
+    The row's lists, the signs, the polynomial weights and the k powers
+    are formed once per sweep and belong to it alone, the w powers once per
+    w.  The k powers are _k_powers of each int k: Python's float ** of
+    2 pi k to the int powers of a gated p (numpy's ** on a float64 array,
+    or a numpy integer p, would round some differently).  Each term is the
+    one _modes forms from freshly formed powers, bit for bit.
     """
     sc, ss = parity_signs(p)
     weights = _polynomial_weights(shared_table(), p, tau)
     a_row, b_row = row.tolist()
+    k_powers = [_k_powers(p, k) for k in range(1, len(a_row) + 1)]
     for w in ws:
         acc = complex(_polyval(weights, w))
         comp = 0.0 + 0.0j
         wp = _w_powers(p, w)
         # compensated (Kahan) sum in ascending k, so tables reproduce exactly
-        for a, b, kp in zip(a_row, b_row, _k_table(p, len(a_row))):
+        for a, b, kp in zip(a_row, b_row, k_powers):
             g, d = _modes(p, wp, kp)
             term = 2.0 * (sc * g * a + ss * d * b)
             y = term - comp
@@ -289,7 +259,7 @@ def delta_of_N(z: complex, N: int, K: int) -> float:
         raise ValueError("N must be >= 1")
     if K < 2 * N:
         raise ValueError("K must be >= 2N")
-    z = complex(z)
+    z = complex(_not_text(z, "z"))
     if z == 0:
         raise ValueError("z must be nonzero")
     if not cmath.isfinite(z):

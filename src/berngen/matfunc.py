@@ -13,7 +13,7 @@ import numpy as np
 from .acceleration import _data_lines, _weight_row
 # perfbench/tracing.py wraps berngen.matfunc.build_triangle by this name
 from .acceleration import build_triangle  # noqa: F401
-from .bernoulli import _polynomial_weights, shared_table
+from .bernoulli import _not_text, _polynomial_weights, shared_table
 from .fourier import (POLE_TOL, TWO_PI, ApproxParams, PoleProximityError,
                       _check_order, _check_tau, check_pole, parity_signs)
 
@@ -34,10 +34,10 @@ SCALING_CAP = 1e6
 
 def _real(x, what: str) -> np.ndarray:
     """x as a float64 array, the one conversion of every real array input:
-    a complex dtype raises TypeError, where numpy would drop the imaginary
-    part with only a ComplexWarning, and a non-finite entry ValueError,
-    each naming what."""
-    x = np.asarray(x)
+    a text dtype, which numpy would parse, and a complex dtype, where numpy
+    would drop the imaginary part with only a ComplexWarning, raise
+    TypeError, and a non-finite entry ValueError, each naming what."""
+    x = _not_text(np.asarray(x), what)
     if x.dtype.kind == "c":
         raise TypeError(f"{what} must be real, not complex")
     x = x.astype(float, copy=False)

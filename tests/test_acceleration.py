@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from berngen.acceleration import (G_approx, TauEndpointError, _pair_matrix,
                                   _q_sweep, build_triangle, correction,
@@ -203,6 +204,52 @@ class TestAcceleratedApprox:
         assert slopes[-1] >= order - 0.2
         assert abs(slopes[-1] - last) < 0.05
         assert all(s >= order - 0.5 for s in slopes)
+
+
+class TestEnvelopeOrder:
+    """The error of G_approx falls like N^-(p + 2 ell), fitted to an
+    envelope that the phase at tau = 0.3 cannot fake.
+
+    2 pi N tau repeats every 10 N at tau = 0.3, so a doubling sequence of
+    N samples one phase of an oscillating leading term and once read 6.08
+    for p = 1, ell = 2.  The envelope here is the largest relative error
+    over each window N..N+9, one full period, at N = 10, 20, ..., 200, and
+    only envelopes above 1e3 eps count.  It approaches C N^-q like
+    C (N + a)^-q, a up to about 4.5: an order-10 envelope falls to 1e3 eps
+    by N = 50, where the slope from N = 30 to 40 reads 8.85, so the fit
+    carries the offset a.  w = -8 keeps 4 windows at the highest order; the fitted
+    orders ('measured') sit within 0.3 of p + 2 ell, none near
+    p + 2 ell + 1."""
+
+    TAU, W = 0.3, -8.0
+
+    @pytest.mark.parametrize("p, ell, measured", [
+        (1, 0, 1.00), (1, 1, 3.01), (1, 2, 5.02), (1, 3, 7.06), (2, 0, 1.95),
+        (2, 1, 4.01), (2, 2, 6.01), (2, 3, 7.85), (3, 0, 3.00), (3, 1, 5.01),
+        (3, 2, 7.01), (3, 3, 8.99), (4, 0, 3.90), (4, 1, 6.01), (4, 2, 8.00),
+        (4, 3, 9.98)])
+    def test_fitted_order(self, p, ell, measured):
+        exact = reference_q(self.TAU, self.W)
+        starts, logs = [], []
+        for start in range(10, 201, 10):
+            worst = max(abs(G_approx(ApproxParams(
+                p=p, N=N, tau=self.TAU, w=self.W, ell=ell)) - exact)
+                for N in range(start, start + 10)) / abs(exact)
+            if worst <= 1e3 * 2.0 ** -52:
+                break
+            starts.append(start)
+            logs.append(math.log(worst))
+        assert len(starts) >= 4
+        x, y = np.array(starts, dtype=float), np.array(logs)
+        # start from the two-point slope of the whole range, offset 0
+        slope = (y[0] - y[-1]) / math.log(x[-1] / x[0])
+        fit = least_squares(lambda v: v[0] - v[1] * np.log(x + v[2]) - y,
+                            [y[0] + slope * math.log(x[0]), slope, 0.0],
+                            bounds=([-np.inf, 0.0, 1.0 - x[0]],
+                                    [np.inf, np.inf, np.inf]))
+        order = fit.x[1]
+        assert abs(order - (p + 2 * ell)) <= 0.3
+        assert abs(order - measured) < 0.05
 
 
 class TestLeadingErrorTerm:

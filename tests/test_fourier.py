@@ -1,10 +1,7 @@
 """Scalar q, its Fourier modes, and the truncated-sum error functional."""
 
 import cmath
-import json
 import math
-import os
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -15,7 +12,6 @@ import pytest
 import sympy
 from scipy.integrate import quad
 
-import berngen
 from berngen import fourier
 from berngen.acceleration import G_approx, _weight_row
 from berngen.bernoulli import DEGREE_CAP, lanczos_polynomial, shared_table
@@ -376,61 +372,35 @@ def _bits(z: complex) -> list:
     return [z.real.hex(), z.imag.hex()]
 
 
-class TestModeTable:
-    """The per-order table of k powers that the mode sum reads."""
+class TestModeSum:
+    """Each sum forms its own k powers: no state outlives a call or is
+    shared between threads."""
 
     W = -3.0 + 20.0j
 
-    def test_growth_matches_a_fresh_process(self, monkeypatch):
-        """Sums over M = 400, then 100, then 1,000 modes, which grow the
-        table twice and read it once as a prefix, have the bits of the same
-        sums in a fresh process, each from a table of its own length."""
-        monkeypatch.setattr(fourier, "_K_TABLES", {})
-        cases = [(p, N) for p in (2, 6, 24) for N in (400, 100, 1000)]
-        got = [_bits(g_approx(ApproxParams(p=p, N=N, tau=0.3, w=self.W)))
-               for p, N in cases]
-        child = (
-            "import json, sys\n"
-            "from berngen import fourier\n"
-            "from berngen.fourier import ApproxParams, g_approx\n"
-            "out = []\n"
-            "for p, N in json.loads(sys.argv[1]):\n"
-            "    fourier._K_TABLES.clear()\n"
-            f"    z = g_approx(ApproxParams(p=p, N=N, tau=0.3, w={self.W}))\n"
-            "    out.append([z.real.hex(), z.imag.hex()])\n"
-            "print(json.dumps(out))\n")
-        src = os.path.dirname(os.path.dirname(berngen.__file__))
-        path = os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", child, json.dumps(cases)],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=path))
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == got
+    @pytest.mark.parametrize("p", [1, 2, 3, 6, 24, 65])
+    def test_k_factors_are_the_int_powers(self, monkeypatch, p):
+        """Every k factor a 4,104-mode sum passes to _modes is _k_powers of
+        the int k, bit for bit.  The CSV tables and the frozen bits absorb
+        a last-bit change in them: numpy's ** on a float64 arange (one ulp
+        off at p = 6, k = 5) moved no cell."""
+        seen = []
 
-    def test_one_table_per_order(self, monkeypatch):
-        """Sums of many lengths keep one table per order, as long as the
-        longest sum, holding the k powers formed without a table."""
-        tables = {}
-        monkeypatch.setattr(fourier, "_K_TABLES", tables)
-        for N in (30, 10, 50, 20):
-            g_approx(ApproxParams(p=6, N=N, tau=0.3, w=self.W))
-            G_approx(ApproxParams(p=6, N=N, tau=0.3, w=self.W, ell=2))
-        g_approx(ApproxParams(p=3, N=5, tau=0.3, w=self.W))
-        assert sorted(tables) == [3, 6]
-        assert tables[6] == tuple(_k_powers(6, k) for k in range(1, 55))
-        assert tables[3] == tuple(_k_powers(3, k) for k in range(1, 6))
+        def record(p, w_powers, k_powers):
+            seen.append(k_powers)
+            return _modes(p, w_powers, k_powers)
 
-    def test_threads_share_the_table(self, monkeypatch):
-        """G_approx from four threads at once, each growing the same empty
-        tables in another order, gives the serial results bit for bit."""
+        monkeypatch.setattr(fourier, "_modes", record)
+        G_approx(ApproxParams(p=p, N=4100, tau=0.3, w=self.W, ell=2))
+        assert seen == [_k_powers(p, k) for k in range(1, 4105)]
+
+    def test_threads_give_the_serial_bits(self):
+        """G_approx from four threads at once, each in another order, gives
+        the serial results bit for bit."""
         cases = [ApproxParams(p=p, N=N, tau=0.3, w=w, ell=2)
                  for p in (2, 6) for N in (50, 400, 20, 200, 800)
                  for w in (-3.0, self.W)]
         serial = [_bits(G_approx(params)) for params in cases]
-        tables = {}
-        monkeypatch.setattr(fourier, "_K_TABLES", tables)
         barrier = threading.Barrier(4)
 
         def run(shift):
@@ -448,21 +418,10 @@ class TestModeTable:
             sys.setswitchinterval(interval)
         for got in results:
             assert [got[i] for i in range(len(cases))] == serial
-        assert sorted(tables) == [2, 6]
-        for p, table in tables.items():
-            assert table == tuple(_k_powers(p, k)
-                                  for k in range(1, len(table) + 1))
 
-
-class TestModeTableCap:
-    """The kept table stops at _K_CAP modes; a longer sum forms its tail."""
-
-    W = -3.0 + 20.0j
-
-    def test_long_sum_keeps_a_bounded_table(self, monkeypatch):
+    def test_long_sum_keeps_little(self):
         """After a 20,000-mode sum less than 1 MB stays allocated; an
-        uncapped table kept about 2.9 MB."""
-        monkeypatch.setattr(fourier, "_K_TABLES", {})
+        uncapped process-wide k table kept about 2.9 MB."""
         g_approx(ApproxParams(p=2, N=10, tau=0.3, w=self.W))
         params = ApproxParams(p=2, N=20_000, tau=0.3, w=self.W)
         tracemalloc.start()
@@ -473,19 +432,6 @@ class TestModeTableCap:
         finally:
             tracemalloc.stop()
         assert kept < 2 ** 20
-        assert len(fourier._K_TABLES[2]) == fourier._K_CAP
-
-    @pytest.mark.parametrize("p", [2, 6, 24])
-    def test_tail_has_the_table_bits(self, monkeypatch, p):
-        """A sum past the cap has the bits of the same sum read whole from
-        a table, the cap raised above its length."""
-        params = ApproxParams(p=p, N=20_000, tau=0.3, w=self.W, ell=2)
-        monkeypatch.setattr(fourier, "_K_TABLES", {})
-        capped = _bits(G_approx(params))
-        monkeypatch.setattr(fourier, "_K_TABLES", {})
-        monkeypatch.setattr(fourier, "_K_CAP", 30_000)
-        assert _bits(G_approx(params)) == capped
-        assert len(fourier._K_TABLES[p]) == 20_004
 
 
 class TestResidualNorm:

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 import berngen
-from berngen import fourier
 from berngen.acceleration import G_approx, correction, q0_shift
 from berngen.arnoldi import arnoldi_extend, arnoldi_q_approx
 from berngen.bernoulli import eval_bernoulli, lanczos_polynomial, shared_table
 from berngen.bvp import discretize_laplacian, uniform_grid
-from berngen.fourier import (ApproxParams, delta_of_N, g_approx,
+from berngen.fourier import (ApproxParams, check_pole, delta_of_N, g_approx,
                              lanczos_coefficients, reference_q, residual_l2)
+from berngen.matfunc import _real
 
 W = -3.0 + 20.0j
 TAU32 = np.float32(0.3)
@@ -35,9 +35,9 @@ def _hex(value) -> list:
     return [z.real.hex(), z.imag.hex()]
 
 
-def _scalar_results(monkeypatch, p) -> list:
-    """The six scalar functions of order p at w = W, each on empty k
-    tables, so a call can only read powers it formed itself."""
+def _scalar_results(p) -> list:
+    """The six scalar functions of order p at w = W; each call forms every
+    power it uses itself."""
     calls = [
         lambda: G_approx(ApproxParams(p=p, N=40, tau=0.3, w=W, ell=2)),
         lambda: g_approx(ApproxParams(p=p, N=40, tau=0.3, w=W)),
@@ -46,11 +46,7 @@ def _scalar_results(monkeypatch, p) -> list:
         lambda: [lanczos_coefficients(p, k, W) for k in range(1, 60)],
         lambda: residual_l2(p, W, 40, 400),
     ]
-    out = []
-    for call in calls:
-        monkeypatch.setattr(fourier, "_K_TABLES", {})
-        out.append(_hex(call()))
-    return out
+    return [_hex(call()) for call in calls]
 
 
 class TestNumpyOrders:
@@ -58,12 +54,10 @@ class TestNumpyOrders:
 
     @pytest.mark.parametrize("int_type", [np.int64, np.int32])
     @pytest.mark.parametrize("p", [6, 24, 65])
-    def test_scalar_functions_take_the_int_arithmetic(self, monkeypatch, p,
-                                                      int_type):
+    def test_scalar_functions_take_the_int_arithmetic(self, p, int_type):
         """A numpy order used to run numpy's complex and float powers: at
         p = 65, G_approx moved by 3.4 %."""
-        assert (_scalar_results(monkeypatch, int_type(p))
-                == _scalar_results(monkeypatch, p))
+        assert _scalar_results(int_type(p)) == _scalar_results(p)
 
     @pytest.mark.parametrize("int_type", [np.int64, np.int32])
     @pytest.mark.parametrize("N", [15, 55, 65])
@@ -152,6 +146,37 @@ class TestRealScalars:
             q0_shift(-2.7 + 1.3j, alpha=float(alpha)))
         with pytest.raises(TypeError):
             q0_shift(-2.7 + 1.3j, alpha=0.1 + 0.0j)
+
+
+class TestTextRefused:
+    """float() and complex() parse a string, so every scalar gate and
+    matfunc._real refuse text before converting."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: ApproxParams(p=2, N=10, tau=0.3, w="-1"),
+        lambda: check_pole("-1"),
+        lambda: reference_q(0.3, "-1"),
+        lambda: reference_q("0.3", -1.0),
+        lambda: lanczos_coefficients(2, 1, "-1"),
+        lambda: residual_l2(2, "-1", 10, 20),
+        lambda: delta_of_N("1", 512, 2048),
+        lambda: q0_shift(-1.0, alpha="0.25"),
+        lambda: q0_shift(-1.0, alpha=b"0.25"),
+        lambda: eval_bernoulli(shared_table(), 2, "0.3"),
+        lambda: eval_bernoulli(shared_table(), 2, np.str_("0.3")),
+        lambda: eval_bernoulli(shared_table(), 2, np.array("0.3")),
+        lambda: lanczos_polynomial(shared_table(), 2, 0.3, "-1"),
+        lambda: _real(["1.0", "2.0"], "f"),
+        lambda: _real(np.array([b"1.0"]), "f"),
+    ], ids=["params-w", "check_pole", "reference_q-w", "reference_q-tau",
+            "lanczos_coefficients-w", "residual_l2-w", "delta_of_N-z",
+            "q0_shift-alpha", "q0_shift-alpha-bytes", "eval_bernoulli-tau",
+            "eval_bernoulli-np-str", "eval_bernoulli-0d-array",
+            "lanczos_polynomial-w", "real-str-array", "real-bytes-array"])
+    def test_text_is_refused(self, call):
+        """Each of these returned a number from the parsed text."""
+        with pytest.raises(TypeError, match="not text"):
+            call()
 
 
 class TestArnoldiTau:
