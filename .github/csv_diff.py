@@ -31,6 +31,7 @@ scalar-p1 scalar-error --p 1 --ell 0,2 --tau 0.125,0.5
 scalar-deep scalar-error --ell 4 --N 50 --tau 0.3,0.125
 scalar-high-p scalar-error --p 10,24,65 --ell 0,2 --tau 0.3,0 --points 40 --N 400
 scalar-shift scalar-error --p 1,3,6 --ell 0,3 --tau 0,0.3 --alpha 0.25 --points 41
+bvp-depths bvp-compare --ell 1,5 --N 20,40 --n 2
 """
 
 

@@ -4,16 +4,16 @@ corrections, the accelerated approximation, and the tau = 0 shift identity."""
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .bernoulli import _not_text, _polyval
-from .fourier import (TWO_PI, ApproxParams, _k_powers, _mode_sum, _modes,
-                      _trig_row, _w_powers, check_pole, parity_signs)
+from .bernoulli import _polyval
+from .fourier import (TWO_PI, ApproxParams, _check_alpha, _k_powers,
+                      _mode_sum, _modes, _trig_row, _w_powers, check_pole,
+                      parity_signs)
 
 #: |1 - cos(2 pi tau)| below this leaves the correction denominators
 #: dominated by roundoff
@@ -84,35 +84,35 @@ def pair_weights(N: int, ell: int, tau: float) -> tuple[list, list]:
     return gw, dw
 
 
-@functools.cache
 def _pair_matrix(ell: int) -> np.ndarray:
     """The (2 ell, 2 ell + 1) integer matrix of CoefficientTriangle.pairs()
     as combinations of its base entries, what build_triangle returns on the
     identity.  Level m of the triangle is the 2m-th difference of the base,
     so pair 2m + a (a = 0, 1), level m's entry a + 1, weighs base entry
-    a + 1 + r by (-1)^(m + r) C(2m, r), r = 0..2m."""
+    a + 1 + r by (-1)^(m + r) C(2m, r), r = 0..2m.  Each plan, sweep or
+    one-w call forms its own; nothing keeps one across calls."""
     pairs = np.zeros((2 * ell, 2 * ell + 1))
     for m in range(ell):
         diff = [(-1.0) ** (m + r) * math.comb(2 * m, r)
                 for r in range(2 * m + 1)]
         for a in (0, 1):
             pairs[2 * m + a, a + 1:a + 2 * m + 2] = diff
-    pairs.flags.writeable = False
     return pairs
 
 
-def _correction_weights(N: int, ell: int, tau: float) -> np.ndarray:
+def _correction_weights(N: int, pairs: np.ndarray, tau: float) -> np.ndarray:
     """Weights of modes N..N+2 ell in (Gamma, Delta), shape (2, 2 ell + 1):
-    pair_weights through the pair matrix."""
-    return np.dot(pair_weights(N, ell, tau), _pair_matrix(ell))
+    pair_weights through the depth-ell pair matrix."""
+    return np.dot(pair_weights(N, len(pairs) // 2, tau), pairs)
 
 
-def _weight_row(N: int, ell: int, tau: float) -> np.ndarray:
-    """The (2, N + 2 ell) weight row of modes 1..N+2 ell at tau: the mode
-    cosines and sines plus, for ell > 0, the correction's mode weights."""
-    row = _trig_row(N, N + 2 * ell, tau)
-    if ell:
-        row[:, N - 1:] += _correction_weights(N, ell, tau)
+def _weight_row(N: int, pairs: np.ndarray, tau: float) -> np.ndarray:
+    """The (2, N + 2 ell) weight row of modes 1..N+2 ell at tau, for the
+    depth-ell pair matrix: the mode cosines and sines plus, for ell > 0,
+    the correction's mode weights."""
+    row = _trig_row(N, N + len(pairs), tau)
+    if len(pairs):
+        row[:, N - 1:] += _correction_weights(N, pairs, tau)
     return row
 
 
@@ -125,7 +125,7 @@ def correction(p: int, N: int, ell: int, tau: float,
     p, N, ell, tau, w = params.p, params.N, params.ell, params.tau, params.w
     ks = np.arange(N, N + 2 * ell + 1)
     g, d = _modes(p, _w_powers(p, w), _k_powers(p, ks))
-    gw, dw = _correction_weights(N, ell, tau)
+    gw, dw = _correction_weights(N, _pair_matrix(ell), tau)
     return complex(gw @ g), complex(dw @ d)
 
 
@@ -134,7 +134,7 @@ def G_approx(params: ApproxParams) -> complex:
     which carries the depth-ell rational correction with the parity-aware
     family signs: for even p the total is g + 2 sign (Gamma + Delta).
     ell = 0 returns g_approx unchanged."""
-    row = _weight_row(params.N, params.ell, params.tau)
+    row = _weight_row(params.N, _pair_matrix(params.ell), params.tau)
     return next(_mode_sum(params.p, params.tau, row, (params.w,)))
 
 
@@ -187,14 +187,6 @@ def load_exp_approximant(path) -> Callable[[complex], complex]:
     return evaluate
 
 
-def _check_alpha(alpha: float) -> float:
-    """The shift offset alpha as a Python float, refused as text
-    (TypeError) or outside (0, 1) (ValueError)."""
-    if not 0.0 < (alpha := float(_not_text(alpha, "alpha"))) < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    return alpha
-
-
 def _shift(g: complex, w: complex, alpha: float,
            exp_eval: Callable[[complex], complex]) -> complex:
     """q(0, w) from g = q(1 - alpha, w), by the shift identity
@@ -202,20 +194,21 @@ def _shift(g: complex, w: complex, alpha: float,
     return g * exp_eval(alpha * w) - w
 
 
-def q0_shift(w: complex, alpha: float = 0.125,
+def q0_shift(w: complex, alpha: float | None = None,
              exp_eval: Callable[[complex], complex] | None = None,
              params: ApproxParams | None = None) -> complex:
     """Evaluate at tau = 0 through the interior point 1 - alpha.
 
     Uses q(0, w) = q(1 - alpha, w) e^{alpha w} - w with the value at
-    1 - alpha supplied by G_approx.  exp_eval defaults to cmath.exp; a
-    rational approximant from load_exp_approximant may be plugged in
-    instead.  alpha is widened to a float before its range check, and w is
-    the complex that ApproxParams' check returns.
+    1 - alpha supplied by G_approx.  alpha defaults to params.alpha, and to
+    ApproxParams' 0.125 without params; an explicit alpha wins.  exp_eval
+    defaults to cmath.exp; a rational approximant from load_exp_approximant
+    may be plugged in instead.  alpha is widened to a float before its
+    range check, and w is the complex that ApproxParams' check returns.
     """
-    alpha = _check_alpha(alpha)
     if params is None:
-        params = ApproxParams(p=2, N=100, tau=1.0 - alpha, ell=3)
+        params = ApproxParams(p=2, N=100, tau=0.5, ell=3)
+    alpha = _check_alpha(params.alpha if alpha is None else alpha)
     params = replace(params, tau=1.0 - alpha, w=w, alpha=alpha)
     return _shift(G_approx(params), params.w, alpha, exp_eval or cmath.exp)
 
@@ -224,8 +217,8 @@ def _q_sweep(p: int, N: int, ell: int, tau: float, alpha: float,
              ws: Sequence) -> Iterator[complex]:
     """For each w of ws in turn, G_approx(params) or, at tau = 0,
     q0_shift(w, alpha, params=params), with params = ApproxParams(p=p, N=N,
-    tau=tau, w=w, ell=ell, alpha=alpha): the same values, bit for bit, from
-    one weight row and polynomial part per sweep.
+    tau=tau, w=w, ell=ell): the same values, bit for bit, from one weight
+    row, pair matrix and polynomial part per sweep.
 
     It checks nothing before its first value is asked.  Then it checks p,
     N, ell and tau, and alpha at tau = 0, once, and each w by check_pole as
@@ -237,7 +230,7 @@ def _q_sweep(p: int, N: int, ell: int, tau: float, alpha: float,
     if at_zero:
         alpha = _check_alpha(alpha)
         params = replace(params, tau=1.0 - alpha)
-    row = _weight_row(params.N, params.ell, params.tau)
+    row = _weight_row(params.N, _pair_matrix(params.ell), params.tau)
     gs = _mode_sum(params.p, params.tau, row, map(check_pole, ws))
     for w, g in zip(ws, gs):
         yield _shift(g, complex(w), alpha, cmath.exp) if at_zero else g

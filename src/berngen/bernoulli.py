@@ -13,11 +13,13 @@ DEGREE_CAP = 64
 
 
 def _not_text(x, what: str):
-    """x itself, refused (TypeError) if it is text: float() parses a
-    string, bytes or a text array of one entry, and complex() a string, but
-    no gate takes a number in writing."""
-    if isinstance(x, (str, bytes, bytearray)) or (
-            hasattr(x, "dtype") and x.dtype.kind in "SU"):
+    """x itself, refused (TypeError) if it is text or an object array that
+    holds text: float() parses a string, bytes or a text array of one
+    entry, complex() a string and astype(float) an object array's strings,
+    but no gate takes a number in writing."""
+    if isinstance(x, (str, bytes, bytearray)) or hasattr(x, "dtype") and (
+            x.dtype.kind in "SU" or x.dtype.kind == "O" and any(
+                isinstance(v, (str, bytes, bytearray)) for v in x.flat)):
         raise TypeError(f"{what} must be a number, not text")
     return x
 

@@ -71,16 +71,25 @@ def _check_tau(tau: float) -> float:
     return float(tau)
 
 
+def _check_alpha(alpha: float) -> float:
+    """The shift offset alpha as a Python float, refused as text
+    (TypeError) or outside (0, 1) (ValueError)."""
+    if not 0.0 < (alpha := float(_not_text(alpha, "alpha"))) < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    return alpha
+
+
 @dataclass(frozen=True)
 class ApproxParams:
     """The parameter tuple (p, N, ell, tau, w) shared by every approximation.
 
     p is the order of the polynomial part (p = 2n + 2 for the even family),
     N the number of retained modes, ell the correction depth, tau the
-    evaluation point in [0, 1], and w the (complex) argument.  alpha is the
-    offset used when evaluating at tau = 0 through the shift identity.
-    p, N, ell, tau and w are stored as their gates return them: ints, a
-    float and a complex, whatever number types the caller passed.
+    evaluation point in [0, 1], and w the (complex) argument.  alpha in
+    (0, 1) is the offset q0_shift uses by default when it evaluates at
+    tau = 0 through the shift identity.  Every field is stored as its gate
+    returns it: ints, floats and a complex, whatever number types the
+    caller passed.
     """
 
     p: int
@@ -93,8 +102,9 @@ class ApproxParams:
     def __post_init__(self):
         p, N, ell = _check_order(self.p, self.N, self.ell)
         tau, w = _check_tau(self.tau), check_pole(self.w)
+        alpha = _check_alpha(self.alpha)
         # frozen: the checked values go into the instance dict directly
-        vars(self).update(p=p, N=N, ell=ell, tau=tau, w=w)
+        vars(self).update(p=p, N=N, ell=ell, tau=tau, w=w, alpha=alpha)
 
 
 def reference_q(tau: float, w: complex) -> complex:
@@ -254,7 +264,12 @@ def residual_l2(p: int, w: complex, N: int, K: int) -> float:
 
 
 def delta_of_N(z: complex, N: int, K: int) -> float:
-    """Scaled residual norm N^{7/2} |z|^{-4} ||R_{4,N}||_2 over modes <= K."""
+    """Scaled residual norm N^{7/2} |z|^{-4} ||R_{4,N}||_2 over modes <= K.
+
+    N and K must be integers (TypeError, before any range check); an int N
+    makes N ** 3.5 Python's float power, not numpy's.
+    """
+    N, K = operator.index(N), operator.index(K)
     if N < 1:
         raise ValueError("N must be >= 1")
     if K < 2 * N:
@@ -264,7 +279,4 @@ def delta_of_N(z: complex, N: int, K: int) -> float:
         raise ValueError("z must be nonzero")
     if not cmath.isfinite(z):
         raise ValueError(f"z={z} must be finite")
-    # a non-integer N or K raises here what residual_l2 raised for it; an
-    # int N makes N ** 3.5 Python's float power, not numpy's
-    N, K = operator.index(N), operator.index(K)
     return N ** 3.5 * abs(z) ** -4.0 * residual_l2(4, TWO_PI * z, N, K)

@@ -10,7 +10,7 @@ import threading
 
 import numpy as np
 
-from .acceleration import _data_lines, _weight_row
+from .acceleration import _data_lines, _pair_matrix, _weight_row
 # perfbench/tracing.py wraps berngen.matfunc.build_triangle by this name
 from .acceleration import build_triangle  # noqa: F401
 from .bernoulli import _not_text, _polynomial_weights, shared_table
@@ -518,12 +518,14 @@ class ActionPlan:
         return plan
 
     def _build(self, p: int, N: int, ell: int, scheme: str) -> None:
-        """Set p, N, ell, scheme, evaluate's tau-independent factors, X, Z."""
+        """Set p, N, ell, scheme, evaluate's tau-independent factors (the
+        pair matrix of depth ell among them), X, Z."""
         p, N, ell = _check_order(p, N, ell)
         if scheme not in ("stabilized", "direct"):
             raise ValueError(f"unknown scheme {scheme!r}")
         A, f, s = self.A, self.f, self.A.dimension
         self.p, self.N, self.ell, self._scheme = p, N, ell, scheme
+        self._pairs = _pair_matrix(ell)
         M, have = N + 2 * ell, len(self._X)
         self._tk = tk = TWO_PI * np.arange(1, M + 1)
         # odd p swaps the families; each row's t_k power over 2 x its sign
@@ -564,7 +566,7 @@ class ActionPlan:
         tau = _check_tau(tau)
         p, X = self.p, self._X
         # weights of A^p x_k and A^(p+1) x_k, or of the rows Y_k and D_k
-        trig = _weight_row(self.N, self.ell, tau)
+        trig = _weight_row(self.N, self._pairs, tau)
         lo, hi = trig[self._order] / self._divisors
         c, f = _polynomial_weights(shared_table(), p, tau), self.f
         w = np.zeros(len(self._Z))

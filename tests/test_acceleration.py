@@ -113,11 +113,26 @@ class TestCoefficientTriangle:
         3.9 MB."""
         tracemalloc.start()
         try:
-            pairs = _pair_matrix.__wrapped__(60)
+            pairs = _pair_matrix(60)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * pairs.nbytes
+
+    def test_one_call_keeps_no_pair_matrix(self):
+        """One G_approx at depth 120 leaves under 0.1 MB allocated (0.02 MB
+        measured); a process-wide cache per ell kept its 0.46 MB pair
+        matrix."""
+        params = ApproxParams(p=2, N=10, tau=0.3, w=-1.0, ell=120)
+        G_approx(replace(params, ell=1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            G_approx(params)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 0.1 * 2 ** 20
 
 
 class TestCorrection:
@@ -206,20 +221,44 @@ class TestAcceleratedApprox:
         assert all(s >= order - 0.5 for s in slopes)
 
 
+def _envelope_order(error) -> tuple[float, int]:
+    """The order q of error(N) and the number of windows it was fitted on.
+
+    The envelope is the largest error(N) over each window N..N+9 at
+    N = 10, 20, ..., 200, up to the first window at or below 1e3 eps.  It
+    approaches C N^-q like C (N + a)^-q, so log envelope = c - q log(N + a)
+    is fitted with the offset a.
+    """
+    starts, logs = [], []
+    for start in range(10, 201, 10):
+        worst = max(error(N) for N in range(start, start + 10))
+        if worst <= 1e3 * 2.0 ** -52:
+            break
+        starts.append(start)
+        logs.append(math.log(worst))
+    x, y = np.array(starts, dtype=float), np.array(logs)
+    # start from the two-point slope of the whole range, offset 0
+    slope = (y[0] - y[-1]) / math.log(x[-1] / x[0])
+    fit = least_squares(lambda v: v[0] - v[1] * np.log(x + v[2]) - y,
+                        [y[0] + slope * math.log(x[0]), slope, 0.0],
+                        bounds=([-np.inf, 0.0, 1.0 - x[0]],
+                                [np.inf, np.inf, np.inf]))
+    return fit.x[1], len(starts)
+
+
 class TestEnvelopeOrder:
     """The error of G_approx falls like N^-(p + 2 ell), fitted to an
     envelope that the phase at tau = 0.3 cannot fake.
 
     2 pi N tau repeats every 10 N at tau = 0.3, so a doubling sequence of
     N samples one phase of an oscillating leading term and once read 6.08
-    for p = 1, ell = 2.  The envelope here is the largest relative error
-    over each window N..N+9, one full period, at N = 10, 20, ..., 200, and
-    only envelopes above 1e3 eps count.  It approaches C N^-q like
-    C (N + a)^-q, a up to about 4.5: an order-10 envelope falls to 1e3 eps
-    by N = 50, where the slope from N = 30 to 40 reads 8.85, so the fit
-    carries the offset a.  w = -8 keeps 4 windows at the highest order; the fitted
-    orders ('measured') sit within 0.3 of p + 2 ell, none near
-    p + 2 ell + 1."""
+    for p = 1, ell = 2.  The envelope here is _envelope_order's: the
+    largest relative error over each window N..N+9, one full period, with
+    only envelopes above 1e3 eps counted.  Its offset a reaches about 4.5:
+    an order-10 envelope falls to 1e3 eps by N = 50, where the slope from
+    N = 30 to 40 reads 8.85, so the fit carries a.  w = -8 keeps 4 windows
+    at the highest order; the fitted orders ('measured') sit within 0.3 of
+    p + 2 ell, none near p + 2 ell + 1."""
 
     TAU, W = 0.3, -8.0
 
@@ -230,24 +269,9 @@ class TestEnvelopeOrder:
         (4, 3, 9.98)])
     def test_fitted_order(self, p, ell, measured):
         exact = reference_q(self.TAU, self.W)
-        starts, logs = [], []
-        for start in range(10, 201, 10):
-            worst = max(abs(G_approx(ApproxParams(
-                p=p, N=N, tau=self.TAU, w=self.W, ell=ell)) - exact)
-                for N in range(start, start + 10)) / abs(exact)
-            if worst <= 1e3 * 2.0 ** -52:
-                break
-            starts.append(start)
-            logs.append(math.log(worst))
-        assert len(starts) >= 4
-        x, y = np.array(starts, dtype=float), np.array(logs)
-        # start from the two-point slope of the whole range, offset 0
-        slope = (y[0] - y[-1]) / math.log(x[-1] / x[0])
-        fit = least_squares(lambda v: v[0] - v[1] * np.log(x + v[2]) - y,
-                            [y[0] + slope * math.log(x[0]), slope, 0.0],
-                            bounds=([-np.inf, 0.0, 1.0 - x[0]],
-                                    [np.inf, np.inf, np.inf]))
-        order = fit.x[1]
+        order, windows = _envelope_order(lambda N: abs(G_approx(ApproxParams(
+            p=p, N=N, tau=self.TAU, w=self.W, ell=ell)) - exact) / abs(exact))
+        assert windows >= 4
         assert abs(order - (p + 2 * ell)) <= 0.3
         assert abs(order - measured) < 0.05
 

@@ -13,7 +13,7 @@ import sympy
 from scipy.integrate import quad
 
 from berngen import fourier
-from berngen.acceleration import G_approx, _weight_row
+from berngen.acceleration import G_approx, _pair_matrix, _weight_row
 from berngen.bernoulli import DEGREE_CAP, lanczos_polynomial, shared_table
 from berngen.fourier import (ApproxParams, PoleProximityError, _k_powers,
                              _modes, _w_powers, check_pole, delta_of_N,
@@ -354,7 +354,7 @@ class TestGApprox:
         reaches about 15 u on these cells; the CSV tables rely on the
         compensated one."""
         u, sc, ss = 2.0 ** -53, *parity_signs(p)
-        row = _weight_row(100, ell, tau)
+        row = _weight_row(100, _pair_matrix(ell), tau)
         for w in np.linspace(-10.0, 0.0, 100):
             w = complex(w)
             terms = [lanczos_polynomial(shared_table(), p, tau, w)]

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ import berngen
 from berngen.acceleration import G_approx, correction, q0_shift
 from berngen.arnoldi import arnoldi_extend, arnoldi_q_approx
 from berngen.bernoulli import eval_bernoulli, lanczos_polynomial, shared_table
-from berngen.bvp import discretize_laplacian, uniform_grid
+from berngen.bvp import Grid, discretize_laplacian, uniform_grid
 from berngen.fourier import (ApproxParams, check_pole, delta_of_N, g_approx,
                              lanczos_coefficients, reference_q, residual_l2)
-from berngen.matfunc import _real
+from berngen.matfunc import (BandedOperator, _real, shifted_solve,
+                             spectral_reference)
 
 W = -3.0 + 20.0j
 TAU32 = np.float32(0.3)
@@ -160,6 +162,7 @@ class TestTextRefused:
         lambda: lanczos_coefficients(2, 1, "-1"),
         lambda: residual_l2(2, "-1", 10, 20),
         lambda: delta_of_N("1", 512, 2048),
+        lambda: ApproxParams(p=2, N=10, tau=0.3, w=-1.0, alpha="0.25"),
         lambda: q0_shift(-1.0, alpha="0.25"),
         lambda: q0_shift(-1.0, alpha=b"0.25"),
         lambda: eval_bernoulli(shared_table(), 2, "0.3"),
@@ -170,13 +173,73 @@ class TestTextRefused:
         lambda: _real(np.array([b"1.0"]), "f"),
     ], ids=["params-w", "check_pole", "reference_q-w", "reference_q-tau",
             "lanczos_coefficients-w", "residual_l2-w", "delta_of_N-z",
-            "q0_shift-alpha", "q0_shift-alpha-bytes", "eval_bernoulli-tau",
-            "eval_bernoulli-np-str", "eval_bernoulli-0d-array",
+            "params-alpha", "q0_shift-alpha", "q0_shift-alpha-bytes",
+            "eval_bernoulli-tau", "eval_bernoulli-np-str",
+            "eval_bernoulli-0d-array",
             "lanczos_polynomial-w", "real-str-array", "real-bytes-array"])
     def test_text_is_refused(self, call):
         """Each of these returned a number from the parsed text."""
         with pytest.raises(TypeError, match="not text"):
             call()
+
+    @pytest.mark.parametrize("call", [
+        lambda text: shifted_solve(discretize_laplacian(uniform_grid(
+            1.0, 4)), 1, np.array([text, 1.0, 1.0, 1.0], dtype=object)),
+        lambda text: BandedOperator.tridiagonal(
+            np.ones(2), np.array([text, -2.0, -2.0], dtype=object),
+            np.ones(2)),
+        lambda text: Grid(nodes=np.array([0.0, text, 1.0], dtype=object)),
+        lambda text: spectral_reference(
+            discretize_laplacian(uniform_grid(1.0, 4)),
+            np.array([0.3, text], dtype=object), np.ones(4)),
+    ], ids=["f", "operator-bands", "grid-nodes", "oracle-tau"])
+    @pytest.mark.parametrize("text", ["0.5", b"0.5"], ids=["str", "bytes"])
+    def test_text_in_an_object_array_is_refused(self, call, text):
+        """astype(float) parses an object array's strings: each of these
+        returned a result or built an object from them."""
+        with pytest.raises(TypeError, match="not text"):
+            call(text)
+
+    def test_numeric_object_array_converts(self):
+        got = _real(np.array([1.5, 2, np.float32(0.5)], dtype=object), "f")
+        assert got.dtype == np.float64 and got.tolist() == [1.5, 2.0, 0.5]
+
+
+class TestAlphaGate:
+    """ApproxParams gates and stores alpha, and q0_shift reads it."""
+
+    def test_out_of_range_alpha_refused(self):
+        """alpha = 7.0 used to be stored as it came."""
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            ApproxParams(p=2, N=10, tau=0.3, w=-1.0, alpha=7.0)
+
+    def test_alpha_stored_as_a_float(self):
+        params = ApproxParams(p=2, N=10, tau=0.3, alpha=np.float32(0.25))
+        assert type(params.alpha) is float and params.alpha == 0.25
+
+    def test_q0_shift_reads_params_alpha(self):
+        """q0_shift shifted by its own default 0.125 whatever params.alpha
+        said, and returned 1.5819767101962787 here."""
+        params = ApproxParams(p=2, N=40, tau=0.5, ell=2, alpha=0.3)
+        got = q0_shift(-1.0, params=params)
+        assert _hex(got) == _hex(q0_shift(-1.0, 0.3, params=replace(
+            params, alpha=0.125)))
+        assert abs(got - 1.58197670680061) < 1e-15
+        # an explicit alpha wins, and without params alpha is 0.125
+        assert _hex(q0_shift(-1.0, 0.125, params=params)) == _hex(
+            q0_shift(-1.0, params=replace(params, alpha=0.125)))
+        assert _hex(q0_shift(-1.0)) == _hex(q0_shift(-1.0, 0.125))
+
+
+class TestDeltaOfNIndex:
+    """delta_of_N indexes N and K before any range check."""
+
+    @pytest.mark.parametrize("N, K", [(0.5, 8), (2, 3.5), (2.5, 8),
+                                      (2, 4.5)])
+    def test_float_N_or_K_refused(self, N, K):
+        """The first two raised ValueError from the range checks."""
+        with pytest.raises(TypeError):
+            delta_of_N(1.0, N, K)
 
 
 class TestArnoldiTau:

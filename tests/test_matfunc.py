@@ -18,7 +18,8 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import berngen.matfunc
-from berngen.acceleration import G_approx, build_triangle, pair_weights
+from berngen.acceleration import (G_approx, _pair_matrix, build_triangle,
+                                  pair_weights)
 from berngen.arnoldi import arnoldi_extend
 from berngen.bernoulli import DEGREE_CAP, eval_bernoulli, shared_table
 from berngen.bvp import (circulant_shift, discretize_laplacian,
@@ -33,6 +34,7 @@ from berngen.matfunc import (DENSE_CAP, SCALING_CAP, SPECTRAL_CAP,
                              load_matrix_market, load_tridiagonal,
                              reference_solution, shifted_solve,
                              spectral_reference)
+from test_acceleration import _envelope_order
 
 TWO_PI = 2.0 * math.pi
 
@@ -888,6 +890,24 @@ class TestPolynomialAction:
 
 
 class TestActionPlan:
+    def test_pair_matrix_once_per_plan_or_view(self, monkeypatch):
+        """A plan and each view form the pair matrix of their own depth
+        once; evaluate forms none."""
+        depths = []
+
+        def counting(ell):
+            depths.append(ell)
+            return _pair_matrix(ell)
+
+        monkeypatch.setattr(berngen.matfunc, "_pair_matrix", counting)
+        A = discretize_laplacian(uniform_grid(1.0, 14))
+        plan = ActionPlan(A, 2, 10, 1, np.ones(A.dimension))
+        view = plan.view(3, 20, 5)
+        for tau in (0.25, 0.5):
+            plan.evaluate(tau)
+            view.evaluate(tau)
+        assert depths == [1, 5]
+
     def test_solve_budget_is_exact(self):
         counting = uniform_grid(1.0, 14)
         A = discretize_laplacian(counting)
@@ -1378,6 +1398,47 @@ def _dst1(x):
     ext[1:n + 1] = x
     ext[n + 2:] = -x[::-1]
     return -np.fft.rfft(ext)[1:n + 1].imag / 2.0
+
+
+class TestPlanEnvelopeOrder:
+    """The stabilized plan's error falls like N^-(p + 2 ell), fitted as
+    TestEnvelopeOrder fits the scalar one (_envelope_order, windows
+    N..N+9, a 1e3 eps floor, the offset fit) to the max-norm error relative
+    to the DST-I action on uniform_grid(24.0, 64), whose spectrum reaches
+    -29.3, with a seeded normal f at tau = 0.3.  One plan of 215 modes
+    serves every cell through its views, and every cell keeps at least 8
+    windows.  p = 4, ell = 3 is left out: its envelope meets the floor
+    after 6 windows and reads 9.31; a wider spectrum keeps more windows
+    but lifts the roundoff of evaluate's A^2 step above the floor, where
+    the envelope flattens (5.18 over 20 windows on uniform_grid(16.0, 64))."""
+
+    TAU = 0.3
+
+    @pytest.fixture(scope="class")
+    def plan_and_exact(self):
+        s, h = 64, 24.0 / 65.0
+        A = discretize_laplacian(uniform_grid(24.0, s))
+        f = np.random.default_rng(7).standard_normal(s)
+        lam = -(4.0 / h ** 2) * np.sin(
+            np.arange(1, s + 1) * np.pi / (2 * (s + 1))) ** 2
+        scale = math.sqrt(2.0 / (s + 1))
+        exact = scale * _dst1(lam * np.exp(self.TAU * lam) / np.expm1(lam)
+                              * scale * _dst1(f))
+        return ActionPlan(A, 2, 209, 3, f), exact
+
+    @pytest.mark.parametrize("p, ell, measured", [
+        (1, 0, 1.02), (1, 1, 3.11), (1, 2, 4.74), (1, 3, 7.15), (2, 0, 1.94),
+        (2, 1, 4.05), (2, 2, 6.11), (2, 3, 7.72), (3, 0, 3.02), (3, 1, 5.04),
+        (3, 2, 7.01), (3, 3, 9.19), (4, 0, 3.90), (4, 1, 6.03),
+        (4, 2, 8.04)])
+    def test_fitted_order(self, plan_and_exact, p, ell, measured):
+        plan, exact = plan_and_exact
+        peak = np.max(np.abs(exact))
+        order, windows = _envelope_order(lambda N: np.max(np.abs(
+            plan.view(p, N, ell).evaluate(self.TAU) - exact)) / peak)
+        assert windows >= 8
+        assert abs(order - (p + 2 * ell)) <= 0.3
+        assert abs(order - measured) < 0.05
 
 
 class TestAboveDenseCap:
